@@ -12,7 +12,11 @@
 // One JSON line per (mode, op, threads) cell, same shape as
 // bench_server_throughput:
 //   {"bench":"read_scaling","mode":"db","op":"get","threads":4,"cpus":8,
-//    "ops":100000,"ops_per_sec":123456.7,"p50_us":3.0,"p99_us":11.2}
+//    "ops":100000,"failed":0,"ops_per_sec":123456.7,"p50_us":3.0,
+//    "p99_us":11.2}
+// "failed" counts operations that returned an error other than NotFound;
+// they are left out of ops and latency.  The program exits 1 if any cell
+// failed one.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -49,9 +53,21 @@ double NowMicros() {
 
 struct CellResult {
   uint64_t ops = 0;
+  uint64_t failed = 0;
   double ops_per_sec = 0;
   Histogram latency_us;
 };
+
+// Folds per-thread histograms and failure counts into one result.
+CellResult Collect(const std::vector<Histogram>& histograms,
+                   const std::vector<uint64_t>& failed, double elapsed_us) {
+  CellResult result;
+  for (const Histogram& h : histograms) result.latency_us.Merge(h);
+  for (uint64_t n : failed) result.failed += n;
+  result.ops = result.latency_us.Count();
+  result.ops_per_sec = result.ops / (elapsed_us / 1e6);
+  return result;
+}
 
 // One operation: a point read, or (for the mixed cell) a put on 5% of ops.
 // `put_percent` of 0 gives the pure point-read cell.
@@ -63,6 +79,7 @@ struct Workload {
 CellResult RunDbCell(DB* db, const Workload& w, int threads,
                      uint64_t ops_per_thread) {
   std::vector<Histogram> histograms(threads);
+  std::vector<uint64_t> failed(threads, 0);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   const double start = NowMicros();
@@ -81,26 +98,21 @@ CellResult RunDbCell(DB* db, const Workload& w, int threads,
                           : db->Get(ReadOptions(), key, &out);
         if (s.IsNotFound()) s = Status::OK();
         if (!s.ok()) {
-          std::fprintf(stderr, "op failed: %s\n", s.ToString().c_str());
-          return;
+          failed[t]++;
+          continue;
         }
         histograms[t].Add(NowMicros() - op_start);
       }
     });
   }
   for (auto& worker : workers) worker.join();
-  const double elapsed_us = NowMicros() - start;
-
-  CellResult result;
-  for (const Histogram& h : histograms) result.latency_us.Merge(h);
-  result.ops = result.latency_us.Count();
-  result.ops_per_sec = result.ops / (elapsed_us / 1e6);
-  return result;
+  return Collect(histograms, failed, NowMicros() - start);
 }
 
 CellResult RunServerCell(int port, const Workload& w, int threads,
                          uint64_t ops_per_thread) {
   std::vector<Histogram> histograms(threads);
+  std::vector<uint64_t> failed(threads, 0);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   const double start = NowMicros();
@@ -121,34 +133,33 @@ CellResult RunServerCell(int port, const Workload& w, int threads,
         Status s = do_put ? client.Put(key, value) : client.Get(key, &out);
         if (s.IsNotFound()) s = Status::OK();
         if (!s.ok()) {
-          std::fprintf(stderr, "op failed: %s\n", s.ToString().c_str());
-          return;
+          failed[t]++;
+          continue;
         }
         histograms[t].Add(NowMicros() - op_start);
       }
     });
   }
   for (auto& worker : workers) worker.join();
-  const double elapsed_us = NowMicros() - start;
-
-  CellResult result;
-  for (const Histogram& h : histograms) result.latency_us.Merge(h);
-  result.ops = result.latency_us.Count();
-  result.ops_per_sec = result.ops / (elapsed_us / 1e6);
-  return result;
+  return Collect(histograms, failed, NowMicros() - start);
 }
+
+// Failed operations across every cell reported so far.
+uint64_t total_failed = 0;
 
 void Report(const char* mode, const char* op, int threads,
             const CellResult& r) {
+  total_failed += r.failed;
   std::printf("%-7s %-9s %8d %12.0f %10.2f %10.2f\n", mode, op, threads,
               r.ops_per_sec, r.latency_us.Percentile(50),
               r.latency_us.Percentile(99));
   std::printf(
       "{\"bench\":\"read_scaling\",\"mode\":\"%s\",\"op\":\"%s\","
-      "\"threads\":%d,\"cpus\":%u,\"ops\":%llu,\"ops_per_sec\":%.1f,"
-      "\"p50_us\":%.2f,\"p99_us\":%.2f}\n",
+      "\"threads\":%d,\"cpus\":%u,\"ops\":%llu,\"failed\":%llu,"
+      "\"ops_per_sec\":%.1f,\"p50_us\":%.2f,\"p99_us\":%.2f}\n",
       mode, op, threads, std::thread::hardware_concurrency(),
-      static_cast<unsigned long long>(r.ops), r.ops_per_sec,
+      static_cast<unsigned long long>(r.ops),
+      static_cast<unsigned long long>(r.failed), r.ops_per_sec,
       r.latency_us.Percentile(50), r.latency_us.Percentile(99));
   std::fflush(stdout);
 }
@@ -241,5 +252,10 @@ int main(int argc, char** argv) {
   }
 
   server.Stop();
+  if (total_failed > 0) {
+    std::fprintf(stderr, "%llu operations failed\n",
+                 static_cast<unsigned long long>(total_failed));
+    return 1;
+  }
   return 0;
 }

@@ -8,7 +8,8 @@
 //
 // One JSON line per cell, e.g.:
 //   {"bench":"server_throughput","op":"put","connections":4,"ops":40000,
-//    "ops_per_sec":123456.7,"p50_us":30.1,"p99_us":210.9,...,"cpus":1}
+//    "failed":0,"ops_per_sec":123456.7,"p50_us":30.1,"p99_us":210.9,...,
+//    "cpus":1}
 //   {"bench":"server_async","op":"pipelined_get","connections":16,
 //    "depth":8,...}
 //
@@ -18,6 +19,10 @@
 // through the client-side shard-routing path); --mget_sweep replaces it
 // with a looped-GET vs batched-MGET comparison, cold and warm cache, per
 // engine ("bench":"mget_sweep" JSON lines).
+//
+// "failed" counts operations (MGET: keys) that returned an error other than
+// NotFound; they are left out of ops and latency.  The program exits 1 if
+// any cell failed one.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -60,14 +65,39 @@ double NowMicros() {
 
 struct CellResult {
   uint64_t ops = 0;
+  uint64_t failed = 0;
   double ops_per_sec = 0;
   Histogram latency_us;
 };
+
+// Failed operations across every cell printed so far.
+uint64_t total_failed = 0;
+
+// Folds per-connection histograms and failure counts into one result.
+CellResult Collect(const std::vector<Histogram>& histograms,
+                   const std::vector<uint64_t>& failed, double elapsed_us) {
+  CellResult result;
+  for (const Histogram& h : histograms) result.latency_us.Merge(h);
+  for (uint64_t n : failed) result.failed += n;
+  result.ops = result.latency_us.Count();
+  result.ops_per_sec = result.ops / (elapsed_us / 1e6);
+  total_failed += result.failed;
+  return result;
+}
+
+// Exit status: 1, with the count on stderr, if any cell failed an operation.
+int ExitCode() {
+  if (total_failed == 0) return 0;
+  std::fprintf(stderr, "%llu operations failed\n",
+               static_cast<unsigned long long>(total_failed));
+  return 1;
+}
 
 // Runs `ops_per_conn` ops on each of `connections` client threads.
 CellResult RunCell(int port, int connections, uint64_t ops_per_conn,
                    uint64_t key_space, bool do_put) {
   std::vector<Histogram> histograms(connections);
+  std::vector<uint64_t> failed(connections, 0);
   std::vector<std::thread> threads;
   threads.reserve(connections);
   const double start = NowMicros();
@@ -90,21 +120,15 @@ CellResult RunCell(int port, int connections, uint64_t ops_per_conn,
           if (s.IsNotFound()) s = Status::OK();  // sparse preload is fine
         }
         if (!s.ok()) {
-          std::fprintf(stderr, "op failed: %s\n", s.ToString().c_str());
-          return;
+          failed[c]++;
+          continue;
         }
         histograms[c].Add(NowMicros() - op_start);
       }
     });
   }
   for (auto& t : threads) t.join();
-  const double elapsed_us = NowMicros() - start;
-
-  CellResult result;
-  for (const Histogram& h : histograms) result.latency_us.Merge(h);
-  result.ops = result.latency_us.Count();
-  result.ops_per_sec = result.ops / (elapsed_us / 1e6);
-  return result;
+  return Collect(histograms, failed, NowMicros() - start);
 }
 
 // Each thread keeps `depth` GETs in flight on one connection via the
@@ -113,6 +137,7 @@ CellResult RunPipelinedGetCell(int port, int connections,
                                uint64_t ops_per_conn, uint64_t key_space,
                                int depth) {
   std::vector<Histogram> histograms(connections);
+  std::vector<uint64_t> failed(connections, 0);
   std::vector<std::thread> threads;
   threads.reserve(connections);
   const double start = NowMicros();
@@ -129,39 +154,27 @@ CellResult RunPipelinedGetCell(int port, int connections,
         std::string out;
         Status s = client.WaitGet(id, &out);
         if (!s.ok() && !s.IsNotFound()) {
-          std::fprintf(stderr, "pipelined get failed: %s\n",
-                       s.ToString().c_str());
-          return false;
+          failed[c]++;
+        } else {
+          histograms[c].Add(NowMicros() - submitted);
         }
-        histograms[c].Add(NowMicros() - submitted);
-        return true;
       };
       for (uint64_t i = 0; i < ops_per_conn; i++) {
-        if (window.size() >= static_cast<size_t>(depth) && !claim_front()) {
-          return;
-        }
+        if (window.size() >= static_cast<size_t>(depth)) claim_front();
         const std::string key = Key(rnd.Uniform(key_space));
         const double submitted = NowMicros();
         uint64_t id = client.SubmitGet(key);
         if (id == 0) {
-          std::fprintf(stderr, "pipelined submit failed\n");
-          return;
+          failed[c]++;
+          continue;
         }
         window.emplace_back(id, submitted);
       }
-      while (!window.empty()) {
-        if (!claim_front()) return;
-      }
+      while (!window.empty()) claim_front();
     });
   }
   for (auto& t : threads) t.join();
-  const double elapsed_us = NowMicros() - start;
-
-  CellResult result;
-  for (const Histogram& h : histograms) result.latency_us.Merge(h);
-  result.ops = result.latency_us.Count();
-  result.ops_per_sec = result.ops / (elapsed_us / 1e6);
-  return result;
+  return Collect(histograms, failed, NowMicros() - start);
 }
 
 // Each op is one MGET of `batch` random keys; latency is per batch but
@@ -173,6 +186,7 @@ CellResult RunMgetCell(int port, int connections, uint64_t keys_per_conn,
                        bool client_routed = false) {
   std::vector<Histogram> histograms(connections);
   std::vector<uint64_t> key_counts(connections, 0);  // joined before read
+  std::vector<uint64_t> failed(connections, 0);
   std::vector<std::thread> threads;
   threads.reserve(connections);
   const double start = NowMicros();
@@ -183,7 +197,7 @@ CellResult RunMgetCell(int port, int connections, uint64_t keys_per_conn,
       Client client(options);
       Random64 rnd(3000 + c);
       std::vector<std::string> keys(batch);
-      uint64_t done = 0;
+      uint64_t done = 0;  // keys attempted
       while (done < keys_per_conn) {
         for (auto& key : keys) key = Key(rnd.Uniform(key_space));
         const double op_start = NowMicros();
@@ -192,21 +206,26 @@ CellResult RunMgetCell(int port, int connections, uint64_t keys_per_conn,
         Status s = client_routed
                        ? client.MultiGetSharded(keys, &values, &statuses)
                        : client.MultiGet(keys, &values, &statuses);
-        if (!s.ok()) {
-          std::fprintf(stderr, "mget failed: %s\n", s.ToString().c_str());
-          return;
-        }
-        histograms[c].Add(NowMicros() - op_start);
         done += keys.size();
+        if (!s.ok()) {
+          failed[c] += keys.size();
+          continue;
+        }
+        uint64_t key_failures = 0;
+        for (const Status& key_status : statuses) {
+          if (!key_status.ok() && !key_status.IsNotFound()) key_failures++;
+        }
+        failed[c] += key_failures;
+        key_counts[c] += keys.size() - key_failures;
+        histograms[c].Add(NowMicros() - op_start);
       }
-      key_counts[c] = done;
     });
   }
   for (auto& t : threads) t.join();
   const double elapsed_us = NowMicros() - start;
-
-  CellResult result;
-  for (const Histogram& h : histograms) result.latency_us.Merge(h);
+  CellResult result = Collect(histograms, failed, elapsed_us);
+  // ops and ops_per_sec count keys, not batches.
+  result.ops = 0;
   for (uint64_t n : key_counts) result.ops += n;
   result.ops_per_sec = result.ops / (elapsed_us / 1e6);
   return result;
@@ -263,10 +282,12 @@ int RunShardSweep(uint64_t ops_per_cell, uint64_t key_space) {
                   r.latency_us.Percentile(99), r.latency_us.Percentile(99.9));
       std::printf(
           "{\"bench\":\"sharding\",\"op\":\"%s\",\"db_shards\":%d,"
-          "\"connections\":%d,\"ops\":%llu,\"ops_per_sec\":%.1f,"
-          "\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f,\"cpus\":%d}\n",
+          "\"connections\":%d,\"ops\":%llu,\"failed\":%llu,"
+          "\"ops_per_sec\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,"
+          "\"p999_us\":%.1f,\"cpus\":%d}\n",
           op, num_shards, kConnections,
-          static_cast<unsigned long long>(r.ops), r.ops_per_sec,
+          static_cast<unsigned long long>(r.ops),
+          static_cast<unsigned long long>(r.failed), r.ops_per_sec,
           r.latency_us.Percentile(50), r.latency_us.Percentile(99),
           r.latency_us.Percentile(99.9), cpus);
       std::fflush(stdout);
@@ -282,7 +303,7 @@ int RunShardSweep(uint64_t ops_per_cell, uint64_t key_space) {
                              kMgetBatch, /*client_routed=*/true));
     server.Stop();
   }
-  return 0;
+  return ExitCode();
 }
 
 // Looped-GET vs batched MGET over the same key distribution, cold and warm
@@ -383,10 +404,12 @@ int RunMgetSweep(uint64_t ops_per_cell, uint64_t key_space) {
       std::printf(
           "{\"bench\":\"mget_sweep\",\"engine\":\"%s\",\"op\":\"%s\","
           "\"cache\":\"%s\",\"connections\":%d,\"batch\":%d,"
-          "\"value_size\":%d,\"keys\":%llu,\"keys_per_sec\":%.1f,"
-          "\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f,\"cpus\":%d}\n",
+          "\"value_size\":%d,\"keys\":%llu,\"failed\":%llu,"
+          "\"keys_per_sec\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,"
+          "\"p999_us\":%.1f,\"cpus\":%d}\n",
           e.name, op, cache, kConnections, mget ? kBatch : 1, kSweepValueSize,
-          static_cast<unsigned long long>(r.ops), r.ops_per_sec,
+          static_cast<unsigned long long>(r.ops),
+          static_cast<unsigned long long>(r.failed), r.ops_per_sec,
           r.latency_us.Percentile(50), r.latency_us.Percentile(99),
           r.latency_us.Percentile(99.9), cpus);
       std::fflush(stdout);
@@ -399,7 +422,7 @@ int RunMgetSweep(uint64_t ops_per_cell, uint64_t key_space) {
       if (!run_cell(op, "warm", /*warm=*/true)) return 1;
     }
   }
-  return 0;
+  return ExitCode();
 }
 
 }  // namespace
@@ -477,10 +500,11 @@ int main(int argc, char** argv) {
                 r.latency_us.Percentile(99), r.latency_us.Percentile(99.9));
     std::printf(
         "{\"bench\":\"%s\",\"op\":\"%s\",\"connections\":%d,"
-        "\"%s\":%d,\"ops\":%llu,\"ops_per_sec\":%.1f,\"p50_us\":%.1f,"
-        "\"p99_us\":%.1f,\"p999_us\":%.1f,\"cpus\":%d}\n",
+        "\"%s\":%d,\"ops\":%llu,\"failed\":%llu,\"ops_per_sec\":%.1f,"
+        "\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f,\"cpus\":%d}\n",
         bench, op, connections, extra_key, extra_value,
-        static_cast<unsigned long long>(r.ops), r.ops_per_sec,
+        static_cast<unsigned long long>(r.ops),
+        static_cast<unsigned long long>(r.failed), r.ops_per_sec,
         r.latency_us.Percentile(50), r.latency_us.Percentile(99),
         r.latency_us.Percentile(99.9), cpus);
   };
@@ -532,5 +556,5 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.backpressure_stalls), cpus);
 
   server.Stop();
-  return 0;
+  return ExitCode();
 }

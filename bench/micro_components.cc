@@ -20,6 +20,7 @@
 #include "table/cache.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "table_get.h"
 #include "util/random.h"
 #include "wal/log_writer.h"
 
@@ -228,10 +229,11 @@ void BM_MSTableGet(benchmark::State& state) {
   MSTableReader::Open(&env, options, &cmp, "/t", 1, result.meta_end, &reader);
   Random rnd(5);
   for (auto _ : state) {
+    char key[32];
+    snprintf(key, sizeof(key), "key%08d", static_cast<int>(rnd.Uniform(n)));
     std::string v;
-    MSTableReader::GetState gs;
-    reader->Get(ReadOptions(), MakeIKey(rnd.Uniform(n), kMaxSequenceNumber),
-                &v, &gs);
+    MultiGetRequest::State gs;
+    TableGet(*reader, key, kMaxSequenceNumber, &v, &gs);
     benchmark::DoNotOptimize(gs);
   }
   state.SetItemsProcessed(state.iterations());

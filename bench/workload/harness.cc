@@ -283,6 +283,12 @@ RunResult RunWorkload(BenchDb* bench, const WorkloadSpec& spec, uint64_t ops,
     }
   };
 
+  // Operations that returned an error other than NotFound.
+  uint64_t failed = 0;
+  auto check = [&failed](const Status& s) {
+    if (!s.ok() && !s.IsNotFound()) failed++;
+  };
+
   PhaseRecorder recorder(bench);
   std::string value_scratch;
   for (uint64_t i = 0; i < ops; i++) {
@@ -291,15 +297,15 @@ RunResult RunWorkload(BenchDb* bench, const WorkloadSpec& spec, uint64_t ops,
       if (p < spec.read) {
         uint64_t index = next_index();
         std::string value;
-        db->Get(ReadOptions(), HashedKey(index), &value);
+        check(db->Get(ReadOptions(), HashedKey(index), &value));
       } else if (p < spec.read + spec.update) {
         uint64_t index = next_index();
-        db->Put(WriteOptions(), HashedKey(index),
-                MakeValue(index + i, value_size));
+        check(db->Put(WriteOptions(), HashedKey(index),
+                      MakeValue(index + i, value_size)));
       } else if (p < spec.read + spec.update + spec.insert) {
         uint64_t index = inserted++;
-        db->Put(WriteOptions(), HashedKey(index),
-                MakeValue(index, value_size));
+        check(db->Put(WriteOptions(), HashedKey(index),
+                      MakeValue(index, value_size)));
         latest.SetN(inserted);
       } else if (p < spec.read + spec.update + spec.insert + spec.scan) {
         uint64_t index = next_index();
@@ -310,14 +316,21 @@ RunResult RunWorkload(BenchDb* bench, const WorkloadSpec& spec, uint64_t ops,
           value_scratch.assign(iter->value().data(), iter->value().size());
           iter->Next();
         }
+        check(iter->status());
       } else {  // read-modify-write
         uint64_t index = next_index();
         std::string value;
-        db->Get(ReadOptions(), HashedKey(index), &value);
-        db->Put(WriteOptions(), HashedKey(index),
-                MakeValue(index + i + 1, value_size));
+        check(db->Get(ReadOptions(), HashedKey(index), &value));
+        check(db->Put(WriteOptions(), HashedKey(index),
+                      MakeValue(index + i + 1, value_size)));
       }
     });
+  }
+  if (failed > 0) {
+    // A failed operation voids every figure of the run.
+    std::fprintf(stderr, "RunWorkload: %llu operations failed\n",
+                 static_cast<unsigned long long>(failed));
+    std::exit(1);
   }
   bench->set_record_count(inserted);
   if (settle_in_window) bench->db()->WaitForQuiescence();

@@ -8,7 +8,6 @@
 #include "core/compaction_stream.h"
 #include "core/db_impl.h"
 #include "core/filename.h"
-#include "core/level_iters.h"
 #include "table/merging_iterator.h"
 #include "util/rate_limiter.h"
 #include "util/task_group.h"
@@ -1201,123 +1200,6 @@ Status AmtEngine::RunSplit(const Job& job) {
   ApplyToVersion(delta.removed, delta.added, n);
   for (const auto& lifetime : delta.obsolete) lifetime->MarkObsolete();
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Reads
-
-Status AmtEngine::Get(const ReadOptions& options, const LookupKey& key,
-                      std::string* value) {
-  TreeVersionPtr version = current_version();
-  Slice user_key = key.user_key();
-  Slice ikey = key.internal_key();
-
-  for (int level = 0; level < version->num_levels(); level++) {
-    const auto& nodes = version->level(level);
-    // Disjoint sorted ranges: binary search for the covering node.
-    size_t lo = 0, hi = nodes.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (Slice(nodes[mid]->range_hi).compare(user_key) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo >= nodes.size()) continue;
-    const NodePtr& node = nodes[lo];
-    if (Slice(node->range_lo).compare(user_key) > 0 || node->empty()) {
-      continue;
-    }
-    std::shared_ptr<MSTableReader> reader;
-    Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader);
-    if (!s.ok()) return s;
-    MSTableReader::GetState state;
-    s = reader->Get(options, ikey, value, &state);
-    if (!s.ok()) return s;
-    switch (state) {
-      case MSTableReader::GetState::kFound:
-        return Status::OK();
-      case MSTableReader::GetState::kDeleted:
-        return Status::NotFound(Slice());
-      case MSTableReader::GetState::kCorrupt:
-        return Status::Corruption("corrupt node");
-      case MSTableReader::GetState::kNotFound:
-        break;
-    }
-  }
-  return Status::NotFound(Slice());
-}
-
-void AmtEngine::MultiGet(const ReadOptions& options,
-                         MultiGetRequest* const* reqs, size_t count) {
-  TreeVersionPtr version = current_version();
-  std::vector<MultiGetRequest*> pending(reqs, reqs + count);
-
-  // Every AMT level holds disjoint sorted ranges (including the mixed
-  // level, where a node's k appended sequences are probed inside
-  // MSTableReader::MultiGet), so a run of consecutive sorted keys maps to
-  // one covering node and shares its metadata and coalesced block reads.
-  for (int level = 0; level < version->num_levels() && !pending.empty();
-       level++) {
-    const auto& nodes = version->level(level);
-    if (nodes.empty()) continue;
-    size_t i = 0;
-    while (i < pending.size()) {
-      Slice user_key = pending[i]->lkey->user_key();
-      size_t lo = 0, hi = nodes.size();
-      while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (Slice(nodes[mid]->range_hi).compare(user_key) < 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo >= nodes.size()) break;  // later keys are larger still
-      const NodePtr& node = nodes[lo];
-      if (Slice(node->range_lo).compare(user_key) > 0 || node->empty()) {
-        ++i;
-        continue;
-      }
-      std::vector<MultiGetRequest*> subset;
-      size_t j = i;
-      for (; j < pending.size(); ++j) {
-        if (Slice(node->range_hi).compare(pending[j]->lkey->user_key()) < 0) {
-          break;
-        }
-        subset.push_back(pending[j]);
-      }
-      std::shared_ptr<MSTableReader> reader;
-      Status s = node->OpenReader(db_->env(), db_->options().table,
-                                  db_->icmp(), db_->dbname(), &reader);
-      if (!s.ok()) {
-        for (MultiGetRequest* r : subset) {
-          if (r->status.ok()) r->status = s;
-        }
-      } else {
-        reader->MultiGet(options, subset.data(), subset.size());
-      }
-      i = j;
-    }
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [](const MultiGetRequest* r) {
-                                   return r->resolved();
-                                 }),
-                  pending.end());
-  }
-}
-
-void AmtEngine::AddIterators(const ReadOptions& options,
-                             std::vector<Iterator*>* iters) {
-  TreeVersionPtr version = current_version();
-  for (int level = 0; level < version->num_levels(); level++) {
-    if (version->level(level).empty()) continue;
-    auto nodes =
-        std::make_shared<const std::vector<NodePtr>>(version->level(level));
-    iters->push_back(NewLevelIterator(db_, version, nodes, options));
-  }
 }
 
 uint64_t AmtEngine::CompactionDebtBytes() const {

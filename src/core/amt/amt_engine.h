@@ -58,12 +58,6 @@ class AmtEngine final : public TreeEngine {
   bool NeedsCompaction() const override;
   int RunnableCompactions(int max) const override;
   Status BackgroundWork(WorkLane lane, bool* did_work) override;
-  Status Get(const ReadOptions& options, const LookupKey& key,
-             std::string* value) override;
-  void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
-                size_t count) override;
-  void AddIterators(const ReadOptions& options,
-                    std::vector<Iterator*>* iters) override;
   WritePressure GetWritePressure() const override;
   uint64_t CompactionDebtBytes() const override;
   void FillStats(DbStats* stats) const override;

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <memory_resource>
+#include <optional>
 
 #include "core/amt/amt_engine.h"
 #include "core/db_iter.h"
 #include "core/filename.h"
+#include "core/level_iters.h"
 #include "core/leveled/leveled_engine.h"
 #include "table/merging_iterator.h"
 #include "util/crc32c.h"
@@ -640,51 +644,10 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 // ---------------------------------------------------------------------------
 // Read path
 
-// Lock-free: acquires no lock the write path takes.  Ordering contract
-// (docs/CONCURRENCY.md): load the snapshot sequence FIRST, the view second.
-// Data only ever moves "down" (mem -> imm -> engine version), and each stage
-// is installed before the previous one is retired, so consulting stages in
-// the order mem, imm, engine — each loaded at or after the sequence load —
-// can never miss an entry at or below the loaded sequence.
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Status s;
-  for (;;) {
-    // Optimistic validation against compaction GC: a compaction that STARTS
-    // after our sequence load may capture a larger smallest-snapshot and
-    // drop the newest entry at or below our sequence (its shadower being
-    // above it).  Versions installed before the sequence load can never do
-    // that, so an unchanged stamp proves a NotFound genuine; a moved stamp
-    // forces one more pass at a fresh sequence.  Registered snapshots are
-    // honoured by SmallestSnapshot() and never need the loop.
-    const uint64_t stamp =
-        options.snapshot == nullptr ? engine_->version_stamp() : 0;
-    const SequenceNumber snapshot =
-        options.snapshot != nullptr
-            ? static_cast<const SnapshotImpl*>(options.snapshot)->sequence()
-            : last_sequence_.load(std::memory_order_acquire);
-
-    LookupKey lkey(key, snapshot);
-    bool found;
-    {
-      // Epoch guard, not a refcount: the view (and the memtable references
-      // it pins) stays alive while the guard is held.  Dropped before the
-      // engine probe so block I/O never delays view reclamation.
-      auto view = read_view_.Acquire();
-      found = view->mem->Get(lkey, value, &s) ||
-              (view->imm != nullptr && view->imm->Get(lkey, value, &s));
-    }
-    if (!found) s = engine_->Get(options, lkey, value);
-    if (found || options.snapshot != nullptr || !s.IsNotFound() ||
-        engine_->version_stamp() == stamp) {
-      break;
-    }
-  }
-  // Arbiter heartbeat for read-dominated workloads (one clock read when
-  // due-check fails; try-lock when due, so the hot path never blocks).
-  if (arbiter_ != nullptr && arbiter_->RetuneDue()) {
-    MaybeRebalanceMemoryFromRead();
-  }
+  ReadBatch(options, 1, &key, value, &s, /*batch=*/nullptr);
   return s;
 }
 
@@ -695,27 +658,58 @@ void DB::MultiGet(const ReadOptions& options, size_t count, const Slice* keys,
   }
 }
 
-// Native batched read: the snapshot sequence is loaded once, the read view
-// is acquired once for the whole batch's mem/imm probes, and the engine
-// sees the survivors sorted so per-table metadata and block I/O coalesce.
-// Per key the visit order (mem, imm, engine levels newest-first) and the
-// ordering contract are exactly Get's, so the results are byte-equivalent
-// to N sequential Gets at the same snapshot.
 void DBImpl::MultiGet(const ReadOptions& options, size_t count,
                       const Slice* keys, std::string* values,
                       Status* statuses) {
   multiget_batches_.fetch_add(1, std::memory_order_relaxed);
   multiget_keys_.fetch_add(count, std::memory_order_relaxed);
+  MultiGetContext batch;
+  ReadBatch(options, count, keys, values, statuses, &batch);
+  multiget_coalesced_reads_.fetch_add(batch.coalesced_reads,
+                                      std::memory_order_relaxed);
+  multiget_coalesced_blocks_.fetch_add(batch.coalesced_blocks,
+                                       std::memory_order_relaxed);
+}
 
-  // Batch indices still being probed.  Starts as everything; after a pass
-  // it shrinks to the keys the engine found NOTHING for (state kPending)
-  // when the version stamp moved mid-pass — the compaction-GC hazard Get's
-  // retry loop guards against (see Get above).  Found values and observed
-  // tombstones are always genuine and never re-probed.
-  std::vector<size_t> todo(count);
-  for (size_t i = 0; i < count; ++i) todo[i] = i;
-
-  while (!todo.empty()) {
+// The only point-read path.  Lock-free: acquires no lock the write path
+// takes.  Ordering contract (docs/CONCURRENCY.md): load the snapshot
+// sequence FIRST, the view second.  Data only ever moves "down" (mem -> imm
+// -> engine version), and each stage is installed before the previous one
+// is retired, so consulting stages in the order mem, imm, engine — each
+// loaded at or after the sequence load — can never miss an entry at or
+// below the loaded sequence.  The sequence is loaded once per pass and the
+// view acquired once for all mem/imm probes; the version walk sees the
+// survivors sorted, so per-table metadata and block I/O coalesce.
+void DBImpl::ReadBatch(const ReadOptions& options, size_t count,
+                       const Slice* keys, std::string* values,
+                       Status* statuses, MultiGetContext* batch) {
+  // Optimistic validation against compaction GC: a compaction that STARTS
+  // after our sequence load may capture a larger smallest-snapshot and drop
+  // the newest entry at or below our sequence (its shadower being above
+  // it).  Versions installed before the sequence load can never do that,
+  // so an unchanged stamp proves a NotFound genuine; a moved stamp forces
+  // one more pass, at a fresh sequence, over the keys that found nothing.
+  // Found values and observed tombstones are always genuine and never
+  // re-probed.  Registered snapshots are honoured by SmallestSnapshot() and
+  // never need the loop.
+  //
+  // Per-call scratch lives in a stack arena, so a Get (or a small batch)
+  // allocates nothing here; larger batches spill to the heap.
+  alignas(std::max_align_t) std::byte arena[1024];
+  std::pmr::monotonic_buffer_resource scratch(arena, sizeof(arena));
+  // One key's request.  LookupKey is neither movable nor
+  // default-constructible, hence the optional; each pass re-emplaces it at
+  // that pass's sequence.
+  struct KeyProbe {
+    std::optional<LookupKey> lkey;
+    MultiGetRequest req;
+  };
+  std::pmr::vector<KeyProbe> probes(count, &scratch);
+  std::pmr::vector<MultiGetRequest*> pending(&scratch);
+  pending.reserve(count);
+  ReadOptions read_options = options;
+  read_options.batch = batch;
+  for (;;) {
     const uint64_t stamp =
         options.snapshot == nullptr ? engine_->version_stamp() : 0;
     const SequenceNumber snapshot =
@@ -723,78 +717,61 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
             ? static_cast<const SnapshotImpl*>(options.snapshot)->sequence()
             : last_sequence_.load(std::memory_order_acquire);
 
-    std::deque<LookupKey> lkeys;  // deque: LookupKey is not movable
-    std::vector<MultiGetRequest> reqs(todo.size());
-    std::vector<MultiGetRequest*> pending;
-    pending.reserve(todo.size());
-    for (size_t j = 0; j < todo.size(); ++j) {
-      lkeys.emplace_back(keys[todo[j]], snapshot);
-      reqs[j].lkey = &lkeys.back();
-      reqs[j].value = &values[todo[j]];
-    }
-
+    pending.clear();
     {
-      // One epoch guard covers every mem/imm probe; dropped before engine
-      // block I/O, same as Get.
+      // Epoch guard, not a refcount: the view (and the memtable references
+      // it pins) stays alive while the guard is held.  Dropped before the
+      // engine probe so block I/O never delays view reclamation.
       auto view = read_view_.Acquire();
-      for (size_t j = 0; j < todo.size(); ++j) {
+      for (size_t i = 0; i < count; ++i) {
+        MultiGetRequest& req = probes[i].req;
+        if (req.resolved()) continue;  // settled by an earlier pass
+        const LookupKey& lkey = probes[i].lkey.emplace(keys[i], snapshot);
+        req.lkey = &lkey;
+        req.value = &values[i];
         Status s;
-        if (view->mem->Get(*reqs[j].lkey, reqs[j].value, &s) ||
-            (view->imm != nullptr &&
-             view->imm->Get(*reqs[j].lkey, reqs[j].value, &s))) {
-          statuses[todo[j]] = s;
-          reqs[j].state = MultiGetRequest::State::kFound;  // resolved
+        if (view->mem->Get(lkey, req.value, &s) ||
+            (view->imm != nullptr && view->imm->Get(lkey, req.value, &s))) {
+          // Memtables hold values and tombstones (s is OK or NotFound).
+          req.state = s.ok() ? MultiGetRequest::State::kFound
+                             : MultiGetRequest::State::kDeleted;
         } else {
-          pending.push_back(&reqs[j]);
+          pending.push_back(&req);
         }
       }
     }
 
     if (!pending.empty()) {
-      // Engine contract: requests sorted by internal key.  Every key
-      // carries the same snapshot sequence, so user-key order suffices
-      // (and keeps duplicate keys adjacent).
+      // Version-walk contract: requests sorted by internal key.  Every key
+      // carries the same snapshot sequence, so user-key order suffices (and
+      // keeps duplicate keys adjacent).
       std::sort(pending.begin(), pending.end(),
                 [](const MultiGetRequest* a, const MultiGetRequest* b) {
                   return a->lkey->user_key().compare(b->lkey->user_key()) < 0;
                 });
-      MultiGetContext batch;
-      ReadOptions batch_options = options;
-      batch_options.batch = &batch;
-      engine_->MultiGet(batch_options, pending.data(), pending.size());
-      multiget_coalesced_reads_.fetch_add(batch.coalesced_reads,
-                                          std::memory_order_relaxed);
-      multiget_coalesced_blocks_.fetch_add(batch.coalesced_blocks,
-                                           std::memory_order_relaxed);
-      for (MultiGetRequest* r : pending) {
-        const size_t i = todo[static_cast<size_t>(r - reqs.data())];
-        if (!r->status.ok()) {
-          statuses[i] = r->status;
-        } else if (r->state == MultiGetRequest::State::kFound) {
-          statuses[i] = Status::OK();
-        } else {
-          // kDeleted, kCorrupt-with-OK-status (impossible) and
-          // still-pending all map to NotFound, matching the engine Get
-          // returns.
-          statuses[i] = Status::NotFound(Slice());
-        }
-      }
+      VersionMultiGet(this, *engine_->current_version(), read_options,
+                      pending.data(), pending.size());
     }
 
-    if (options.snapshot != nullptr ||
-        engine_->version_stamp() == stamp) {
+    if (options.snapshot != nullptr || engine_->version_stamp() == stamp ||
+        AllResolved(pending.data(), pending.size())) {
       break;
     }
-    std::vector<size_t> unresolved;
-    for (size_t j = 0; j < todo.size(); ++j) {
-      if (reqs[j].state == MultiGetRequest::State::kPending &&
-          reqs[j].status.ok()) {
-        unresolved.push_back(todo[j]);
-      }
-    }
-    todo = std::move(unresolved);
   }
 
+  for (size_t i = 0; i < count; ++i) {
+    const MultiGetRequest& req = probes[i].req;
+    if (!req.status.ok()) {
+      statuses[i] = req.status;
+    } else if (req.state == MultiGetRequest::State::kFound) {
+      statuses[i] = Status::OK();
+    } else {
+      statuses[i] = Status::NotFound(Slice());  // tombstone or absent
+    }
+  }
+
+  // Arbiter heartbeat for read-dominated workloads (one clock read when
+  // due-check fails; try-lock when due, so the hot path never blocks).
   if (arbiter_ != nullptr && arbiter_->RetuneDue()) {
     MaybeRebalanceMemoryFromRead();
   }
@@ -802,7 +779,7 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
 
 Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
                                       SequenceNumber* latest_snapshot) {
-  // Same ordering as Get: sequence before view (see above).
+  // Same ordering as ReadBatch: sequence before view (see above).
   *latest_snapshot = last_sequence_.load(std::memory_order_acquire);
   std::vector<Iterator*> iters;
   {
@@ -814,16 +791,16 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
       iters.push_back(view->imm->NewIterator());
     }
   }
-  engine_->AddIterators(options, &iters);
+  AddVersionIterators(this, engine_->current_version(), options, &iters);
   return NewMergingIterator(&icmp_, iters.data(),
                             static_cast<int>(iters.size()));
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  // Same compaction-GC hazard as Get: a version installed between the
-  // sequence load and AddIterators may already have dropped entries at or
-  // below that sequence.  Once assembled under an unchanged stamp the
-  // iterator pins its version, so the hazard is construction-only.
+  // Same compaction-GC hazard as ReadBatch: a version installed between
+  // the sequence load and AddVersionIterators may already have dropped
+  // entries at or below that sequence.  Once assembled under an unchanged
+  // stamp the iterator pins its version, so the hazard is construction-only.
   for (;;) {
     const uint64_t stamp =
         options.snapshot == nullptr ? engine_->version_stamp() : 0;

@@ -142,6 +142,11 @@ class DBImpl final : public DB {
   void MaybeRebalanceMemoryFromRead();  // no mutex; try-locks
   void BackgroundCall(TreeEngine::WorkLane lane);
   void RemoveObsoleteFiles();  // mutex held (open/flush time)
+  // Point reads of `count` keys at one snapshot; Get is a batch of one.
+  // `batch`, when non-null, collects the table layer's coalescing counts.
+  void ReadBatch(const ReadOptions& options, size_t count, const Slice* keys,
+                 std::string* values, Status* statuses,
+                 MultiGetContext* batch);
   Iterator* NewInternalIterator(const ReadOptions& options,
                                 SequenceNumber* latest_snapshot);
 

@@ -1,5 +1,7 @@
 #include "core/level_iters.h"
 
+#include <algorithm>
+
 #include "core/db_impl.h"
 #include "table/two_level_iterator.h"
 #include "util/coding.h"
@@ -7,6 +9,16 @@
 namespace iamdb {
 
 namespace {
+
+// First node of a range-sorted level whose range_hi >= `user_key`: the only
+// node that can cover the key.
+std::vector<NodePtr>::const_iterator FirstNodeReaching(
+    const std::vector<NodePtr>& nodes, const Slice& user_key) {
+  return std::partition_point(
+      nodes.begin(), nodes.end(), [&](const NodePtr& n) {
+        return Slice(n->range_hi).compare(user_key) < 0;
+      });
+}
 
 class NodeListIterator final : public Iterator {
  public:
@@ -19,19 +31,10 @@ class NodeListIterator final : public Iterator {
     index_ = nodes_->empty() ? 0 : nodes_->size() - 1;
   }
   void Seek(const Slice& target) override {
-    // First node whose range_hi >= the target's user key.  Ranges can be
-    // wider than data, which only makes the scan inspect an extra node.
-    Slice target_user = ExtractUserKey(target);
-    size_t lo = 0, hi = nodes_->size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (Slice((*nodes_)[mid]->range_hi).compare(target_user) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    index_ = lo;
+    // Ranges can be wider than data, which only makes the scan inspect an
+    // extra node.
+    auto node = FirstNodeReaching(*nodes_, ExtractUserKey(target));
+    index_ = static_cast<size_t>(node - nodes_->begin());
   }
   void Next() override {
     assert(Valid());
@@ -67,13 +70,7 @@ class NodeListIterator final : public Iterator {
   mutable std::string synth_key_;
 };
 
-}  // namespace
-
-Iterator* NewNodeListIterator(
-    std::shared_ptr<const std::vector<NodePtr>> nodes) {
-  return new NodeListIterator(std::move(nodes));
-}
-
+// Single node -> merged iterator over its sequences (empty node -> empty).
 Iterator* NewNodeIterator(DBImpl* db, const NodePtr& node,
                           const ReadOptions& options) {
   if (node->empty()) return NewEmptyIterator();
@@ -86,10 +83,12 @@ Iterator* NewNodeIterator(DBImpl* db, const NodePtr& node,
   return iter;
 }
 
+// Two-level iterator over one range-sorted level.  Pins `version` for its
+// lifetime.  Empty nodes yield empty iterators.
 Iterator* NewLevelIterator(DBImpl* db, TreeVersionPtr version,
                            std::shared_ptr<const std::vector<NodePtr>> nodes,
                            const ReadOptions& options) {
-  Iterator* index_iter = NewNodeListIterator(nodes);
+  Iterator* index_iter = new NodeListIterator(nodes);
   ReadOptions opts = options;
   Iterator* level_iter = NewTwoLevelIterator(
       index_iter, [db, nodes, opts](const Slice& index_value) -> Iterator* {
@@ -98,6 +97,92 @@ Iterator* NewLevelIterator(DBImpl* db, TreeVersionPtr version,
       });
   level_iter->RegisterCleanup([version]() mutable { version.reset(); });
   return level_iter;
+}
+
+// Probes `node` with the run of requests its range covers.  Skips empty
+// nodes and runs with nothing left to resolve, so no reader is opened
+// without need; a reader open error becomes each pending key's status.
+void ProbeNode(DBImpl* db, const NodePtr& node, const ReadOptions& options,
+               MultiGetRequest* const* reqs, size_t count) {
+  if (node->empty() || AllResolved(reqs, count)) return;
+  std::shared_ptr<MSTableReader> reader;
+  Status s = node->OpenReader(db->env(), db->options().table, db->icmp(),
+                              db->dbname(), &reader);
+  if (!s.ok()) {
+    for (size_t i = 0; i < count; ++i) {
+      if (!reqs[i]->resolved()) reqs[i]->status = s;
+    }
+    return;
+  }
+  reader->MultiGet(options, reqs, count);
+}
+
+}  // namespace
+
+void VersionMultiGet(DBImpl* db, const TreeVersion& version,
+                     const ReadOptions& options, MultiGetRequest* const* reqs,
+                     size_t count) {
+  MultiGetRequest* const* end = reqs + count;
+  for (int level = 0; level < version.num_levels(); level++) {
+    if (AllResolved(reqs, count)) return;
+    const std::vector<NodePtr>& nodes = version.level(level);
+    if (version.overlapping(level)) {
+      // Newest node first: the first version found is the visible one.
+      for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+        const Slice lo((*it)->range_lo), hi((*it)->range_hi);
+        MultiGetRequest* const* first =
+            std::partition_point(reqs, end, [&](const MultiGetRequest* r) {
+              return r->lkey->user_key().compare(lo) < 0;
+            });
+        MultiGetRequest* const* last =
+            std::partition_point(first, end, [&](const MultiGetRequest* r) {
+              return r->lkey->user_key().compare(hi) <= 0;
+            });
+        ProbeNode(db, *it, options, first, static_cast<size_t>(last - first));
+      }
+      continue;
+    }
+    size_t i = 0;
+    while (i < count) {
+      if (reqs[i]->resolved()) {
+        ++i;
+        continue;
+      }
+      const Slice user_key = reqs[i]->lkey->user_key();
+      auto node = FirstNodeReaching(nodes, user_key);
+      if (node == nodes.end()) break;  // later keys are larger still
+      if (Slice((*node)->range_lo).compare(user_key) > 0) {
+        ++i;
+        continue;
+      }
+      // Later keys up to the node's range_hi fall inside it too.
+      const Slice hi((*node)->range_hi);
+      size_t j = i + 1;
+      while (j < count && reqs[j]->lkey->user_key().compare(hi) <= 0) ++j;
+      ProbeNode(db, *node, options, reqs + i, j - i);
+      i = j;
+    }
+  }
+}
+
+void AddVersionIterators(DBImpl* db, const TreeVersionPtr& version,
+                         const ReadOptions& options,
+                         std::vector<Iterator*>* iters) {
+  for (int level = 0; level < version->num_levels(); level++) {
+    const std::vector<NodePtr>& nodes = version->level(level);
+    if (nodes.empty()) continue;
+    if (!version->overlapping(level)) {
+      iters->push_back(NewLevelIterator(
+          db, version, std::make_shared<const std::vector<NodePtr>>(nodes),
+          options));
+      continue;
+    }
+    for (const NodePtr& node : nodes) {
+      Iterator* iter = NewNodeIterator(db, node, options);
+      iter->RegisterCleanup([pin = version]() mutable { pin.reset(); });
+      iters->push_back(iter);
+    }
+  }
 }
 
 }  // namespace iamdb

@@ -7,7 +7,6 @@
 #include "core/compaction_stream.h"
 #include "core/db_impl.h"
 #include "core/filename.h"
-#include "core/level_iters.h"
 #include "table/merging_iterator.h"
 #include "util/rate_limiter.h"
 #include "util/task_group.h"
@@ -55,7 +54,7 @@ NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
 LeveledEngine::LeveledEngine(DBImpl* db)
     : db_(db), compact_pointer_(kNumLevels) {
   current_.Store(std::make_shared<const TreeVersion>(
-      std::vector<std::vector<NodePtr>>(kNumLevels)));
+      std::vector<std::vector<NodePtr>>(kNumLevels), kOverlappingLevels));
 }
 
 Status LeveledEngine::Recover(const RecoveredState& state) {
@@ -69,7 +68,8 @@ Status LeveledEngine::Recover(const RecoveredState& state) {
     }
     SortLevel(&levels[level], level);
   }
-  current_.Store(std::make_shared<const TreeVersion>(std::move(levels)));
+  current_.Store(std::make_shared<const TreeVersion>(std::move(levels),
+                                                     kOverlappingLevels));
   return Status::OK();
 }
 
@@ -246,7 +246,8 @@ void LeveledEngine::ApplyToVersion(const std::vector<NodePtr>& removed,
     levels[add_level].push_back(node);
   }
   SortLevel(&levels[add_level], add_level);
-  current_.Store(std::make_shared<const TreeVersion>(std::move(levels)));
+  current_.Store(std::make_shared<const TreeVersion>(std::move(levels),
+                                                     kOverlappingLevels));
 }
 
 Status LeveledEngine::FlushImm() {
@@ -640,196 +641,6 @@ Status LeveledEngine::CompactLevel(int level) {
     if (node->lifetime) node->lifetime->MarkObsolete();
   }
   return Status::OK();
-}
-
-Status LeveledEngine::Get(const ReadOptions& options, const LookupKey& key,
-                          std::string* value) {
-  TreeVersionPtr version = current_version();
-  Slice user_key = key.user_key();
-  Slice ikey = key.internal_key();
-
-  auto check_node = [&](const NodePtr& node, bool* done,
-                        Status* result) -> bool {
-    if (node->empty()) return false;
-    std::shared_ptr<MSTableReader> reader;
-    Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader);
-    if (!s.ok()) {
-      *result = s;
-      *done = true;
-      return true;
-    }
-    MSTableReader::GetState state;
-    s = reader->Get(options, ikey, value, &state);
-    if (!s.ok()) {
-      *result = s;
-      *done = true;
-      return true;
-    }
-    switch (state) {
-      case MSTableReader::GetState::kFound:
-        *result = Status::OK();
-        *done = true;
-        return true;
-      case MSTableReader::GetState::kDeleted:
-        *result = Status::NotFound(Slice());
-        *done = true;
-        return true;
-      default:
-        return false;
-    }
-  };
-
-  bool done = false;
-  Status result = Status::NotFound(Slice());
-
-  // L0: newest file first.
-  const auto& l0 = version->level(0);
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    const NodePtr& node = *it;
-    if (!RangeCovered(node, user_key)) continue;
-    if (check_node(node, &done, &result)) return result;
-  }
-
-  // Deeper levels: at most one node covers the key.
-  for (int level = 1; level < version->num_levels(); level++) {
-    const auto& nodes = version->level(level);
-    // Binary search: first node with range_hi >= user_key.
-    size_t lo = 0, hi_idx = nodes.size();
-    while (lo < hi_idx) {
-      size_t mid = (lo + hi_idx) / 2;
-      if (Slice(nodes[mid]->range_hi).compare(user_key) < 0) {
-        lo = mid + 1;
-      } else {
-        hi_idx = mid;
-      }
-    }
-    if (lo < nodes.size() && RangeCovered(nodes[lo], user_key)) {
-      if (check_node(nodes[lo], &done, &result)) return result;
-    }
-  }
-  return Status::NotFound(Slice());
-}
-
-void LeveledEngine::MultiGet(const ReadOptions& options,
-                             MultiGetRequest* const* reqs, size_t count) {
-  TreeVersionPtr version = current_version();
-  std::vector<MultiGetRequest*> pending(reqs, reqs + count);
-
-  // Probes `node` with `subset` (pending keys its range covers).  Reader
-  // open errors become per-key statuses, mirroring Get's error return.
-  auto check_node = [&](const NodePtr& node,
-                        std::vector<MultiGetRequest*>& subset) {
-    if (subset.empty()) return;
-    std::shared_ptr<MSTableReader> reader;
-    Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader);
-    if (!s.ok()) {
-      for (MultiGetRequest* r : subset) {
-        if (r->status.ok()) r->status = s;
-      }
-      return;
-    }
-    reader->MultiGet(options, subset.data(), subset.size());
-  };
-
-  auto drop_resolved = [&pending]() {
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [](const MultiGetRequest* r) {
-                                   return r->resolved();
-                                 }),
-                  pending.end());
-  };
-
-  // L0: newest file first, each probed with the pending keys it covers —
-  // the same per-key file visit order as Get.
-  const auto& l0 = version->level(0);
-  for (auto it = l0.rbegin(); it != l0.rend() && !pending.empty(); ++it) {
-    const NodePtr& node = *it;
-    if (node->empty()) continue;
-    std::vector<MultiGetRequest*> subset;
-    for (MultiGetRequest* r : pending) {
-      if (RangeCovered(node, r->lkey->user_key())) subset.push_back(r);
-    }
-    check_node(node, subset);
-    drop_resolved();
-  }
-
-  // Deeper levels: disjoint sorted ranges, so a run of consecutive sorted
-  // keys maps to one covering node and shares its bloom/index/blocks.
-  for (int level = 1; level < version->num_levels() && !pending.empty();
-       level++) {
-    const auto& nodes = version->level(level);
-    if (nodes.empty()) continue;
-    size_t i = 0;
-    while (i < pending.size()) {
-      Slice user_key = pending[i]->lkey->user_key();
-      // Binary search: first node with range_hi >= user_key.
-      size_t lo = 0, hi_idx = nodes.size();
-      while (lo < hi_idx) {
-        size_t mid = (lo + hi_idx) / 2;
-        if (Slice(nodes[mid]->range_hi).compare(user_key) < 0) {
-          lo = mid + 1;
-        } else {
-          hi_idx = mid;
-        }
-      }
-      if (lo >= nodes.size()) break;  // later keys are larger still
-      const NodePtr& node = nodes[lo];
-      if (!RangeCovered(node, user_key) || node->empty()) {
-        ++i;
-        continue;
-      }
-      // Keys after i that fall at or below this node's range_hi land in the
-      // same node (they are >= user_key >= range_lo).
-      std::vector<MultiGetRequest*> subset;
-      size_t j = i;
-      for (; j < pending.size(); ++j) {
-        if (Slice(node->range_hi).compare(pending[j]->lkey->user_key()) < 0) {
-          break;
-        }
-        subset.push_back(pending[j]);
-      }
-      check_node(node, subset);
-      i = j;
-    }
-    drop_resolved();
-  }
-}
-
-bool LeveledEngine::RangeCovered(const NodePtr& node,
-                                 const Slice& user_key) const {
-  return Slice(node->range_lo).compare(user_key) <= 0 &&
-         Slice(node->range_hi).compare(user_key) >= 0;
-}
-
-void LeveledEngine::AddIterators(const ReadOptions& options,
-                                 std::vector<Iterator*>* iters) {
-  TreeVersionPtr version = current_version();
-
-  // L0: one iterator per file (overlapping ranges).
-  for (const auto& node : version->level(0)) {
-    std::shared_ptr<MSTableReader> reader;
-    Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader);
-    if (!s.ok()) {
-      iters->push_back(NewErrorIterator(s));
-      continue;
-    }
-    Iterator* iter = reader->NewIterator(options);
-    iter->RegisterCleanup([version, reader]() mutable {
-      reader.reset();
-    });
-    iters->push_back(iter);
-  }
-
-  // L1+: concatenated node iterators per level.
-  for (int level = 1; level < version->num_levels(); level++) {
-    if (version->level(level).empty()) continue;
-    auto nodes =
-        std::make_shared<const std::vector<NodePtr>>(version->level(level));
-    iters->push_back(NewLevelIterator(db_, version, nodes, options));
-  }
 }
 
 uint64_t LeveledEngine::CompactionDebtBytes() const {

@@ -29,6 +29,8 @@ class DBImpl;
 class LeveledEngine final : public TreeEngine {
  public:
   static constexpr int kNumLevels = 7;
+  // L0 files overlap; L1+ are disjoint.
+  static constexpr int kOverlappingLevels = 1;
 
   explicit LeveledEngine(DBImpl* db);
 
@@ -36,12 +38,6 @@ class LeveledEngine final : public TreeEngine {
   bool NeedsCompaction() const override;
   int RunnableCompactions(int max) const override;
   Status BackgroundWork(WorkLane lane, bool* did_work) override;
-  Status Get(const ReadOptions& options, const LookupKey& key,
-             std::string* value) override;
-  void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
-                size_t count) override;
-  void AddIterators(const ReadOptions& options,
-                    std::vector<Iterator*>* iters) override;
   WritePressure GetWritePressure() const override;
   uint64_t CompactionDebtBytes() const override;
   void FillStats(DbStats* stats) const override;
@@ -86,7 +82,6 @@ class LeveledEngine final : public TreeEngine {
   std::vector<NodePtr> OverlappingInputs(const TreeVersion& version, int level,
                                          const Slice& lo_user,
                                          const Slice& hi_user) const;
-  bool RangeCovered(const NodePtr& node, const Slice& user_key) const;
   NodeEdit ToEdit(const NodeMeta& node, int level) const;
 
   DBImpl* db_;

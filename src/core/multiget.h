@@ -1,12 +1,14 @@
-// Batched point-lookup plumbing shared by DBImpl, the engines and the
-// table layer.  DBImpl::MultiGet builds one MultiGetRequest per key, probes
-// mem/imm, then hands the still-pending requests — sorted by internal key —
-// to TreeEngine::MultiGet.  Each layer resolves what it can and leaves the
-// rest pending for the next-older data; a request whose state leaves
+// Point-lookup plumbing shared by DBImpl, the version walk and the table
+// layer.  Every point read is a batch (Get is a batch of one): DBImpl builds
+// one MultiGetRequest per key, probes mem/imm, then hands the still-pending
+// requests — sorted by internal key — to VersionMultiGet.  Each layer
+// receives a contiguous run of that array, resolves what it can and leaves
+// the rest pending for the next-older data; a request whose state leaves
 // kPending (or whose status turns non-OK) is final and must be skipped by
 // everything below.
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "core/dbformat.h"
@@ -28,5 +30,10 @@ struct MultiGetRequest {
 
   bool resolved() const { return state != State::kPending || !status.ok(); }
 };
+
+inline bool AllResolved(MultiGetRequest* const* reqs, size_t count) {
+  return std::all_of(reqs, reqs + count,
+                     [](const MultiGetRequest* r) { return r->resolved(); });
+}
 
 }  // namespace iamdb

@@ -1,19 +1,17 @@
 // TreeEngine: the on-disk organisation behind one DBImpl.  The write path,
-// WAL, memtables, snapshots and group commit are shared (DBImpl); engines
-// own structure, compaction policy and the disk read path:
+// WAL, memtables, snapshots, group commit and the read path are shared:
+// DBImpl reads the engine's published TreeVersion through the
+// engine-agnostic lookup and iterator code in core/level_iters.h.  Engines
+// own only tree structure and compaction policy:
 //   LeveledEngine — classic leveled LSM (the paper's LevelDB/RocksDB
 //                   baseline, with overflow/stall behaviour knobs), and
 //   AmtEngine     — the LSA/IAM append-merge tree (the contribution).
 #pragma once
 
-#include <vector>
-
 #include "core/dbformat.h"
 #include "core/manifest.h"
-#include "core/multiget.h"
 #include "core/options.h"
 #include "core/version.h"
-#include "table/iterator.h"
 #include "util/status.h"
 
 namespace iamdb {
@@ -54,25 +52,6 @@ class TreeEngine {
   // unlocks around I/O.  *did_work=false when there was nothing runnable
   // on that lane (everything pending is busy on other threads).
   virtual Status BackgroundWork(WorkLane lane, bool* did_work) = 0;
-
-  // Lock-free read path (no DB mutex): reads a published tree version.
-  virtual Status Get(const ReadOptions& options, const LookupKey& key,
-                     std::string* value) = 0;
-
-  // Batched lock-free read: `reqs` are still-pending requests sorted by
-  // internal key, all at one snapshot sequence.  Keys are grouped by
-  // covering node per level so each table's bloom/index is consulted once
-  // per group and cache-missing data blocks coalesce into vectored device
-  // reads.  Outcomes land in each request's state/status; keys absent
-  // everywhere stay pending (the caller maps those to NotFound).
-  // Byte-equivalent to calling Get() per key.
-  virtual void MultiGet(const ReadOptions& options,
-                        MultiGetRequest* const* reqs, size_t count) = 0;
-
-  // Appends internal-key iterators covering the whole tree (no DB mutex).
-  // Iterators pin the version they read.
-  virtual void AddIterators(const ReadOptions& options,
-                            std::vector<Iterator*>* iters) = 0;
 
   // Write-throttling decision (DB mutex held).
   virtual WritePressure GetWritePressure() const = 0;

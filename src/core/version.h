@@ -84,13 +84,18 @@ struct NodeMeta {
 using NodePtr = std::shared_ptr<NodeMeta>;
 
 // An immutable picture of the tree.  levels()[0] is the first ON-DISK level
-// (L1 in the paper for AMT; L0 for the leveled engine).
+// (L1 in the paper for AMT; L0 for the leveled engine).  The first
+// `overlapping_levels` levels hold nodes whose ranges may overlap, ordered
+// oldest to newest (only the leveled engine's L0); every deeper level holds
+// disjoint, range-sorted nodes.
 class TreeVersion {
  public:
-  explicit TreeVersion(std::vector<std::vector<NodePtr>> levels)
-      : levels_(std::move(levels)) {}
+  explicit TreeVersion(std::vector<std::vector<NodePtr>> levels,
+                       int overlapping_levels = 0)
+      : levels_(std::move(levels)), overlapping_levels_(overlapping_levels) {}
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
+  bool overlapping(int level) const { return level < overlapping_levels_; }
   const std::vector<NodePtr>& level(int i) const { return levels_[i]; }
   const std::vector<std::vector<NodePtr>>& levels() const { return levels_; }
 
@@ -115,6 +120,7 @@ class TreeVersion {
 
  private:
   std::vector<std::vector<NodePtr>> levels_;
+  int overlapping_levels_;
 };
 
 using TreeVersionPtr = std::shared_ptr<const TreeVersion>;

@@ -346,45 +346,15 @@ Status MSTableReader::Open(Env* env, const TableOptions& options,
   return Status::OK();
 }
 
-Status MSTableReader::Get(const ReadOptions& options, const Slice& ikey,
-                          std::string* value, GetState* state) const {
-  *state = GetState::kNotFound;
-  // Newest sequence first: the first version found with sequence <= the
-  // lookup snapshot is the visible one (upper sequences hold newer data).
-  for (int i = seq_count() - 1; i >= 0; i--) {
-    SequenceReader::GetState seq_state;
-    Status s = sequences_[i]->Get(options, ikey, value, &seq_state);
-    if (!s.ok()) return s;
-    switch (seq_state) {
-      case SequenceReader::GetState::kFound:
-        *state = GetState::kFound;
-        return Status::OK();
-      case SequenceReader::GetState::kDeleted:
-        *state = GetState::kDeleted;
-        return Status::OK();
-      case SequenceReader::GetState::kCorrupt:
-        *state = GetState::kCorrupt;
-        return Status::Corruption("corrupt sequence entry");
-      case SequenceReader::GetState::kNotFound:
-        break;
-    }
-  }
-  return Status::OK();
-}
-
 void MSTableReader::MultiGet(const ReadOptions& options,
                              MultiGetRequest* const* reqs,
                              size_t count) const {
-  // Newest sequence first, narrowing to the keys still pending after each —
-  // the batched mirror of Get()'s first-visible-version rule.
-  std::vector<MultiGetRequest*> pending(reqs, reqs + count);
-  for (int i = seq_count() - 1; i >= 0 && !pending.empty(); i--) {
-    sequences_[i]->MultiGet(options, pending.data(), pending.size());
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [](const MultiGetRequest* r) {
-                                   return r->resolved();
-                                 }),
-                  pending.end());
+  // Newest sequence first: the first version found with sequence <= the
+  // lookup snapshot is the visible one (upper sequences hold newer data).
+  // Each sequence skips the requests younger ones resolved.
+  for (int i = seq_count() - 1; i >= 0; i--) {
+    if (AllResolved(reqs, count)) return;
+    sequences_[i]->MultiGet(options, reqs, count);
   }
 }
 

@@ -135,19 +135,13 @@ class MSTableReader {
   Slice smallest() const { return smallest_; }
   Slice largest() const { return largest_; }
 
-  enum class GetState { kNotFound, kFound, kDeleted, kCorrupt };
-
-  // Point lookup: newest sequence first; stops at the first version of the
-  // user key with sequence <= ikey's snapshot sequence.
-  Status Get(const ReadOptions& options, const Slice& ikey, std::string* value,
-             GetState* state) const;
-
-  // Batched point lookup: `reqs` are pending requests sorted by internal
-  // key.  Each sequence (newest first) is probed with the keys the younger
-  // sequences left pending; per sequence the bloom filter and index are
+  // Point lookup of `reqs`, pending requests sorted by internal key.  Each
+  // sequence (newest first) is probed with the keys the younger sequences
+  // left pending, stopping at the first version of each user key with
+  // sequence <= its snapshot; per sequence the bloom filter and index are
   // consulted once per key and cache-missing data blocks are fetched with
   // one vectored read.  Per-key outcomes land in each request's
-  // state/status; byte-equivalent to calling Get() per key.
+  // state/status.
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 

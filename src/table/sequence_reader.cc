@@ -1,6 +1,8 @@
 #include "table/sequence_reader.h"
 
 #include <chrono>
+#include <cstddef>
+#include <memory_resource>
 
 #include "table/compressor.h"
 #include "table/two_level_iterator.h"
@@ -75,25 +77,33 @@ std::shared_ptr<const Block> SequenceReader::FinishBlock(
   return block;
 }
 
-std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
-    const ReadOptions& options, const BlockHandle& handle, Status* s) const {
-  const BlockCacheKey key{file_number_, handle.offset()};
-
+bool SequenceReader::LookupCachedBlock(const ReadOptions& options,
+                                       const BlockCacheKey& key,
+                                       std::shared_ptr<const Block>* block,
+                                       Status* s) const {
   if (options_.block_cache != nullptr) {
-    auto cached = CacheLookup<Block>(*options_.block_cache, key);
-    if (cached != nullptr) return cached;
+    *block = CacheLookup<Block>(*options_.block_cache, key);
+    if (*block != nullptr) return true;
   }
-
   // Uncompressed-tier miss: try the compressed tier before the device.
   if (options_.compressed_block_cache != nullptr) {
     auto compressed =
         CacheLookup<CompressedBlock>(*options_.compressed_block_cache, key);
     if (compressed != nullptr) {
       std::string stored(compressed->data);
-      return FinishBlock(options, key, std::move(stored), compressed->type,
-                         /*from_compressed_tier=*/true, s);
+      *block = FinishBlock(options, key, std::move(stored), compressed->type,
+                           /*from_compressed_tier=*/true, s);
+      return true;
     }
   }
+  return false;
+}
+
+std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
+    const ReadOptions& options, const BlockHandle& handle, Status* s) const {
+  const BlockCacheKey key{file_number_, handle.offset()};
+  std::shared_ptr<const Block> block;
+  if (LookupCachedBlock(options, key, &block, s)) return block;
 
   // Device read: pace it if the caller (a compaction) carries the
   // background I/O budget.  Foreground ReadOptions leave this null.
@@ -126,43 +136,6 @@ Iterator* SequenceReader::NewBlockIterator(const ReadOptions& options,
   return iter;
 }
 
-Status SequenceReader::Get(const ReadOptions& options, const Slice& ikey,
-                           std::string* value, GetState* state) const {
-  *state = GetState::kNotFound;
-  Slice user_key = ExtractUserKey(ikey);
-  if (!KeyMayMatch(user_key)) return Status::OK();
-
-  std::unique_ptr<Iterator> index_iter(index_block_.NewIterator(cmp_));
-  index_iter->Seek(ikey);
-  if (!index_iter->Valid()) return index_iter->status();
-
-  Slice input = index_iter->value();
-  BlockHandle handle;
-  Status s = handle.DecodeFrom(&input);
-  if (!s.ok()) return s;
-  std::shared_ptr<const Block> block = ReadDataBlock(options, handle, &s);
-  if (block == nullptr) return s;
-
-  std::unique_ptr<Iterator> block_iter(block->NewIterator(cmp_));
-  block_iter->Seek(ikey);
-  if (block_iter->Valid()) {
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(block_iter->key(), &parsed)) {
-      *state = GetState::kCorrupt;
-      return Status::Corruption("bad internal key in sequence");
-    }
-    if (parsed.user_key == user_key) {
-      if (parsed.type == kTypeValue) {
-        value->assign(block_iter->value().data(), block_iter->value().size());
-        *state = GetState::kFound;
-      } else {
-        *state = GetState::kDeleted;
-      }
-    }
-  }
-  return block_iter->status();
-}
-
 void SequenceReader::ResolveInBlock(const Block& block,
                                     MultiGetRequest* req) const {
   std::unique_ptr<Iterator> block_iter(block.NewIterator(cmp_));
@@ -192,6 +165,19 @@ void SequenceReader::ResolveInBlock(const Block& block,
 void SequenceReader::MultiGet(const ReadOptions& options,
                               MultiGetRequest* const* reqs,
                               size_t count) const {
+  // Next request at or after `i` still pending and passing the bloom filter.
+  auto next_candidate = [&](size_t i) {
+    while (i < count && (reqs[i]->resolved() ||
+                         !KeyMayMatch(reqs[i]->lkey->user_key()))) {
+      ++i;
+    }
+    return i;
+  };
+  // Most sequences a lookup visits are ruled out by the bloom filter alone;
+  // settle that before setting anything up.
+  size_t i = next_candidate(0);
+  if (i == count) return;
+
   // Keys mapped to the same data block share one Group; requests arrive in
   // internal-key order and the index is in key order, so same-block keys
   // are adjacent and block offsets ascend across groups.
@@ -199,16 +185,20 @@ void SequenceReader::MultiGet(const ReadOptions& options,
     BlockHandle handle;
     std::shared_ptr<const Block> block;
     Status error;
+    std::string stored;    // device-read buffer on a cache miss
     size_t first_key = 0;  // range into `probe`
     size_t num_keys = 0;
   };
-  std::vector<MultiGetRequest*> probe;
-  std::vector<Group> groups;
+  // Per-call scratch lives in a stack arena, so a one-key lookup allocates
+  // nothing here beyond what a cache miss needs; large batches spill to the
+  // heap.
+  alignas(std::max_align_t) std::byte arena[1024];
+  std::pmr::monotonic_buffer_resource scratch(arena, sizeof(arena));
+  std::pmr::vector<MultiGetRequest*> probe(&scratch);
+  std::pmr::vector<Group> groups(&scratch);
   std::unique_ptr<Iterator> index_iter(index_block_.NewIterator(cmp_));
-  for (size_t i = 0; i < count; ++i) {
+  for (; i < count; i = next_candidate(i + 1)) {
     MultiGetRequest* req = reqs[i];
-    if (req->resolved()) continue;
-    if (!KeyMayMatch(req->lkey->user_key())) continue;
     index_iter->Seek(req->lkey->internal_key());
     if (!index_iter->Valid()) {
       // Past the last block: the key is not in this sequence.
@@ -235,50 +225,30 @@ void SequenceReader::MultiGet(const ReadOptions& options,
   }
   if (groups.empty()) return;
 
-  // Cache probes per group; misses on both tiers queue for the device.
-  std::vector<size_t> missing;
+  // Cache probes per group; misses on both tiers queue for the device, each
+  // read straight into its group's buffer.
+  const uint64_t trailer = BlockTrailerSize(format_version_);
+  std::pmr::vector<size_t> missing(&scratch);
+  std::pmr::vector<ReadRequest> rr(&scratch);
+  size_t total = 0;
   for (size_t g = 0; g < groups.size(); ++g) {
-    const BlockCacheKey key{file_number_, groups[g].handle.offset()};
-    if (options_.block_cache != nullptr) {
-      auto cached = CacheLookup<Block>(*options_.block_cache, key);
-      if (cached != nullptr) {
-        groups[g].block = std::move(cached);
-        continue;
-      }
-    }
-    if (options_.compressed_block_cache != nullptr) {
-      auto compressed =
-          CacheLookup<CompressedBlock>(*options_.compressed_block_cache, key);
-      if (compressed != nullptr) {
-        std::string stored(compressed->data);
-        groups[g].block =
-            FinishBlock(options, key, std::move(stored), compressed->type,
-                        /*from_compressed_tier=*/true, &groups[g].error);
-        continue;
-      }
-    }
+    Group& grp = groups[g];
+    const BlockCacheKey key{file_number_, grp.handle.offset()};
+    if (LookupCachedBlock(options, key, &grp.block, &grp.error)) continue;
     missing.push_back(g);
+    grp.stored.resize(static_cast<size_t>(grp.handle.size() + trailer));
+    ReadRequest r;
+    r.offset = grp.handle.offset();
+    r.n = grp.stored.size();
+    r.scratch = grp.stored.data();
+    rr.push_back(r);
+    total += r.n;
   }
 
   // One vectored read covers every device-missing block of this sequence;
   // adjacent blocks coalesce into single device operations underneath.
-  if (!missing.empty()) {
-    const uint64_t trailer = BlockTrailerSize(format_version_);
-    size_t total = 0;
-    for (size_t g : missing) {
-      total += static_cast<size_t>(groups[g].handle.size() + trailer);
-    }
+  if (!rr.empty()) {
     if (options.rate_limiter != nullptr) options.rate_limiter->Request(total);
-    auto scratch = std::make_unique<char[]>(total);
-    std::vector<ReadRequest> rr(missing.size());
-    size_t buf_off = 0;
-    for (size_t i = 0; i < missing.size(); ++i) {
-      const BlockHandle& h = groups[missing[i]].handle;
-      rr[i].offset = h.offset();
-      rr[i].n = static_cast<size_t>(h.size() + trailer);
-      rr[i].scratch = scratch.get() + buf_off;
-      buf_off += rr[i].n;
-    }
     file_->ReadV(rr.data(), rr.size());
 
     if (options.batch != nullptr) {
@@ -300,23 +270,29 @@ void SequenceReader::MultiGet(const ReadOptions& options,
 
     const bool verify =
         options.verify_checksums || options_.verify_checksums;
-    for (size_t i = 0; i < missing.size(); ++i) {
+    for (size_t i = 0; i < rr.size(); ++i) {
       Group& grp = groups[missing[i]];
+      const size_t payload = static_cast<size_t>(grp.handle.size());
       Status s = rr[i].status;
       if (s.ok() && rr[i].result.size() != rr[i].n) {
         s = Status::Corruption("truncated block read");
       }
       CompressionType type = CompressionType::kNone;
       if (s.ok()) {
-        s = CheckBlockTrailer(rr[i].result.data(), grp.handle.size(), verify,
+        s = CheckBlockTrailer(rr[i].result.data(), payload, verify,
                               format_version_, &type);
       }
       if (s.ok()) {
-        std::string stored(rr[i].result.data(),
-                           static_cast<size_t>(grp.handle.size()));
+        // The read may have landed elsewhere (mmap-style envs return
+        // internal pointers); normalize into the buffer, minus the trailer.
+        if (rr[i].result.data() != grp.stored.data()) {
+          grp.stored.assign(rr[i].result.data(), payload);
+        } else {
+          grp.stored.resize(payload);
+        }
         grp.block = FinishBlock(
             options, BlockCacheKey{file_number_, grp.handle.offset()},
-            std::move(stored), type, /*from_compressed_tier=*/false, &s);
+            std::move(grp.stored), type, /*from_compressed_tier=*/false, &s);
       }
       if (grp.block == nullptr) grp.error = s;
     }

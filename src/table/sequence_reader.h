@@ -40,20 +40,13 @@ class SequenceReader {
   // Bloom check on the user key; false means definitely absent.
   bool KeyMayMatch(const Slice& user_key) const;
 
-  enum class GetState { kNotFound, kFound, kDeleted, kCorrupt };
-
-  // Looks up the newest entry for ikey's user key with sequence <= ikey's.
-  // kFound fills *value.
-  Status Get(const ReadOptions& options, const Slice& ikey, std::string* value,
-             GetState* state) const;
-
-  // Batched lookup.  `reqs` are still-pending requests sorted by internal
-  // key.  The bloom filter and in-memory index are consulted once per key;
-  // all cache-missing data blocks are fetched with a single vectored ReadV
+  // Point lookup of `reqs`, sorted by internal key; resolved requests are
+  // skipped.  Finds each key's newest entry with sequence <= its snapshot.
+  // The bloom filter and in-memory index are consulted once per key; all
+  // cache-missing data blocks are fetched with a single vectored ReadV
   // (adjacent blocks coalesce into one device read) and inserted into each
   // cache tier at most once.  Requests resolved here get state/status set;
-  // the rest stay pending for older sequences/levels.  Byte-equivalent to
-  // calling Get() per key.
+  // the rest stay pending for older sequences/levels.
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 
@@ -63,6 +56,11 @@ class SequenceReader {
  private:
   Iterator* NewBlockIterator(const ReadOptions& options,
                              const Slice& index_value) const;
+  // Looks `key` up in the uncompressed tier, then the compressed tier
+  // (decompressing and promoting a hit).  False on a miss in both; true
+  // otherwise, with *block null and *s set if decompression failed.
+  bool LookupCachedBlock(const ReadOptions& options, const BlockCacheKey& key,
+                         std::shared_ptr<const Block>* block, Status* s) const;
   std::shared_ptr<const Block> ReadDataBlock(const ReadOptions& options,
                                              const BlockHandle& handle,
                                              Status* s) const;
@@ -77,8 +75,7 @@ class SequenceReader {
                                            CompressionType type,
                                            bool from_compressed_tier,
                                            Status* s) const;
-  // Resolves one request against a loaded data block (shared by Get's tail
-  // and MultiGet).
+  // Resolves one request against a loaded data block.
   void ResolveInBlock(const Block& block, MultiGetRequest* req) const;
 
   const TableOptions options_;

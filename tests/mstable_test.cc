@@ -12,6 +12,7 @@
 #include "table/compressor.h"
 #include "table/merging_iterator.h"
 #include "table/mstable.h"
+#include "table_get.h"
 #include "util/random.h"
 
 namespace iamdb {
@@ -71,10 +72,9 @@ class MSTableTest : public testing::Test {
 
   // Point-read helper.
   std::string Get(const MSTableReader& reader, const std::string& key,
-                  SequenceNumber snap, MSTableReader::GetState* state) {
+                  SequenceNumber snap, MultiGetRequest::State* state) {
     std::string value;
-    std::string ikey = IKey(key, snap, kValueTypeForSeek);
-    Status s = reader.Get(ReadOptions(), ikey, &value, state);
+    Status s = TableGet(reader, key, snap, &value, state);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return value;
   }
@@ -103,12 +103,12 @@ TEST_F(MSTableTest, BuildAndReadSingleSequence) {
   EXPECT_EQ(1, reader->seq_count());
   EXPECT_EQ(1000u, reader->total_entries());
 
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   EXPECT_EQ("value42", Get(*reader, "key00042", 100, &state));
-  EXPECT_EQ(MSTableReader::GetState::kFound, state);
+  EXPECT_EQ(MultiGetRequest::State::kFound, state);
 
   Get(*reader, "key99999", 100, &state);
-  EXPECT_EQ(MSTableReader::GetState::kNotFound, state);
+  EXPECT_EQ(MultiGetRequest::State::kPending, state);
 }
 
 TEST_F(MSTableTest, IteratorFullScan) {
@@ -159,7 +159,7 @@ TEST_F(MSTableTest, AppendAddsSequenceNewestWins) {
   auto reader2 = OpenReader("/t3", r2.meta_end, 2);
   EXPECT_EQ(2, reader2->seq_count());
 
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   EXPECT_EQ("new", Get(*reader2, "key075", 100, &state));  // overlap: newest
   EXPECT_EQ("old", Get(*reader2, "key025", 100, &state));  // old only
   EXPECT_EQ("new", Get(*reader2, "key125", 100, &state));  // new only
@@ -172,7 +172,7 @@ TEST_F(MSTableTest, AppendAddsSequenceNewestWins) {
   EXPECT_EQ(1, reader_old->seq_count());
   EXPECT_EQ("old", Get(*reader_old, "key075", 100, &state));
   Get(*reader_old, "key125", 100, &state);
-  EXPECT_EQ(MSTableReader::GetState::kNotFound, state);
+  EXPECT_EQ(MultiGetRequest::State::kPending, state);
 }
 
 TEST_F(MSTableTest, MultipleAppendsAccumulate) {
@@ -186,7 +186,7 @@ TEST_F(MSTableTest, MultipleAppendsAccumulate) {
   }
   auto reader = OpenReader("/t4", r.meta_end, 100);
   EXPECT_EQ(5, reader->seq_count());
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   EXPECT_EQ("v5", Get(*reader, "a", 100, &state));
   EXPECT_EQ("v3", Get(*reader, "a", 3, &state));
   EXPECT_EQ("v1", Get(*reader, "a", 1, &state));
@@ -198,11 +198,11 @@ TEST_F(MSTableTest, DeletionTombstoneVisible) {
   auto r2 = Append("/t5", *reader1, {{IKey("k", 9, kTypeDeletion), ""}});
   auto reader2 = OpenReader("/t5", r2.meta_end, 2);
 
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   Get(*reader2, "k", 100, &state);
-  EXPECT_EQ(MSTableReader::GetState::kDeleted, state);
+  EXPECT_EQ(MultiGetRequest::State::kDeleted, state);
   EXPECT_EQ("alive", Get(*reader2, "k", 7, &state));
-  EXPECT_EQ(MSTableReader::GetState::kFound, state);
+  EXPECT_EQ(MultiGetRequest::State::kFound, state);
 }
 
 TEST_F(MSTableTest, MergedIteratorAcrossSequences) {
@@ -323,23 +323,23 @@ TEST_F(MSTableTest, BloomPreventsDataBlockReads) {
 
   IoStatsSnapshot before = stats.Snapshot();
   // 200 misses: bloom should reject nearly all without any disk read.
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   std::string value;
   int fp_reads = 0;
   for (int i = 0; i < 200; i++) {
     IoStatsSnapshot pre = stats.Snapshot();
-    std::string ikey = IKey("absent" + std::to_string(i), 100);
-    ASSERT_TRUE(reader->Get(ReadOptions(), ikey, &value, &state).ok());
-    EXPECT_EQ(MSTableReader::GetState::kNotFound, state);
+    ASSERT_TRUE(
+        TableGet(*reader, "absent" + std::to_string(i), 100, &value, &state)
+            .ok());
+    EXPECT_EQ(MultiGetRequest::State::kPending, state);
     if ((stats.Snapshot() - pre).read_ops > 0) fp_reads++;
   }
   EXPECT_LE(fp_reads, 4);  // ~0.2% fp rate, wide margin
 
   // A real hit costs exactly one data-block read (metadata is in memory).
   IoStatsSnapshot pre = stats.Snapshot();
-  std::string ikey = IKey("key00500", 100);
-  ASSERT_TRUE(reader->Get(ReadOptions(), ikey, &value, &state).ok());
-  EXPECT_EQ(MSTableReader::GetState::kFound, state);
+  ASSERT_TRUE(TableGet(*reader, "key00500", 100, &value, &state).ok());
+  EXPECT_EQ(MultiGetRequest::State::kFound, state);
   EXPECT_EQ(1u, (stats.Snapshot() - pre).read_ops);
   (void)before;
 }
@@ -398,10 +398,9 @@ TEST_F(MSTableTest, CorruptDataBlockDetectedWithChecksums) {
   ASSERT_TRUE(MSTableReader::Open(&env_, strict, &cmp_, "/t10", 1,
                                   result.meta_end, &reader)
                   .ok());
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   std::string value;
-  std::string ikey = IKey("key001", 100);
-  Status s = reader->Get(ReadOptions(), ikey, &value, &state);
+  Status s = TableGet(*reader, "key001", 100, &value, &state);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -438,13 +437,13 @@ TEST_F(MSTableTest, RandomizedMultiSequenceAgainstModel) {
   for (int i = 0; i < 1000; i++) {
     char buf[16];
     snprintf(buf, sizeof(buf), "key%04d", i);
-    MSTableReader::GetState state;
+    MultiGetRequest::State state;
     std::string value = Get(*reader, buf, 100, &state);
     auto it = model.find(buf);
     if (it == model.end()) {
-      EXPECT_EQ(MSTableReader::GetState::kNotFound, state) << buf;
+      EXPECT_EQ(MultiGetRequest::State::kPending, state) << buf;
     } else {
-      ASSERT_EQ(MSTableReader::GetState::kFound, state) << buf;
+      ASSERT_EQ(MultiGetRequest::State::kFound, state) << buf;
       EXPECT_EQ(it->second.second, value) << buf;
     }
   }
@@ -504,9 +503,9 @@ TEST_P(MSTableCompressionTest, CompressedBuildReadsBackIdentically) {
 
   auto reader = OpenReader("/comp", compressed.meta_end);
   ASSERT_NE(nullptr, reader);
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   EXPECT_EQ(entries[42].second, Get(*reader, "user000042", 100, &state));
-  EXPECT_EQ(MSTableReader::GetState::kFound, state);
+  EXPECT_EQ(MultiGetRequest::State::kFound, state);
 
   std::unique_ptr<Iterator> iter(reader->NewIterator(ReadOptions()));
   size_t i = 0;
@@ -537,7 +536,7 @@ TEST_P(MSTableCompressionTest, CompressedAppendRoundtrip) {
 
   auto reader2 = OpenReader("/ta", r2.meta_end);
   ASSERT_NE(nullptr, reader2);
-  MSTableReader::GetState state;
+  MultiGetRequest::State state;
   // Overlap region: the newer sequence (seq 20) wins.
   EXPECT_EQ(std::string(80, 'z'), Get(*reader2, "user000300", 100, &state));
   // Old-only and new-only keys both resolve.

@@ -1,11 +1,14 @@
-// Native batched MultiGet: byte-equivalence with looped Gets at one
-// snapshot across all three engines, device-read coalescing on a cold
-// cache (the batch must issue strictly fewer reads than the loop), and a
-// race cell exercising MultiGet against concurrent writes, flushes and
-// compactions (run under TSan in CI).
+// Point reads (Get is a one-key MultiGet): batches and single Gets checked
+// against a std::map model at head and at a pinned snapshot across all
+// three engines, device-read coalescing on a cold cache (the batch must
+// issue strictly fewer reads than the loop), and a race cell exercising
+// MultiGet against concurrent writes, flushes and compactions (run under
+// TSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +45,10 @@ class MultiGetTest : public testing::TestWithParam<MultiGetParam> {
     return options;
   }
 
-  void Open() { ASSERT_TRUE(DB::Open(MakeOptions(), "/db", &db_).ok()); }
+  void Open(const Options& options) {
+    ASSERT_TRUE(DB::Open(options, "/db", &db_).ok());
+  }
+  void Open() { Open(MakeOptions()); }
 
   // Close + reopen: a fresh DBImpl gets fresh (cold) cache tiers while the
   // MemEnv keeps the files.
@@ -60,6 +66,52 @@ class MultiGetTest : public testing::TestWithParam<MultiGetParam> {
   std::string Value(int i, int version) {
     return "val-" + std::to_string(i) + "-v" + std::to_string(version) +
            std::string(80, 'x');
+  }
+
+  using Model = std::map<std::string, std::string>;
+
+  void ExpectMatchesModel(const ReadOptions& options,
+                          const std::vector<std::string>& keys,
+                          const Model& model) {
+    std::vector<Slice> slices(keys.begin(), keys.end());
+    std::vector<std::string> values(keys.size());
+    std::vector<Status> statuses(keys.size());
+    db_->MultiGet(options, slices.size(), slices.data(), values.data(),
+                  statuses.data());
+    for (size_t i = 0; i < keys.size(); i++) {
+      auto it = model.find(keys[i]);
+      if (it == model.end()) {
+        EXPECT_TRUE(statuses[i].IsNotFound()) << keys[i];
+      } else {
+        ASSERT_TRUE(statuses[i].ok()) << keys[i] << statuses[i].ToString();
+        EXPECT_EQ(it->second, values[i]) << keys[i];
+      }
+    }
+  }
+
+  void ExpectGetsMatchModel(const ReadOptions& options,
+                            const std::vector<std::string>& keys,
+                            const Model& model) {
+    for (const std::string& k : keys) {
+      std::string value;
+      Status s = db_->Get(options, k, &value);
+      auto it = model.find(k);
+      if (it == model.end()) {
+        EXPECT_TRUE(s.IsNotFound()) << k;
+      } else {
+        ASSERT_TRUE(s.ok()) << k << s.ToString();
+        EXPECT_EQ(it->second, value) << k;
+      }
+    }
+  }
+
+  int LevelZeroFiles() {
+    std::string levels;
+    EXPECT_TRUE(db_->GetProperty("iamdb.levels", &levels));
+    int files = 0;
+    EXPECT_EQ(1, std::sscanf(levels.c_str(), "L0: %d nodes", &files))
+        << levels;
+    return files;
   }
 
   // Reference semantics: MultiGet must match Get key for key.
@@ -86,21 +138,29 @@ class MultiGetTest : public testing::TestWithParam<MultiGetParam> {
   std::unique_ptr<DB> db_;
 };
 
-// Seeded workload with overwrites and deletes; batches mix hits, misses,
-// deleted keys and duplicates, read both at the committed state and at a
-// snapshot pinned before a second wave of overwrites.
-TEST_P(MultiGetTest, EquivalentToLoopedGets) {
+// Seeded Put/Delete stream mirrored into a std::map model; batches mix
+// hits, misses, deleted keys and duplicates, read at head and at a snapshot
+// pinned before a second wave of overwrites.  The data spans the memtable
+// and several on-disk levels; for the leveled engine the newest data sits
+// in overlapping L0 files that must be probed newest first.
+TEST_P(MultiGetTest, MatchesModel) {
   Open();
   Random64 rnd(42);
   const int kKeySpace = 6000;
+  Model model;
 
+  auto put = [&](int k, int version) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(k), Value(k, version)).ok());
+    model[Key(k)] = Value(k, version);
+  };
   auto mutate = [&](int ops, int version) {
     for (int i = 0; i < ops; i++) {
       int k = static_cast<int>(rnd.Next() % kKeySpace);
       if (rnd.Next() % 7 == 0) {
         ASSERT_TRUE(db_->Delete(WriteOptions(), Key(k)).ok());
+        model.erase(Key(k));
       } else {
-        ASSERT_TRUE(db_->Put(WriteOptions(), Key(k), Value(k, version)).ok());
+        put(k, version);
       }
       if (i % 500 == 499) ASSERT_TRUE(db_->WaitForQuiescence().ok());
     }
@@ -109,14 +169,24 @@ TEST_P(MultiGetTest, EquivalentToLoopedGets) {
   mutate(8000, 1);
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
 
+  // Reopen with L0 compaction out of reach: every later flush stays in L0
+  // on top of the deeper levels built so far.
+  Options options = MakeOptions();
+  options.leveled.l0_compaction_trigger = 1000;
+  options.leveled.l0_slowdown_trigger = 1000;
+  options.leveled.l0_stop_trigger = 1000;
+  db_.reset();
+  Open(options);
+
   const Snapshot* snap = db_->GetSnapshot();
+  const Model snap_model = model;
 
   // Second wave: overwrites and deletes the snapshot must not observe,
   // ending with unflushed keys so the batch spans mem + disk levels.
-  mutate(6000, 2);
+  mutate(3000, 2);
+  ASSERT_TRUE(db_->FlushAll().ok());
   for (int i = 0; i < 200; i++) {
-    int k = static_cast<int>(rnd.Next() % kKeySpace);
-    ASSERT_TRUE(db_->Put(WriteOptions(), Key(k), Value(k, 3)).ok());
+    put(static_cast<int>(rnd.Next() % kKeySpace), 3);
   }
 
   std::vector<std::string> batch;
@@ -129,10 +199,24 @@ TEST_P(MultiGetTest, EquivalentToLoopedGets) {
   batch.push_back(batch[0]);
   batch.push_back(batch[1]);
 
-  ExpectMatchesLoopedGets(ReadOptions(), batch);
+  if (GetParam().engine == EngineType::kLeveled) {
+    ASSERT_GE(LevelZeroFiles(), 2);
+  }
 
   ReadOptions at_snap;
   at_snap.snapshot = snap;
+
+  // Gets alone never count as batches.
+  ExpectGetsMatchModel(ReadOptions(), batch, model);
+  ExpectGetsMatchModel(at_snap, batch, snap_model);
+  DbStats stats = db_->GetStats();
+  EXPECT_EQ(0u, stats.multiget_batches);
+  EXPECT_EQ(0u, stats.multiget_keys);
+  EXPECT_EQ(0u, stats.multiget_coalesced_reads);
+
+  ExpectMatchesModel(ReadOptions(), batch, model);
+  ExpectMatchesModel(at_snap, batch, snap_model);
+  ExpectMatchesLoopedGets(ReadOptions(), batch);
   ExpectMatchesLoopedGets(at_snap, batch);
 
   db_->ReleaseSnapshot(snap);

@@ -15,6 +15,7 @@
 #include "table/block_builder.h"
 #include "table/bloom.h"
 #include "table/mstable.h"
+#include "table_get.h"
 #include "test_seed.h"
 #include "util/random.h"
 
@@ -178,14 +179,13 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
     char buf[16];
     snprintf(buf, sizeof(buf), "k%05d", i);
     std::string value;
-    MSTableReader::GetState state;
-    std::string ikey = IKey(buf, 1000);
-    ASSERT_TRUE(reader->Get(ReadOptions(), ikey, &value, &state).ok());
+    MultiGetRequest::State state;
+    ASSERT_TRUE(TableGet(*reader, buf, 1000, &value, &state).ok());
     auto it = model.find(buf);
     if (it == model.end()) {
-      EXPECT_EQ(MSTableReader::GetState::kNotFound, state) << buf;
+      EXPECT_EQ(MultiGetRequest::State::kPending, state) << buf;
     } else {
-      ASSERT_EQ(MSTableReader::GetState::kFound, state) << buf;
+      ASSERT_EQ(MultiGetRequest::State::kFound, state) << buf;
       EXPECT_EQ(it->second, value) << buf;
     }
   }
