@@ -1,14 +1,21 @@
 #include "util/crc32c.h"
 
-#include <array>
+#include <cstring>
+
+#include "util/crc32c_internal.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define IAMDB_CRC32C_X86 1
+#endif
 
 namespace iamdb::crc32c {
 
 namespace {
 
 // Table-driven software CRC32C (polynomial 0x1EDC6F41, reflected 0x82F63B78).
-// Four-table slicing keeps it fast enough for block-sized payloads without
-// requiring SSE4.2.
+// Four-table slicing is the fallback for CPUs without SSE4.2 and other
+// architectures, and the reference the hardware kernel is tested against.
 struct Tables {
   uint32_t t[4][256];
 
@@ -33,7 +40,9 @@ constexpr Tables kTables{};
 
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const uint8_t* p = reinterpret_cast<const uint8_t*>(data);
   uint32_t crc = ~init_crc;
   // Process 4 bytes at a time.
@@ -50,6 +59,55 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     crc = (crc >> 8) ^ kTables.t[0][(crc ^ *p++) & 0xFF];
   }
   return ~crc;
+}
+
+#if defined(IAMDB_CRC32C_X86)
+
+bool HardwareAvailable() {
+  // __builtin_cpu_init makes the query safe from static initializers that
+  // run before libgcc's own CPU detection.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t init_crc,
+                                                          const char* data,
+                                                          size_t n) {
+  const char* p = data;
+  uint64_t crc = ~init_crc;
+  while (n >= 8) {
+    uint64_t w = 0;
+    memcpy(&w, p, 8);
+    crc = _mm_crc32_u64(crc, w);
+    p += 8;
+    n -= 8;
+  }
+  while (n--) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), static_cast<uint8_t>(*p++));
+  }
+  return ~static_cast<uint32_t>(crc);
+}
+
+#else  // !IAMDB_CRC32C_X86
+
+bool HardwareAvailable() { return false; }
+
+// Never chosen by Extend here; defined so tests link on every platform.
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) {
+  return ExtendPortable(init_crc, data, n);
+}
+
+#endif  // IAMDB_CRC32C_X86
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  // Chosen on first use, so a call from another file's static initializer
+  // still gets a valid kernel.
+  static const auto kernel = internal::HardwareAvailable()
+                                 ? internal::ExtendHardware
+                                 : internal::ExtendPortable;
+  return kernel(init_crc, data, n);
 }
 
 }  // namespace iamdb::crc32c

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dbformat.h"
@@ -371,21 +372,30 @@ TEST_F(BlockFramingTest, TruncatedFileIsCorruption) {
 }
 
 TEST_F(BlockFramingTest, BitFlipAnywhereIsCaughtByCrc) {
-  std::string stored;
+  std::string columnar;
   ASSERT_TRUE(GetCompressor(CompressionType::kColumnar)
-                  ->Compress(BuildFixedRecordBlock(30), &stored));
-  BlockHandle handle = WriteOne(stored, CompressionType::kColumnar);
-  const uint64_t file_size =
-      handle.size() + BlockTrailerSize(kFormatVersion2);
-  // Payload bytes, the type tag, and the CRC itself: a flip in any of them
-  // must surface as Corruption.
-  for (uint64_t pos = 0; pos < file_size; pos++) {
-    WriteOne(stored, CompressionType::kColumnar);  // fresh copy
-    FlipByte(pos);
-    std::string payload;
-    CompressionType type;
-    Status s = ReadOne(handle, &payload, &type);
-    EXPECT_TRUE(s.IsCorruption()) << "flip at " << pos << ": " << s.ToString();
+                  ->Compress(BuildFixedRecordBlock(30), &columnar));
+  // A full uncompressed data block runs the checksum's long-buffer loop.
+  const std::string full = BuildFixedRecordBlock(45);
+  ASSERT_GE(full.size(), 4096u);
+  const std::pair<std::string, CompressionType> inputs[] = {
+      {columnar, CompressionType::kColumnar}, {full, CompressionType::kNone}};
+  for (const auto& [stored, type] : inputs) {
+    BlockHandle handle = WriteOne(stored, type);
+    const uint64_t file_size =
+        handle.size() + BlockTrailerSize(kFormatVersion2);
+    // Payload bytes, the type tag, and the CRC itself: a flip in any of them
+    // must surface as Corruption.
+    for (uint64_t pos = 0; pos < file_size; pos++) {
+      WriteOne(stored, type);  // fresh copy
+      FlipByte(pos);
+      std::string payload;
+      CompressionType read_type;
+      Status s = ReadOne(handle, &payload, &read_type);
+      EXPECT_TRUE(s.IsCorruption())
+          << "size " << stored.size() << " flip at " << pos << ": "
+          << s.ToString();
+    }
   }
 }
 

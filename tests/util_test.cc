@@ -10,6 +10,7 @@
 #include "util/arena.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/crc32c_internal.h"
 #include "util/hash.h"
 #include "util/histogram.h"
 #include "util/random.h"
@@ -189,20 +190,75 @@ TEST(CodingTest, VarintLength) {
 }
 
 TEST(Crc32cTest, StandardVectors) {
-  // From the CRC32C spec (RFC 3720 appendix / SCTP test vectors).
+  // From the CRC32C spec (RFC 3720 appendix / SCTP test vectors), through
+  // the public entry point and each kernel this CPU can run.
+  std::vector<uint32_t (*)(uint32_t, const char*, size_t)> kernels = {
+      crc32c::Extend, crc32c::internal::ExtendPortable};
+  if (crc32c::internal::HardwareAvailable()) {
+    kernels.push_back(crc32c::internal::ExtendHardware);
+  }
   char buf[32];
+  for (auto extend : kernels) {
+    memset(buf, 0, sizeof(buf));
+    EXPECT_EQ(0x8a9136aau, extend(0, buf, sizeof(buf)));
 
-  memset(buf, 0, sizeof(buf));
-  EXPECT_EQ(0x8a9136aau, crc32c::Value(buf, sizeof(buf)));
+    memset(buf, 0xff, sizeof(buf));
+    EXPECT_EQ(0x62a8ab43u, extend(0, buf, sizeof(buf)));
 
-  memset(buf, 0xff, sizeof(buf));
-  EXPECT_EQ(0x62a8ab43u, crc32c::Value(buf, sizeof(buf)));
+    for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(i);
+    EXPECT_EQ(0x46dd794eu, extend(0, buf, sizeof(buf)));
 
-  for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(i);
-  EXPECT_EQ(0x46dd794eu, crc32c::Value(buf, sizeof(buf)));
+    for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(31 - i);
+    EXPECT_EQ(0x113fdb5cu, extend(0, buf, sizeof(buf)));
+  }
+}
 
-  for (int i = 0; i < 32; i++) buf[i] = static_cast<char>(31 - i);
-  EXPECT_EQ(0x113fdb5cu, crc32c::Value(buf, sizeof(buf)));
+// The hardware kernel must produce the portable kernel's bytes for every
+// length, alignment, starting CRC and split, or on-disk checksums would
+// depend on the CPU that wrote them.
+class Crc32cKernelTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    if (!crc32c::internal::HardwareAvailable()) {
+      GTEST_SKIP() << "CPU lacks SSE4.2: only the portable kernel runs";
+    }
+    Random rnd(3720);
+    data_.resize(16704 + 8);
+    for (char& c : data_) c = static_cast<char>(rnd.Uniform(256));
+  }
+
+  std::string data_;
+};
+
+TEST_F(Crc32cKernelTest, HardwareMatchesPortable) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 2048; n++) lengths.push_back(n);
+  // One 4 KB table block plus its 5-byte trailer, and a long buffer.
+  for (size_t n : {4101, 16704}) lengths.push_back(n);
+  for (uint32_t init : {0u, 0xdeadbeefu}) {
+    for (size_t offset = 0; offset < 8; offset++) {
+      for (size_t n : lengths) {
+        const char* p = data_.data() + offset;
+        ASSERT_EQ(crc32c::internal::ExtendPortable(init, p, n),
+                  crc32c::internal::ExtendHardware(init, p, n))
+            << "init " << init << " offset " << offset << " length " << n;
+      }
+    }
+  }
+}
+
+TEST_F(Crc32cKernelTest, ExtendAtEveryCutPoint) {
+  const size_t n = 1044;  // one WAL record
+  const uint32_t whole = crc32c::internal::ExtendPortable(0, data_.data(), n);
+  for (size_t cut = 0; cut <= n; cut++) {
+    for (auto extend :
+         {crc32c::internal::ExtendPortable, crc32c::internal::ExtendHardware}) {
+      uint32_t crc = extend(0, data_.data(), cut);
+      ASSERT_EQ(whole, extend(crc, data_.data() + cut, n - cut))
+          << "cut " << cut;
+    }
+  }
+  EXPECT_EQ(whole, crc32c::Value(data_.data(), n));
 }
 
 TEST(Crc32cTest, Values) {

@@ -128,20 +128,26 @@ TEST_F(WalTest, TornTailIsSilentlyDropped) {
 }
 
 TEST_F(WalTest, ChecksumCorruptionIsReportedAndSkipped) {
-  Write("first");
-  Write("second");
-  Write("third");
-  // Corrupt a payload byte of the second record.  Records are tiny, so all
-  // three live in block 0: first occupies [0, 7+5), second [12, 12+7+6).
-  CorruptByte(12 + log::kHeaderSize + 2);
+  // A short record, and a 1,044-byte one (a typical put's record) whose
+  // checksum runs the long-buffer loop.
+  for (size_t len : {size_t{6}, size_t{1044}}) {
+    OpenWriter();
+    Write("first");
+    Write(std::string(len, 's'));
+    Write("third");
+    // Corrupt a payload byte of the second record.  All three live in
+    // block 0: first occupies [0, 7+5), second [12, 12+7+len).
+    CorruptByte(12 + log::kHeaderSize + len - 4);
 
-  CollectingReporter reporter;
-  auto records = ReadAll(&reporter);
-  // On checksum mismatch the reader drops the rest of the block ("second"
-  // AND "third" share block 0), resynchronizing at the next block boundary.
-  ASSERT_EQ(1u, records.size());
-  EXPECT_EQ("first", records[0]);
-  EXPECT_GT(reporter.corruptions, 0);
+    CollectingReporter reporter;
+    auto records = ReadAll(&reporter);
+    // On checksum mismatch the reader drops the rest of the block (the
+    // second record AND "third" share block 0), resynchronizing at the next
+    // block boundary.
+    ASSERT_EQ(1u, records.size()) << "length " << len;
+    EXPECT_EQ("first", records[0]);
+    EXPECT_GT(reporter.corruptions, 0);
+  }
 }
 
 TEST_F(WalTest, ReopenedLogAppendsCorrectly) {
