@@ -10,6 +10,7 @@
 #include "core/filename.h"
 #include "table/merging_iterator.h"
 #include "util/rate_limiter.h"
+#include "util/sync_point.h"
 #include "util/task_group.h"
 
 namespace iamdb {
@@ -313,7 +314,7 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
   return false;
 }
 
-bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) {
+bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) const {
   if (db_->imm() == nullptr || imm_flush_running_) return false;
   const int n = version.num_levels();
   const uint64_t capacity = NodeCapacity();
@@ -363,13 +364,17 @@ bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) {
   return true;
 }
 
-bool AmtEngine::NeedsCompaction() const {
-  return RunnableCompactions(1) > 0;
-}
-
-int AmtEngine::RunnableCompactions(int max) const {
+int AmtEngine::RunnableJobs(WorkLane lane, int max) const {
   if (max <= 0) return 0;
   TreeVersionPtr version = current_version();
+  if (lane == WorkLane::kFlush) {
+    // The flush worker's own pick: the imm flush, or the full-L1-child
+    // prerequisite blocking it.  A pick that fails here is blocked by a
+    // busy mark, and the job holding it runs a scheduling pass when it
+    // completes — so no worker is woken just to find that out.
+    Job job;
+    return PickFlushJob(*version, &job) ? 1 : 0;
+  }
   // Simulate the scheduler: pick, busy-mark, repeat.  Every non-grow pick
   // marks at least its own node busy, so the loop terminates.
   std::set<uint64_t> busy = busy_nodes_;
@@ -994,6 +999,10 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
   }
 
   db_->mutex().unlock();
+  // Arg: the flushed node's version index (const int*).  The job's busy
+  // marks are held and the DB mutex is not.
+  IAMDB_SYNC_POINT_ARG("AmtEngine::RunFlushNode:Unlocked",
+                       const_cast<int*>(&level));
 
   Status s;
   FlushDelta delta;

@@ -55,8 +55,7 @@ class AmtEngine final : public TreeEngine {
   explicit AmtEngine(DBImpl* db);
 
   Status Recover(const RecoveredState& state) override;
-  bool NeedsCompaction() const override;
-  int RunnableCompactions(int max) const override;
+  int RunnableJobs(WorkLane lane, int max) const override;
   Status BackgroundWork(WorkLane lane, bool* did_work) override;
   WritePressure GetWritePressure() const override;
   uint64_t CompactionDebtBytes() const override;
@@ -111,7 +110,7 @@ class AmtEngine final : public TreeEngine {
   // behind the merge queue.
   bool PickCompactionJob(const TreeVersion& version,
                          const std::set<uint64_t>& busy, Job* job) const;
-  bool PickFlushJob(const TreeVersion& version, Job* job);
+  bool PickFlushJob(const TreeVersion& version, Job* job) const;
 
   static bool AnyBusy(const Job& job, const std::set<uint64_t>& busy);
   static void MarkBusyIn(const Job& job, std::set<uint64_t>* busy);

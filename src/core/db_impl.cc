@@ -849,10 +849,13 @@ void DBImpl::MaybeScheduleBackgroundWork() {
   // every write-side event that could move its signals (rotations, stalls,
   // job completions).  Cache SetCapacity only takes shard (leaf) locks.
   MaybeRebalanceMemory();
-  // Flush lane: one dedicated high-lane worker whenever an imm is pending.
-  // Flushes serialize on the single imm slot, so one worker is always
-  // enough — and the high lane guarantees it never queues behind merges.
-  if (imm_ != nullptr && !flush_scheduled_) {
+  // Flush lane: at most one high-lane worker, and only when the engine
+  // could pick a flush job now.  Flushes serialize on the single imm slot,
+  // so one worker is always enough — and the high lane guarantees it never
+  // queues behind merges.  A flush the engine cannot pick is blocked by a
+  // busy mark, and the job holding that mark runs a pass when it ends.
+  if (imm_ != nullptr && !flush_scheduled_ &&
+      engine_->RunnableJobs(TreeEngine::WorkLane::kFlush, 1) > 0) {
     flush_scheduled_ = true;
     if (!pool_->Schedule(ThreadPool::Lane::kHigh, [this] {
           BackgroundCall(TreeEngine::WorkLane::kFlush);
@@ -865,11 +868,12 @@ void DBImpl::MaybeScheduleBackgroundWork() {
   }
   // Compaction lane: exactly one worker per job the engine could start
   // right now given what is already running (busy-marking simulated by
-  // RunnableCompactions) — not one per pool slot, which used to wake
-  // workers that immediately found every job conflicted and exited.
+  // RunnableJobs) — not one per pool slot, which would wake workers that
+  // immediately find every job conflicted and exit.
   int slots = pool_->num_threads() - compactions_scheduled_;
   if (slots <= 0) return;
-  int runnable = engine_->RunnableCompactions(slots);
+  int runnable =
+      engine_->RunnableJobs(TreeEngine::WorkLane::kCompaction, slots);
   for (int i = 0; i < runnable; i++) {
     compactions_scheduled_++;
     if (!pool_->Schedule(ThreadPool::Lane::kLow, [this] {
@@ -911,30 +915,28 @@ bool DBImpl::ForceMemoryStep(MemoryArbiter::Shift direction) {
 
 void DBImpl::BackgroundCall(TreeEngine::WorkLane lane) {
   std::unique_lock<std::mutex> l(mutex_);
-  while (!shutting_down_.load(std::memory_order_acquire) && bg_error_.ok()) {
-    bool did_work = false;
+  bool did_work = false;
+  if (!shutting_down_.load(std::memory_order_acquire) && bg_error_.ok()) {
     Status s = engine_->BackgroundWork(lane, &did_work);
-    if (!s.ok()) {
-      bg_error_ = s;
-      break;
-    }
-    if (!did_work) break;
-    bg_cv_.notify_all();
-    // One flush per wakeup: the next imm (if any) gets a fresh worker from
-    // the rescheduling pass below, keeping the accounting one-to-one.
-    if (lane == TreeEngine::WorkLane::kFlush) break;
+    if (!s.ok()) bg_error_ = s;
   }
   if (lane == TreeEngine::WorkLane::kFlush) {
     flush_scheduled_ = false;
   } else {
     compactions_scheduled_--;
   }
-  // Defense in depth: if runnable work appeared while this worker was
-  // deciding to exit (e.g. it skipped jobs that were busy on another
-  // thread), hand it to a fresh worker rather than waiting for the next
-  // write to schedule one.
-  if (!shutting_down_.load(std::memory_order_acquire) && bg_error_.ok()) {
+  if (did_work) {
+    IAMDB_SYNC_POINT("DBImpl::BackgroundCall:RanJob");
+    // One job per wakeup: the finished job released its busy marks and
+    // may have made more work runnable, so a pass hands that to fresh
+    // workers, and the pool consults its high lane before starting them.
     MaybeScheduleBackgroundWork();
+  } else {
+    // Nothing runnable (another worker took the job since this one was
+    // scheduled), or the DB is closing or failed.  Rescheduling here would
+    // spin: whatever blocks the work is a running job, and its completion
+    // runs the pass.
+    IAMDB_SYNC_POINT("DBImpl::BackgroundCall:NoWork");
   }
   bg_cv_.notify_all();
 }
@@ -974,8 +976,9 @@ Status DBImpl::LogEdit(VersionEdit* edit) {
 
 Status DBImpl::WaitForQuiescence() {
   std::unique_lock<std::mutex> l(mutex_);
-  while (bg_error_.ok() && (imm_ != nullptr || engine_->NeedsCompaction() ||
-                            ScheduledWorkers() > 0)) {
+  while (bg_error_.ok() &&
+         (imm_ != nullptr || ScheduledWorkers() > 0 ||
+          engine_->RunnableJobs(TreeEngine::WorkLane::kCompaction, 1) > 0)) {
     MaybeScheduleBackgroundWork();
     bg_cv_.wait(l);
   }

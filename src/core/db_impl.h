@@ -137,7 +137,10 @@ class DBImpl final : public DB {
   void PublishReadView();   // mutex held; release-installs {mem_, imm_}
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock);
   WriteBatch* BuildBatchGroup(WriterItem** last_writer);
-  void MaybeScheduleBackgroundWork();  // mutex held
+  // One scheduling pass (mutex held).  Runs only after an event that can
+  // make work runnable: memtable rotation, a job completing, a stalled
+  // writer waking, FlushAll/WaitForQuiescence (docs/CONCURRENCY.md).
+  void MaybeScheduleBackgroundWork();
   void MaybeRebalanceMemory();         // mutex held
   void MaybeRebalanceMemoryFromRead();  // no mutex; try-locks
   void BackgroundCall(TreeEngine::WorkLane lane);
@@ -211,7 +214,7 @@ class DBImpl final : public DB {
   std::unique_ptr<MemoryArbiter> arbiter_;
   // Two-lane scheduling accounting (mutex_): at most one flush worker —
   // flushes serialize on the single imm anyway — plus one compaction
-  // worker per job the engine says is runnable right now.
+  // worker per job; both only for jobs the engine says are runnable now.
   bool flush_scheduled_ = false;
   int compactions_scheduled_ = 0;
   int ScheduledWorkers() const {  // mutex held

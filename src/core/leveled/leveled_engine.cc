@@ -150,12 +150,11 @@ uint64_t LeveledEngine::PendingCompactionDebt() const {
   return debt;
 }
 
-bool LeveledEngine::NeedsCompaction() const {
-  return PickCompactionLevel(busy_levels_) >= 0;
-}
-
-int LeveledEngine::RunnableCompactions(int max) const {
+int LeveledEngine::RunnableJobs(WorkLane lane, int max) const {
   if (max <= 0) return 0;
+  if (lane == WorkLane::kFlush) {
+    return db_->imm() != nullptr && !imm_flush_running_ ? 1 : 0;
+  }
   // Simulate the scheduler: each pick occupies its input and output
   // levels, so concurrent compactions operate on disjoint level pairs.
   std::set<int> busy = busy_levels_;

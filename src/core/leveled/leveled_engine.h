@@ -35,8 +35,7 @@ class LeveledEngine final : public TreeEngine {
   explicit LeveledEngine(DBImpl* db);
 
   Status Recover(const RecoveredState& state) override;
-  bool NeedsCompaction() const override;
-  int RunnableCompactions(int max) const override;
+  int RunnableJobs(WorkLane lane, int max) const override;
   Status BackgroundWork(WorkLane lane, bool* did_work) override;
   WritePressure GetWritePressure() const override;
   uint64_t CompactionDebtBytes() const override;

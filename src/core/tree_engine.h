@@ -26,8 +26,9 @@ class TreeEngine {
   // Which scheduler lane a background worker serves.  kFlush work is what
   // the write path hard-stalls on (imm flushes, plus any structural job
   // that must run first to unblock one); kCompaction is everything else.
-  // DBImpl keeps one dedicated kFlush worker so a flush never queues
-  // behind merges (docs/CONCURRENCY.md, "Two-lane background scheduling").
+  // DBImpl keeps at most one kFlush worker outstanding, on the pool's high
+  // lane, so a flush never queues behind merges (docs/CONCURRENCY.md,
+  // "Two-lane background scheduling").
   enum class WorkLane { kFlush, kCompaction };
 
   virtual ~TreeEngine() = default;
@@ -36,21 +37,18 @@ class TreeEngine {
   // locking concerns).
   virtual Status Recover(const RecoveredState& state) = 0;
 
-  // Whether background work beyond an immutable-memtable flush is pending.
-  // Called with the DB mutex held.
-  virtual bool NeedsCompaction() const = 0;
-
-  // How many compaction-lane jobs could run RIGHT NOW without conflicting
-  // with each other or with running jobs (busy-marking simulated), capped
-  // at `max`.  DBImpl schedules exactly this many compaction workers
-  // instead of blindly filling the pool.  DB mutex held.
-  virtual int RunnableCompactions(int max) const = 0;
+  // How many jobs on `lane` could start RIGHT NOW without conflicting with
+  // each other or with running jobs (busy-marking simulated), capped at
+  // `max`.  kFlush answers 0 or 1: whether BackgroundWork(kFlush) would
+  // pick a job now.  DBImpl schedules exactly this many workers per lane,
+  // so a worker is only woken for work it can start.  DB mutex held.
+  virtual int RunnableJobs(WorkLane lane, int max) const = 0;
 
   // Perform one unit of background work on the given lane: kFlush runs an
   // imm flush (or a prerequisite that unblocks one), kCompaction runs one
   // compaction step.  Called with the DB mutex HELD; the implementation
   // unlocks around I/O.  *did_work=false when there was nothing runnable
-  // on that lane (everything pending is busy on other threads).
+  // on that lane (the job was taken by another worker since scheduling).
   virtual Status BackgroundWork(WorkLane lane, bool* did_work) = 0;
 
   // Write-throttling decision (DB mutex held).

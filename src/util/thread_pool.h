@@ -4,7 +4,9 @@
 //
 // Two priority lanes: kHigh work (immutable-memtable flushes — the jobs the
 // write path hard-stalls on) is always dequeued before kLow work (merges,
-// subcompaction shards).  A queued merge therefore never delays a flush by
+// subcompaction shards).  DBImpl's background workers run one job per
+// task and re-queue any further work as new tasks, so the high lane is
+// consulted at every job boundary: a queued merge never delays a flush by
 // more than the one task each worker is already running.
 #pragma once
 
