@@ -140,7 +140,9 @@ class DB {
   virtual Status Delete(const WriteOptions& options, const Slice& key);
   virtual Status Write(const WriteOptions& options, WriteBatch* updates) = 0;
 
-  // NotFound if the key is absent (or deleted) at the read point.
+  // NotFound if the key is absent (or deleted) at the read point;
+  // Incomplete if options.cache_only is set and the answer needs the
+  // device.
   virtual Status Get(const ReadOptions& options, const Slice& key,
                      std::string* value) = 0;
 

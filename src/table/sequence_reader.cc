@@ -104,6 +104,10 @@ std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
   const BlockCacheKey key{file_number_, handle.offset()};
   std::shared_ptr<const Block> block;
   if (LookupCachedBlock(options, key, &block, s)) return block;
+  if (options.cache_only) {
+    *s = Status::Incomplete("block not in cache");
+    return nullptr;
+  }
 
   // Device read: pace it if the caller (a compaction) carries the
   // background I/O budget.  Foreground ReadOptions leave this null.
@@ -226,7 +230,8 @@ void SequenceReader::MultiGet(const ReadOptions& options,
   if (groups.empty()) return;
 
   // Cache probes per group; misses on both tiers queue for the device, each
-  // read straight into its group's buffer.
+  // read straight into its group's buffer.  A cache-only read leaves them
+  // unread: their keys come back Incomplete.
   const uint64_t trailer = BlockTrailerSize(format_version_);
   std::pmr::vector<size_t> missing(&scratch);
   std::pmr::vector<ReadRequest> rr(&scratch);
@@ -235,6 +240,10 @@ void SequenceReader::MultiGet(const ReadOptions& options,
     Group& grp = groups[g];
     const BlockCacheKey key{file_number_, grp.handle.offset()};
     if (LookupCachedBlock(options, key, &grp.block, &grp.error)) continue;
+    if (options.cache_only) {
+      grp.error = Status::Incomplete("block not in cache");
+      continue;
+    }
     missing.push_back(g);
     grp.stored.resize(static_cast<size_t>(grp.handle.size() + trailer));
     ReadRequest r;

@@ -45,8 +45,10 @@ class SequenceReader {
   // The bloom filter and in-memory index are consulted once per key; all
   // cache-missing data blocks are fetched with a single vectored ReadV
   // (adjacent blocks coalesce into one device read) and inserted into each
-  // cache tier at most once.  Requests resolved here get state/status set;
-  // the rest stay pending for older sequences/levels.
+  // cache tier at most once.  Under options.cache_only nothing is read:
+  // keys whose block missed both tiers get Status::Incomplete.  Requests
+  // resolved here get state/status set; the rest stay pending for older
+  // sequences/levels.
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 
@@ -61,6 +63,8 @@ class SequenceReader {
   // otherwise, with *block null and *s set if decompression failed.
   bool LookupCachedBlock(const ReadOptions& options, const BlockCacheKey& key,
                          std::shared_ptr<const Block>* block, Status* s) const;
+  // Cached block, else a device read (Status::Incomplete instead under
+  // options.cache_only).
   std::shared_ptr<const Block> ReadDataBlock(const ReadOptions& options,
                                              const BlockHandle& handle,
                                              Status* s) const;

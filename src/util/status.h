@@ -33,6 +33,12 @@ class Status {
   static Status Busy(const Slice& msg, const Slice& msg2 = Slice()) {
     return Status(kBusy, msg, msg2);
   }
+  // A read under ReadOptions::cache_only that needed the device (a block
+  // missing from both cache tiers, or a table reader not yet open).  Not
+  // an error in the data: the same read without the flag can succeed.
+  static Status Incomplete(const Slice& msg, const Slice& msg2 = Slice()) {
+    return Status(kIncomplete, msg, msg2);
+  }
 
   bool ok() const { return rep_ == nullptr; }
   bool IsNotFound() const { return code() == kNotFound; }
@@ -41,6 +47,7 @@ class Status {
   bool IsNotSupported() const { return code() == kNotSupported; }
   bool IsInvalidArgument() const { return code() == kInvalidArgument; }
   bool IsBusy() const { return code() == kBusy; }
+  bool IsIncomplete() const { return code() == kIncomplete; }
 
   std::string ToString() const;
 
@@ -57,6 +64,7 @@ class Status {
     kInvalidArgument = 4,
     kIOError = 5,
     kBusy = 6,
+    kIncomplete = 7,
   };
 
   struct Rep {
@@ -90,6 +98,7 @@ inline std::string Status::ToString() const {
     case kInvalidArgument: type = "Invalid argument: "; break;
     case kIOError: type = "IO error: "; break;
     case kBusy: type = "Busy: "; break;
+    case kIncomplete: type = "Incomplete: "; break;
     default: type = "Unknown: "; break;
   }
   return std::string(type) + rep_->msg;
