@@ -17,50 +17,6 @@ namespace iamdb {
 
 namespace {
 
-// Sorted in-memory record buffer exposed as an Iterator (forward-only use
-// inside merges).
-using RecordVec = std::vector<std::pair<std::string, std::string>>;
-
-class VectorIterator final : public Iterator {
- public:
-  explicit VectorIterator(const RecordVec* records)
-      : records_(records), index_(records->size()) {}
-
-  bool Valid() const override { return index_ < records_->size(); }
-  void SeekToFirst() override { index_ = 0; }
-  void SeekToLast() override {
-    index_ = records_->empty() ? 0 : records_->size() - 1;
-  }
-  void Seek(const Slice& target) override {
-    InternalKeyComparator cmp;
-    size_t lo = 0, hi = records_->size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (cmp.Compare(Slice((*records_)[mid].first), target) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    index_ = lo;
-  }
-  void Next() override { index_++; }
-  void Prev() override {
-    if (index_ == 0) {
-      index_ = records_->size();
-    } else {
-      index_--;
-    }
-  }
-  Slice key() const override { return Slice((*records_)[index_].first); }
-  Slice value() const override { return Slice((*records_)[index_].second); }
-  Status status() const override { return Status::OK(); }
-
- private:
-  const RecordVec* records_;
-  size_t index_;
-};
-
 NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
   auto node = std::make_shared<NodeMeta>();
   node->node_id = e.node_id;
@@ -88,6 +44,64 @@ void SortByRange(std::vector<NodePtr>* nodes) {
 }
 
 }  // namespace
+
+// The records one flush target receives under the left-biased gap rule: a
+// forward-only view of a shard's CompactionStream that ends before the
+// next target's range_lo (`bound`; nullptr for the last target).  It
+// copies no value — key() and value() are the stream's slices, valid until
+// Next() — and remembers the first and last user keys it yielded, which
+// widen the target's range.  SeekToFirst is a no-op so that a merge can
+// hand the view to a MergingIterator as it stands; no other repositioning
+// is supported.
+class AmtEngine::PartitionIterator final : public Iterator {
+ public:
+  PartitionIterator(CompactionStream* stream, const std::string* bound)
+      : stream_(stream), bound_(bound) {
+    valid_ = InRange();
+    if (valid_) first_user_key_ = ExtractUserKey(stream_->key()).ToString();
+  }
+
+  bool Valid() const override { return valid_; }
+  void SeekToFirst() override {}
+  void SeekToLast() override { Unsupported(); }
+  void Seek(const Slice&) override { Unsupported(); }
+  void Prev() override { Unsupported(); }
+  void Next() override {
+    assert(valid_);
+    Slice user_key = ExtractUserKey(stream_->key());
+    last_user_key_.assign(user_key.data(), user_key.size());
+    stream_->Next();
+    valid_ = InRange();
+  }
+  Slice key() const override { return stream_->key(); }
+  Slice value() const override { return stream_->value(); }
+  Status status() const override {
+    return status_.ok() ? stream_->status() : status_;
+  }
+
+  // Once drained: the smallest and largest user keys of the partition.
+  const std::string& first_user_key() const { return first_user_key_; }
+  const std::string& last_user_key() const { return last_user_key_; }
+
+ private:
+  bool InRange() const {
+    return stream_->Valid() &&
+           (bound_ == nullptr ||
+            ExtractUserKey(stream_->key()).compare(Slice(*bound_)) < 0);
+  }
+  void Unsupported() {
+    assert(false);
+    valid_ = false;
+    status_ = Status::NotSupported("PartitionIterator is forward-only");
+  }
+
+  CompactionStream* const stream_;
+  const std::string* const bound_;
+  bool valid_ = false;
+  Status status_;
+  std::string first_user_key_;
+  std::string last_user_key_;
+};
 
 AmtEngine::AmtEngine(DBImpl* db) : db_(db) {
   current_.Store(
@@ -511,8 +525,9 @@ Status AmtEngine::RunGrow() {
 // parent node's own removal is handled by the caller.
 
 Status AmtEngine::FlushOneTarget(const NodePtr& target,
-                                 const RecordBuffer& records, int tlevel,
-                                 bool is_leaf, WriteReason append_reason,
+                                 std::unique_ptr<PartitionIterator> records,
+                                 int tlevel, bool is_leaf,
+                                 WriteReason append_reason,
                                  SequenceNumber smallest_snapshot,
                                  FlushDelta* frag) {
   const Options& options = db_->options();
@@ -538,9 +553,6 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     }
   }
 
-  std::string data_lo = ExtractUserKey(records.front().first).ToString();
-  std::string data_hi = ExtractUserKey(records.back().first).ToString();
-
   if (!do_merge) {
     // ---- Append path ----
     MSTableBuildResult result;
@@ -556,10 +568,10 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
       MSTableWriter writer(db_->env(), options.table,
                            TableFileName(db_->dbname(), file_number));
       s = writer.Open();
-      for (const auto& [ik, v] : records) {
-        if (!s.ok()) break;
-        s = writer.Add(ik, v);
+      for (; s.ok() && records->Valid(); records->Next()) {
+        s = writer.Add(records->key(), records->value());
       }
+      if (s.ok()) s = records->status();
       if (s.ok()) {
         s = writer.Finish(/*sync=*/true, &result);
       } else {
@@ -577,10 +589,10 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
                                TableFileName(db_->dbname(), file_number),
                                *reader);
       s = appender.Open();
-      for (const auto& [ik, v] : records) {
-        if (!s.ok()) break;
-        s = appender.Add(ik, v);
+      for (; s.ok() && records->Valid(); records->Next()) {
+        s = appender.Add(records->key(), records->value());
       }
+      if (s.ok()) s = records->status();
       if (s.ok()) {
         s = appender.Finish(/*sync=*/true, &result);
       } else {
@@ -598,8 +610,8 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     updated->seq_count = result.seq_count;
     updated->smallest_ikey = result.smallest;
     updated->largest_ikey = result.largest;
-    updated->range_lo = std::min(target->range_lo, data_lo);
-    updated->range_hi = std::max(target->range_hi, data_hi);
+    updated->range_lo = std::min(target->range_lo, records->first_user_key());
+    updated->range_hi = std::max(target->range_hi, records->last_user_key());
     updated->lifetime = std::move(lifetime);
 
     db_->amp_stats_mutable()->RecordLevelWrite(paper_level, append_reason,
@@ -616,9 +628,11 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
                                   db_->dbname(), &reader);
     if (!s.ok()) return s;
 
+    // The merge owns the partition view from here; `partition` reads its
+    // key range once the merge has drained it.
+    const PartitionIterator* partition = records.get();
     std::vector<Iterator*> iters;
-    iters.push_back(new VectorIterator(&records));
-    iters.back()->SeekToFirst();
+    iters.push_back(records.release());
     ReadOptions merge_read;
     merge_read.fill_cache = false;
     merge_read.rate_limiter = db_->rate_limiter();
@@ -708,10 +722,11 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     // Preserve the child's range coverage on the outer outputs.
     if (!outputs.empty()) {
       outputs.front()->range_lo =
-          std::min(outputs.front()->range_lo,
-                   std::min(target->range_lo, data_lo));
-      outputs.back()->range_hi = std::max(
-          outputs.back()->range_hi, std::max(target->range_hi, data_hi));
+          std::min({outputs.front()->range_lo, target->range_lo,
+                    partition->first_user_key()});
+      outputs.back()->range_hi =
+          std::max({outputs.back()->range_hi, target->range_hi,
+                    partition->last_user_key()});
     }
 
     db_->amp_stats_mutable()->RecordLevelWrite(paper_level,
@@ -728,32 +743,13 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
   return Status::OK();
 }
 
-Status AmtEngine::FlushInto(CompactionStream* source, int tlevel,
+Status AmtEngine::FlushInto(const SourceOpener& open_source,
+                            SequenceNumber source_snapshot,
+                            uint64_t source_bytes, int tlevel,
                             const std::vector<NodePtr>& targets, bool is_leaf,
                             WriteReason append_reason, WorkLane lane,
                             FlushDelta* delta) {
   const Options& options = db_->options();
-
-  // Partition the source into per-target buffers.  Targets are
-  // range-sorted; a record goes to the last target whose range_lo is <=
-  // its user key (left-biased gap assignment; see DESIGN.md).
-  std::vector<RecordBuffer> partitions(targets.size());
-  {
-    size_t idx = 0;
-    while (source->Valid()) {
-      Slice user_key = ExtractUserKey(source->key());
-      while (idx + 1 < targets.size() &&
-             Slice(targets[idx + 1]->range_lo).compare(user_key) <= 0) {
-        idx++;
-      }
-      // A record before the first target's range belongs to the first.
-      partitions[idx].emplace_back(source->key().ToString(),
-                                   source->value().ToString());
-      source->Next();
-    }
-    Status s = source->status();
-    if (!s.ok()) return s;
-  }
 
   SequenceNumber smallest_snapshot;
   {
@@ -761,72 +757,86 @@ Status AmtEngine::FlushInto(CompactionStream* source, int tlevel,
     smallest_snapshot = db_->SmallestSnapshot();
   }
 
-  // Each non-empty target is an independent subcompaction unit: the
-  // partition step put every record in exactly one child, so shards touch
-  // disjoint key ranges and disjoint files.  Results are collected in
-  // per-target fragments and merged in child order below — the final edit
-  // is byte-identical to the single-threaded execution regardless of how
+  // Each target is an independent subcompaction unit: the partition rule
+  // puts every record in exactly one child, so shards touch disjoint key
+  // ranges and disjoint files.  Results are collected in per-target
+  // fragments and merged in child order below — the final edit is
+  // byte-identical to the single-threaded execution regardless of how
   // many shards ran or how they interleaved (subcompaction_test asserts
   // this across engines).
+  //
+  // Targets are range-sorted; a record goes to the last target whose
+  // range_lo is <= its user key, and a record before the first target's
+  // range to the first (left-biased gap assignment; see DESIGN.md).  So
+  // target i owns [range_lo(i), range_lo(i+1)) of the source, and a group
+  // of contiguous targets owns one key range, which it streams from its
+  // own iterator: nothing is buffered between the source and the targets.
   std::vector<FlushDelta> fragments(targets.size());
-  std::vector<size_t> work;
-  std::vector<uint64_t> work_bytes;
-  uint64_t total_bytes = 0;
-  for (size_t i = 0; i < targets.size(); i++) {
-    if (partitions[i].empty()) continue;
-    uint64_t bytes = 0;
-    for (const auto& [ik, v] : partitions[i]) bytes += ik.size() + v.size();
-    work.push_back(i);
-    work_bytes.push_back(bytes);
-    total_bytes += bytes;
-  }
+  auto run_group = [&](size_t begin, size_t end) -> Status {
+    std::unique_ptr<CompactionStream> stream;
+    if (begin == 0) {
+      stream = std::make_unique<CompactionStream>(
+          open_source(), source_snapshot, /*bottommost=*/false);
+    } else {
+      stream = std::make_unique<CompactionStream>(
+          open_source(), source_snapshot, /*bottommost=*/false,
+          Slice(targets[begin]->range_lo));
+    }
+    for (size_t i = begin; i < end; i++) {
+      const std::string* bound =
+          i + 1 < targets.size() ? &targets[i + 1]->range_lo : nullptr;
+      auto records = std::make_unique<PartitionIterator>(stream.get(), bound);
+      // A target whose partition is empty is left untouched.
+      if (!records->Valid()) continue;
+      Status ts = FlushOneTarget(targets[i], std::move(records), tlevel,
+                                 is_leaf, append_reason, smallest_snapshot,
+                                 &fragments[i]);
+      if (!ts.ok()) return ts;
+    }
+    return stream->status();
+  };
 
   int fan = options.max_subcompactions > 0 ? options.max_subcompactions
                                            : options.background_threads;
-  fan = std::min<int>(fan, static_cast<int>(work.size()));
+  fan = std::min<int>(fan, static_cast<int>(targets.size()));
 
   Status s;
   if (fan <= 1) {
-    for (size_t i : work) {
-      s = FlushOneTarget(targets[i], partitions[i], tlevel, is_leaf,
-                         append_reason, smallest_snapshot, &fragments[i]);
-      if (!s.ok()) break;
-    }
+    s = run_group(0, targets.size());
   } else {
-    // Contiguous groups balanced by partition bytes: each group is one
-    // pool task, so a skewed partition doesn't serialize behind one shard.
-    std::vector<std::vector<size_t>> groups;
-    groups.emplace_back();
-    uint64_t per_group = total_bytes / fan + 1;
+    // Contiguous groups balanced by an estimate known before reading: a
+    // merge target's cost grows with its own bytes, and every target takes
+    // a share of the source.  Each group is one pool task, so a skewed
+    // target doesn't serialize the job behind one shard.
+    std::vector<uint64_t> cost(targets.size());
+    uint64_t total_cost = 0;
+    for (size_t i = 0; i < targets.size(); i++) {
+      cost[i] = targets[i]->data_bytes + source_bytes / targets.size();
+      total_cost += cost[i];
+    }
+    std::vector<size_t> group_begin = {0};
+    const uint64_t per_group = total_cost / fan + 1;
     uint64_t acc = 0;
-    for (size_t w = 0; w < work.size(); w++) {
-      if (acc >= per_group &&
-          static_cast<int>(groups.size()) < fan) {
-        groups.emplace_back();
+    for (size_t i = 0; i < targets.size(); i++) {
+      if (acc >= per_group && static_cast<int>(group_begin.size()) < fan) {
+        group_begin.push_back(i);
         acc = 0;
       }
-      groups.back().push_back(work[w]);
-      acc += work_bytes[w];
+      acc += cost[i];
     }
+    group_begin.push_back(targets.size());
 
     const RateLimiter::IoPriority prio = lane == WorkLane::kFlush
                                              ? RateLimiter::IoPriority::kHigh
                                              : RateLimiter::IoPriority::kLow;
     std::vector<std::function<Status()>> tasks;
-    tasks.reserve(groups.size());
-    for (const auto& group : groups) {
-      tasks.push_back([this, &group, &targets, &partitions, &fragments,
-                       tlevel, is_leaf, append_reason, smallest_snapshot,
-                       prio]() -> Status {
+    tasks.reserve(group_begin.size() - 1);
+    for (size_t g = 0; g + 1 < group_begin.size(); g++) {
+      tasks.push_back([&run_group, begin = group_begin[g],
+                       end = group_begin[g + 1], prio]() -> Status {
         // Pool helpers carry no priority scope of their own.
         RateLimiter::ScopedPriority p(prio);
-        for (size_t i : group) {
-          Status ts =
-              FlushOneTarget(targets[i], partitions[i], tlevel, is_leaf,
-                             append_reason, smallest_snapshot, &fragments[i]);
-          if (!ts.ok()) return ts;
-        }
-        return Status::OK();
+        return run_group(begin, end);
       });
     }
     db_->RecordSubcompactions(tasks.size());
@@ -942,10 +952,9 @@ Status AmtEngine::RunFlushImm(const Job& job, WorkLane lane) {
                                                  result.meta_bytes);
     }
   } else {
-    CompactionStream stream(imm->NewIterator(), smallest_snapshot,
-                            /*bottommost=*/false);
-    s = FlushInto(&stream, 0, job.targets, /*is_leaf=*/n == 1,
-                  WriteReason::kFlush, lane, &delta);
+    s = FlushInto([imm] { return imm->NewIterator(); }, smallest_snapshot,
+                  imm->ApproximateMemoryUsage(), 0, job.targets,
+                  /*is_leaf=*/n == 1, WriteReason::kFlush, lane, &delta);
   }
   imm->Unref();
 
@@ -1008,7 +1017,7 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
   FlushDelta delta;
   delta.new_num_levels = n;
   {
-    // Load the node's records: merge its sequences in memory (Sec 4.2.1).
+    // The node's records: its sequences merged in memory (Sec 4.2.1).
     std::shared_ptr<MSTableReader> reader;
     s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
                          db_->dbname(), &reader);
@@ -1016,14 +1025,15 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
       db_->mutex().lock();
       return s;
     }
-    std::vector<Iterator*> iters;
     ReadOptions merge_read;
     merge_read.fill_cache = false;
     merge_read.rate_limiter = db_->rate_limiter();
-    reader->AddSequenceIterators(merge_read, &iters);
-    Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
-                                          static_cast<int>(iters.size()));
-    CompactionStream stream(merged, smallest_snapshot, /*bottommost=*/false);
+    auto open_node = [&]() -> Iterator* {
+      std::vector<Iterator*> iters;
+      reader->AddSequenceIterators(merge_read, &iters);
+      return NewMergingIterator(db_->icmp(), iters.data(),
+                                static_cast<int>(iters.size()));
+    };
 
     if (job.targets.empty()) {
       // FLSM emulation: rewrite the records into a fresh node one level
@@ -1038,6 +1048,8 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
                            TableFileName(db_->dbname(), file_number));
       s = writer.Open();
       MSTableBuildResult result;
+      CompactionStream stream(open_node(), smallest_snapshot,
+                              /*bottommost=*/false);
       while (stream.Valid() && s.ok()) {
         s = writer.Add(stream.key(), stream.value());
         stream.Next();
@@ -1071,7 +1083,8 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
       }
       destroy_parent = true;  // the rewrite replaces the move
     } else {
-      s = FlushInto(&stream, level + 1, job.targets,
+      s = FlushInto(open_node, smallest_snapshot, node->data_bytes,
+                    level + 1, job.targets,
                     /*is_leaf=*/(level + 1) == n - 1, WriteReason::kAppend,
                     lane, &delta);
     }

@@ -26,14 +26,17 @@
 //    merge.  (m, k) auto-tunes to the cache budget per Eq. 1-2.
 //
 // Parallelism: a flush job's per-child work is independent — the partition
-// step assigns each record to exactly one child — so FlushInto shards the
-// non-empty children across the thread pool (partitioned subcompactions)
-// and installs every shard's output in ONE VersionEdit.  Job-level
-// conflicts are prevented by busy-marking node ids under the DB mutex;
-// shard-level conflicts cannot exist because shards own disjoint children.
+// rule assigns each record to exactly one child — so FlushInto shards the
+// children across the thread pool (partitioned subcompactions) and
+// installs every shard's output in ONE VersionEdit.  Each shard streams
+// its own key range of the read-only source straight into its children;
+// no partition is buffered.  Job-level conflicts are prevented by
+// busy-marking node ids under the DB mutex; shard-level conflicts cannot
+// exist because shards own disjoint children.
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -92,7 +95,14 @@ class AmtEngine final : public TreeEngine {
     int new_num_levels = 0;
   };
 
-  using RecordBuffer = std::vector<std::pair<std::string, std::string>>;
+  // Opens a new iterator over a flush job's read-only source: the imm, or
+  // the parent node's merged sequences.  Every subcompaction shard calls
+  // it once, from its own thread.
+  using SourceOpener = std::function<Iterator*()>;
+
+  // One target's records: a forward-only view of a shard's source stream,
+  // ending before the next target's range_lo (defined in the .cc).
+  class PartitionIterator;
 
   // Paper-level (1-based) classification.
   bool IsAppendLevel(int paper_level) const;
@@ -130,20 +140,25 @@ class AmtEngine final : public TreeEngine {
   Status RunFlushNode(const Job& job, bool destroy_parent, WorkLane lane);
   Status RunSplit(const Job& job);
 
-  // Drains a visibility-filtered record stream into the range-sorted
-  // targets at version index `tlevel`, appending or merging per policy.
-  // Shards non-empty targets across the pool when max_subcompactions
-  // allows.  Mutex NOT held.
-  Status FlushInto(CompactionStream* source, int tlevel,
-                   const std::vector<NodePtr>& targets, bool is_leaf,
-                   WriteReason append_reason, WorkLane lane,
+  // Drains the source, visibility-filtered at `source_snapshot`, into the
+  // range-sorted targets at version index `tlevel`, appending or merging
+  // per policy.  Splits the targets into contiguous groups when
+  // max_subcompactions allows; each group reads its own key range of the
+  // source.  `source_bytes` sizes the groups before anything is read.
+  // Mutex NOT held.
+  Status FlushInto(const SourceOpener& open_source,
+                   SequenceNumber source_snapshot, uint64_t source_bytes,
+                   int tlevel, const std::vector<NodePtr>& targets,
+                   bool is_leaf, WriteReason append_reason, WorkLane lane,
                    FlushDelta* delta);
 
   // One target's append-or-merge step (one subcompaction unit).  Runs on
   // pool helpers or the job thread; touches only its own target/records/
   // fragment, allocates file/node numbers under short mutex sections.
-  Status FlushOneTarget(const NodePtr& target, const RecordBuffer& records,
-                        int tlevel, bool is_leaf, WriteReason append_reason,
+  // `records` is non-empty and is drained.
+  Status FlushOneTarget(const NodePtr& target,
+                        std::unique_ptr<PartitionIterator> records, int tlevel,
+                        bool is_leaf, WriteReason append_reason,
                         SequenceNumber smallest_snapshot, FlushDelta* frag);
 
   // Apply a structural delta to the latest version and publish.

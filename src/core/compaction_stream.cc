@@ -2,47 +2,32 @@
 
 namespace iamdb {
 
-void CompactionStream::Advance() {
-  valid_ = false;
-  while (input_->Valid()) {
-    Slice key = input_->key();
+void CompactionStream::SkipDropped() {
+  for (; input_->Valid(); input_->Next()) {
     ParsedInternalKey ikey;
-    bool drop = false;
-
-    if (!ParseInternalKey(key, &ikey)) {
+    if (!ParseInternalKey(input_->key(), &ikey)) {
       // Unparsable key: emit verbatim so corruption is preserved, visible
       // and debuggable rather than silently dropped.
       has_last_user_key_ = false;
       last_sequence_for_key_ = kMaxSequenceNumber;
-    } else {
-      if (!has_last_user_key_ || ikey.user_key != Slice(last_user_key_)) {
-        // First occurrence (newest version) of this user key.
-        last_user_key_.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_last_user_key_ = true;
-        last_sequence_for_key_ = kMaxSequenceNumber;
-      }
-
-      if (last_sequence_for_key_ <= smallest_snapshot_) {
-        // A newer version visible to every snapshot exists: shadowed.
-        drop = true;
-      } else if (ikey.type == kTypeDeletion &&
-                 ikey.sequence <= smallest_snapshot_ && bottommost_) {
-        // Tombstone with nothing deeper to shadow and invisible to no one.
-        drop = true;
-      }
-      last_sequence_for_key_ = ikey.sequence;
+      return;
+    }
+    if (!has_last_user_key_ || ikey.user_key != Slice(last_user_key_)) {
+      // First occurrence (newest version) of this user key.
+      last_user_key_.assign(ikey.user_key.data(), ikey.user_key.size());
+      has_last_user_key_ = true;
+      last_sequence_for_key_ = kMaxSequenceNumber;
     }
 
-    if (drop) {
-      dropped_++;
-      input_->Next();
-      continue;
-    }
-    current_key_.assign(key.data(), key.size());
-    current_value_.assign(input_->value().data(), input_->value().size());
-    valid_ = true;
-    input_->Next();
-    return;
+    // Shadowed: a newer version visible to every snapshot exists.  Or a
+    // tombstone with nothing deeper to shadow and invisible to no one.
+    const bool drop =
+        last_sequence_for_key_ <= smallest_snapshot_ ||
+        (ikey.type == kTypeDeletion && ikey.sequence <= smallest_snapshot_ &&
+         bottommost_);
+    last_sequence_for_key_ = ikey.sequence;
+    if (!drop) return;
+    dropped_++;
   }
 }
 

@@ -9,6 +9,13 @@
 // This is the "merges eliminate outdated records" machinery (paper Secs 2,
 // 5.3.3).  Appends bypass it entirely — which is exactly why append trees
 // carry space amplification.
+//
+// Slice lifetime: the stream copies no record.  key() and value() are the
+// input iterator's own slices (a memtable entry, or a block iterator's key
+// buffer and block contents), valid until the next Next() or the stream's
+// destruction and no longer.  A caller that needs a key past Next() copies
+// it.  The only bytes the stream copies are the current user key, which
+// the shadowing rule compares each following version against.
 #pragma once
 
 #include <memory>
@@ -28,7 +35,7 @@ class CompactionStream {
         smallest_snapshot_(smallest_snapshot),
         bottommost_(bottommost) {
     input_->SeekToFirst();
-    Advance();
+    SkipDropped();
   }
 
   // Starts the stream at the first record whose user key is >=
@@ -47,27 +54,30 @@ class CompactionStream {
                                                    kMaxSequenceNumber,
                                                    kValueTypeForSeek));
     input_->Seek(Slice(seek_key));
-    Advance();
+    SkipDropped();
   }
 
-  bool Valid() const { return valid_; }
-  Slice key() const { return Slice(current_key_); }
-  Slice value() const { return Slice(current_value_); }
-  void Next() { Advance(); }
+  bool Valid() const { return input_->Valid(); }
+  // Valid until the next Next(); see "Slice lifetime" above.
+  Slice key() const { return input_->key(); }
+  Slice value() const { return input_->value(); }
+  void Next() {
+    input_->Next();
+    SkipDropped();
+  }
   Status status() const { return input_->status(); }
 
   uint64_t entries_dropped() const { return dropped_; }
 
  private:
-  void Advance();
+  // Steps the input past every record that must not survive, leaving it
+  // on the next record to emit (or exhausted).
+  void SkipDropped();
 
   std::unique_ptr<Iterator> input_;
   const SequenceNumber smallest_snapshot_;
   const bool bottommost_;
 
-  bool valid_ = false;
-  std::string current_key_;
-  std::string current_value_;
   std::string last_user_key_;
   bool has_last_user_key_ = false;
   // Sequence of the last emitted-or-dropped entry <= smallest_snapshot for

@@ -44,7 +44,11 @@ char* Arena::AllocateAligned(size_t bytes) {
 }
 
 char* Arena::AllocateNewBlock(size_t block_bytes) {
-  blocks_.push_back(std::make_unique<char[]>(block_bytes));
+  // Not zero-filled: every caller writes the bytes it asks for before any
+  // reader can reach them (SkipList::Insert sets every link before it
+  // publishes a node), and a memtable entry larger than kBlockSize / 4
+  // gets a block of its own, so zeroing would double the copy of a value.
+  blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_bytes));
   memory_usage_.fetch_add(block_bytes + sizeof(blocks_.back()),
                           std::memory_order_relaxed);
   return blocks_.back().get();

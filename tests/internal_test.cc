@@ -3,6 +3,7 @@
 // snapshot list, and the merging iterator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/compaction_stream.h"
@@ -11,6 +12,7 @@
 #include "core/manifest.h"
 #include "core/snapshot.h"
 #include "env/mem_env.h"
+#include "table/mstable.h"
 #include "util/random.h"
 #include "table/merging_iterator.h"
 
@@ -127,60 +129,141 @@ TEST(CompactionStreamTest, EmptyInput) {
   EXPECT_TRUE(stream.status().ok());
 }
 
+// Internal-key-ordered records over 30 user keys, 1-6 versions each, a
+// third of them tombstones, values of 1-3 decimal digits.
+std::vector<std::pair<std::string, std::string>> RandomVersions(
+    iamdb::Random* rnd) {
+  std::vector<std::pair<std::string, std::string>> input;
+  for (int k = 0; k < 30; k++) {
+    std::string user = "k" + std::to_string(k);
+    int versions = 1 + rnd->Uniform(6);
+    std::set<SequenceNumber> seqs;
+    while (static_cast<int>(seqs.size()) < versions) {
+      seqs.insert(1 + rnd->Uniform(200));
+    }
+    for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
+      ValueType t = rnd->OneIn(3) ? kTypeDeletion : kTypeValue;
+      input.emplace_back(IKey(user, *it, t),
+                         t == kTypeValue ? "v" + std::to_string(*it) : "");
+    }
+  }
+  return input;
+}
+
+// Reference survival rule: the surviving set is exactly {newest version per
+// key} union {versions that are the newest <= smallest_snapshot for their
+// key}, minus bottommost tombstones <= snapshot.
+std::vector<std::pair<std::string, std::string>> Survivors(
+    const std::vector<std::pair<std::string, std::string>>& input,
+    SequenceNumber snapshot, bool bottommost) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::string prev_user;
+  SequenceNumber last_seq = kMaxSequenceNumber;
+  for (const auto& [ikey, value] : input) {
+    ParsedInternalKey pk;
+    EXPECT_TRUE(ParseInternalKey(ikey, &pk));
+    std::string user = pk.user_key.ToString();
+    if (user != prev_user) {
+      prev_user = user;
+      last_seq = kMaxSequenceNumber;
+    }
+    bool drop = false;
+    if (last_seq <= snapshot) {
+      drop = true;
+    } else if (pk.type == kTypeDeletion && pk.sequence <= snapshot &&
+               bottommost) {
+      drop = true;
+    }
+    last_seq = pk.sequence;
+    if (!drop) out.emplace_back(ikey, value);
+  }
+  return out;
+}
+
 TEST(CompactionStreamTest, RandomizedAgainstReferenceRule) {
-  // Property: the surviving set is exactly {newest version per key} union
-  // {versions that are the newest <= smallest_snapshot for their key},
-  // minus bottommost tombstones <= snapshot.
   iamdb::Random rnd(4242);
   for (int trial = 0; trial < 20; trial++) {
     SequenceNumber snapshot = 1 + rnd.Uniform(200);
     bool bottommost = rnd.OneIn(2);
-    std::vector<std::pair<std::string, std::string>> input;
-    for (int k = 0; k < 30; k++) {
-      std::string user = "k" + std::to_string(k);
-      int versions = 1 + rnd.Uniform(6);
-      std::set<SequenceNumber> seqs;
-      while (static_cast<int>(seqs.size()) < versions) {
-        seqs.insert(1 + rnd.Uniform(200));
-      }
-      for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
-        ValueType t = rnd.OneIn(3) ? kTypeDeletion : kTypeValue;
-        input.emplace_back(IKey(user, *it, t),
-                           t == kTypeValue ? "v" + std::to_string(*it) : "");
-      }
-    }
-
-    // Reference survival rule.
-    std::set<std::string> expect;
-    std::string prev_user;
-    SequenceNumber last_seq = kMaxSequenceNumber;
-    for (const auto& [ikey, value] : input) {
-      ParsedInternalKey pk;
-      ASSERT_TRUE(ParseInternalKey(ikey, &pk));
-      std::string user = pk.user_key.ToString();
-      if (user != prev_user) {
-        prev_user = user;
-        last_seq = kMaxSequenceNumber;
-      }
-      bool drop = false;
-      if (last_seq <= snapshot) {
-        drop = true;
-      } else if (pk.type == kTypeDeletion && pk.sequence <= snapshot &&
-                 bottommost) {
-        drop = true;
-      }
-      last_seq = pk.sequence;
-      if (!drop) expect.insert(ikey);
-    }
-
+    auto input = RandomVersions(&rnd);
     CompactionStream stream(new TestIter(input), snapshot, bottommost);
-    std::set<std::string> got;
+    EXPECT_EQ(Survivors(input, snapshot, bottommost), Drain(&stream))
+        << "trial " << trial << " snap " << snapshot << " bottom "
+        << bottommost;
+  }
+}
+
+// The stream copies no record: key() and value() are the input's slices.
+// Over table blocks (two sequences of one MSTable, small blocks, so the
+// input changes blocks under the stream), each emitted record's slices must
+// stay in place and unchanged until Next(), and the stream must drop
+// exactly the records the reference rule drops.
+TEST(CompactionStreamTest, BlockBackedSlicesStableUntilNext) {
+  MemEnv env;
+  TableOptions options;
+  options.block_size = 128;
+  InternalKeyComparator icmp;
+  iamdb::Random rnd(1729);
+  for (int trial = 0; trial < 10; trial++) {
+    SequenceNumber snapshot = 1 + rnd.Uniform(200);
+    bool bottommost = rnd.OneIn(2);
+    // A table holds its records in internal-key order ("k10" < "k9").
+    auto input = RandomVersions(&rnd);
+    std::sort(input.begin(), input.end(), [&icmp](const auto& a, const auto& b) {
+      return icmp.Compare(Slice(a.first), Slice(b.first)) < 0;
+    });
+    // Long values, so that a block holds only a few records.
+    for (auto& [ikey, value] : input) {
+      if (!value.empty()) value += std::string(20 + rnd.Uniform(60), 'x');
+    }
+    // Split the records between an older and a newer sequence.
+    std::vector<std::pair<std::string, std::string>> halves[2];
+    for (const auto& record : input) halves[rnd.Uniform(2)].push_back(record);
+
+    const std::string fname = "/t" + std::to_string(trial);
+    MSTableBuildResult result;
+    MSTableWriter writer(&env, options, fname);
+    ASSERT_TRUE(writer.Open().ok());
+    for (const auto& [k, v] : halves[0]) ASSERT_TRUE(writer.Add(k, v).ok());
+    ASSERT_TRUE(writer.Finish(false, &result).ok());
+    std::shared_ptr<MSTableReader> reader;
+    ASSERT_TRUE(MSTableReader::Open(&env, options, &icmp, fname, 1,
+                                    result.meta_end, &reader)
+                    .ok());
+    MSTableAppender appender(&env, options, fname, *reader);
+    ASSERT_TRUE(appender.Open().ok());
+    for (const auto& [k, v] : halves[1]) ASSERT_TRUE(appender.Add(k, v).ok());
+    ASSERT_TRUE(appender.Finish(false, &result).ok());
+    ASSERT_TRUE(MSTableReader::Open(&env, options, &icmp, fname, 1,
+                                    result.meta_end, &reader)
+                    .ok());
+
+    ReadOptions read;
+    read.fill_cache = false;
+    std::vector<Iterator*> iters;
+    reader->AddSequenceIterators(read, &iters);
+    CompactionStream stream(
+        NewMergingIterator(&icmp, iters.data(), static_cast<int>(iters.size())),
+        snapshot, bottommost);
+    std::vector<std::pair<std::string, std::string>> got;
     while (stream.Valid()) {
-      got.insert(stream.key().ToString());
+      const Slice key = stream.key();
+      const Slice value = stream.value();
+      got.emplace_back(key.ToString(), value.ToString());
+      // Calls that are not Next() leave the slices where they were.
+      ASSERT_TRUE(stream.Valid());
+      ASSERT_TRUE(stream.status().ok());
+      EXPECT_EQ(key.data(), stream.key().data());
+      EXPECT_EQ(value.data(), stream.value().data());
+      EXPECT_EQ(got.back().first, key.ToString());
+      EXPECT_EQ(got.back().second, value.ToString());
       stream.Next();
     }
+    ASSERT_TRUE(stream.status().ok());
+    auto expect = Survivors(input, snapshot, bottommost);
     EXPECT_EQ(expect, got) << "trial " << trial << " snap " << snapshot
                            << " bottom " << bottommost;
+    EXPECT_EQ(input.size() - expect.size(), stream.entries_dropped());
   }
 }
 
