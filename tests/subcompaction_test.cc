@@ -183,17 +183,18 @@ class SubcompactionTest : public testing::TestWithParam<EngineConfig> {};
 
 // A merge split into key-range shards must install the same tree as the
 // same merge run single-threaded.  Runs the identical seeded history with
-// max_subcompactions = 1 and 4 (one background thread in both, so job
+// max_subcompactions = 1, 4 and 64 (one background thread in all, so job
 // *selection* order is deterministic and only the intra-job fan-out
-// differs), then compares content digests.
+// differs; 64 is more shards than any job has targets), then compares
+// content digests.
 TEST_P(SubcompactionTest, ShardedMergeMatchesSingleThreaded) {
   const uint64_t seed = test::TestSeed(20260806);
   SCOPED_TRACE(test::SeedTrace(seed));
 
-  std::string digests[2];
-  std::string scans[2];
-  const int subcompactions[2] = {1, 4};
-  for (int run = 0; run < 2; run++) {
+  std::string digests[3];
+  std::string scans[3];
+  const int subcompactions[3] = {1, 4, 64};
+  for (int run = 0; run < 3; run++) {
     MemEnv env;
     Options options = SmallTreeOptions(GetParam(), &env);
     options.background_threads = 1;
@@ -211,17 +212,21 @@ TEST_P(SubcompactionTest, ShardedMergeMatchesSingleThreaded) {
     ASSERT_TRUE(it->status().ok());
   }
 
-  // Same visible contents, always.
-  EXPECT_EQ(scans[0], scans[1]);
   ASSERT_FALSE(digests[0].empty());
-  if (GetParam().engine == EngineType::kAmt) {
-    // AMT shards are existing partition targets, so even the per-node
-    // record streams must match.
-    EXPECT_EQ(digests[0], digests[1]);
-  } else {
-    // Leveled shards move the output file cuts; the per-level record
-    // stream is still required to be byte-identical.
-    EXPECT_EQ(StreamLines(digests[0]), StreamLines(digests[1]));
+  for (int run = 1; run < 3; run++) {
+    SCOPED_TRACE("max_subcompactions " +
+                 std::to_string(subcompactions[run]));
+    // Same visible contents, always.
+    EXPECT_EQ(scans[0], scans[run]);
+    if (GetParam().engine == EngineType::kAmt) {
+      // AMT shards are existing partition targets, so even the per-node
+      // record streams must match.
+      EXPECT_EQ(digests[0], digests[run]);
+    } else {
+      // Leveled shards move the output file cuts; the per-level record
+      // stream is still required to be byte-identical.
+      EXPECT_EQ(StreamLines(digests[0]), StreamLines(digests[run]));
+    }
   }
 }
 
