@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 
+#include "core/db_stats_fields.h"
 #include "core/options.h"
 #include "memtable/write_batch.h"
 #include "stats/amp_stats.h"
@@ -29,98 +30,23 @@ namespace iamdb {
 
 class Snapshot;
 
-// Point-in-time statistics a benchmark can sample.
+// Point-in-time statistics a benchmark can sample.  The members, their
+// wire tags and how they aggregate are the rows of core/db_stats_fields.h.
 struct DbStats {
-  double total_write_amp = 0;           // excludes WAL (paper convention)
-  std::vector<double> level_write_amp;  // [0] = first on-disk level
-  std::vector<uint64_t> level_bytes;
-  std::vector<int> level_node_counts;
-  uint64_t user_bytes = 0;
-  uint64_t space_used_bytes = 0;  // live table file footprint
-  uint64_t cache_usage = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  int mixed_level = 0;  // AMT engines: current m (0 = none/unknown)
-  int mixed_level_k = 0;
-  // Estimated bytes of outstanding compaction work (engine-specific).
-  uint64_t pending_debt_bytes = 0;
-  uint64_t stall_micros = 0;
-  IoStatsSnapshot io;
-  // Two-lane background scheduler: tasks waiting in each pool lane.
-  uint64_t flush_queue_depth = 0;
-  uint64_t compact_queue_depth = 0;
-  // Key-range shards fanned out by partitioned subcompactions (cumulative).
-  uint64_t subcompactions_run = 0;
-  // Total time background I/O spent blocked in the rate limiter, SUMMED
-  // PER THREAD — with several threads blocked concurrently this exceeds
-  // wall-clock run time (cumulative; 0 when pacing is off).
-  uint64_t rate_limiter_wait_micros = 0;
-  // Wall-clock time during which at least one background thread sat
-  // blocked in the limiter (overlapping waits counted once) — "how long
-  // was pacing the bottleneck".  Wire tag 32.
-  uint64_t rate_limiter_paced_wall_micros = 0;
-  // Adaptive pacing gauges (wire tags 29-31; 0 when pacing.adaptive is
-  // off).  Rates sum across shards — the aggregate is the cluster-wide
-  // background I/O budget / ingest estimate.
-  uint64_t pacer_rate_bytes_per_sec = 0;
-  uint64_t pacer_ingest_bytes_per_sec = 0;
-  uint64_t pacer_retunes = 0;
-  // Serving-layer reactor counters (wire tags 23-28).  Filled only by the
-  // server's INFO path so remote stats consumers see the reactor alongside
-  // the engine; always zero in an embedded DB::GetStats().
-  uint64_t server_loop_iterations = 0;
-  uint64_t server_writev_calls = 0;
-  uint64_t server_responses_written = 0;
-  uint64_t server_output_buffer_hwm = 0;
-  uint64_t server_backpressure_stalls = 0;
-  uint64_t server_accept_errors = 0;
-  // Per-block compression gauges (wire tags 33-42; all zero with
-  // compression off and no compressed tables read).  input/stored bytes
-  // compare the uncompressed size of built data blocks against what was
-  // written; block counts split per codec, with raw_fallback counting
-  // blocks the codec declined or that missed the ratio threshold.
-  uint64_t compress_input_bytes = 0;
-  uint64_t compress_stored_bytes = 0;
-  uint64_t compress_columnar_blocks = 0;
-  uint64_t compress_lz_blocks = 0;
-  uint64_t compress_raw_fallback_blocks = 0;
-  uint64_t decompressed_blocks = 0;
-  uint64_t decompress_micros = 0;
-  // Compressed-block cache tier (second LruCache; see
-  // Options::compressed_cache_capacity).
-  uint64_t compressed_cache_usage = 0;
-  uint64_t compressed_cache_hits = 0;
-  uint64_t compressed_cache_misses = 0;
-  // Unified memory arbiter (all zero when memory_budget_bytes == 0).
-  // budget = the pooled budget; write/read = the current division;
-  // retunes = rebalance passes evaluated; shifts = passes that moved the
-  // split.  mixed_level_retunes counts (m,k) changes after open — tree
-  // growth or an arbiter re-division moving the tuner's budget.
-  uint64_t arbiter_budget_bytes = 0;
-  uint64_t arbiter_write_bytes = 0;
-  uint64_t arbiter_read_bytes = 0;
-  uint64_t arbiter_retunes = 0;
-  uint64_t arbiter_shifts = 0;
-  uint64_t mixed_level_retunes = 0;
-  // Batched MultiGet gauges (wire tags 49-52; all zero until the first
-  // MultiGet).  coalesced_reads counts vectored device reads that covered
-  // 2+ adjacent blocks; coalesced_blocks the blocks they fetched — so
-  // blocks-per-read = coalesced_blocks / coalesced_reads.
-  uint64_t multiget_batches = 0;
-  uint64_t multiget_keys = 0;
-  uint64_t multiget_coalesced_reads = 0;
-  uint64_t multiget_coalesced_blocks = 0;
+#define IAMDB_DB_STATS_MEMBER(type, member, tag, agg, group, help) \
+  type member{};
+#define IAMDB_DB_STATS_IO_MEMBER(type, member, tag, agg, group, help)
+  IAMDB_DB_STATS_FIELDS(IAMDB_DB_STATS_MEMBER, IAMDB_DB_STATS_IO_MEMBER)
+#undef IAMDB_DB_STATS_MEMBER
+#undef IAMDB_DB_STATS_IO_MEMBER
+  IoStatsSnapshot io;  // the table's IO rows
 };
 
-// Aggregation across DB instances (ShardedDB sums its shards' stats).
-// Counters and byte totals add; per-level vectors pad-and-add; the write
-// amps combine weighted by each side's user_bytes (so the result is
-// total-bytes-written / total-user-bytes, not an average of ratios);
-// mixed_level / mixed_level_k take the max — they are structural
-// per-instance values, the per-shard breakdown lives under the
-// "iamdb.shard-stats" property.  Every DbStats field must be handled here
-// and in the wire codec; tests/db_stats_test.cc fails if either misses a
-// field.
+// The denominator of the table's kAmp rows.
+inline constexpr uint64_t DbStats::*kAmpWeight = &DbStats::user_bytes;
+
+// Aggregation across DB instances (ShardedDB sums its shards' stats), by
+// each field's aggregation column in core/db_stats_fields.h.
 DbStats& operator+=(DbStats& lhs, const DbStats& rhs);
 
 class DB {

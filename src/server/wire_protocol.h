@@ -149,15 +149,9 @@ bool DecodeMultiGetResponse(Slice payload,
 
 // --- DbStats serialization (INFO opcode) ----------------------------------
 // Tag-prefixed so fields can be added without breaking old clients; unknown
-// tags are skipped by length.
-//
-// kMaxDbStatsTag is the highest tag the codec emits (static_assert'd
-// against the private StatsTag enum in wire_protocol.cc).  Bump it when
-// adding a field, and extend tests/db_stats_test.cc — that test walks
-// every tag in [1, kMaxDbStatsTag] and fails on any it does not cover, so
-// a new field cannot silently skip the codec, the aggregation operator, or
-// the tests.
-constexpr uint32_t kMaxDbStatsTag = 52;
+// tags are skipped by length.  The tags, their order and encodings are the
+// rows of core/db_stats_fields.h; kMaxDbStatsTag is the highest of them.
+constexpr uint32_t kMaxDbStatsTag = std::size(kDbStatsTags);
 void EncodeDbStats(const DbStats& stats, std::string* dst);
 bool DecodeDbStats(Slice payload, DbStats* stats);
 

@@ -1141,65 +1141,6 @@ TEST(ServerColdReadTest, ColdGetAndMultiGetFallBackToWorkers) {
 }
 
 // Wire-protocol unit coverage that needs no socket.
-TEST(WireProtocolTest, DbStatsRoundTrip) {
-  DbStats stats;
-  stats.total_write_amp = 3.25;
-  stats.level_write_amp = {1.0, 2.5};
-  stats.level_bytes = {100, 2000, 30000};
-  stats.level_node_counts = {1, 2, 3};
-  stats.user_bytes = 123456;
-  stats.space_used_bytes = 234567;
-  stats.cache_usage = 42;
-  stats.cache_hits = 7;
-  stats.cache_misses = 9;
-  stats.mixed_level = 2;
-  stats.mixed_level_k = 3;
-  stats.pending_debt_bytes = 555;
-  stats.stall_micros = 777;
-  stats.io.bytes_written = 1111;
-  stats.io.bytes_read = 2222;
-  stats.io.write_ops = 33;
-  stats.io.read_ops = 44;
-  stats.io.fsyncs = 5;
-  stats.server_loop_iterations = 1001;
-  stats.server_writev_calls = 1002;
-  stats.server_responses_written = 1003;
-  stats.server_output_buffer_hwm = 1004;
-  stats.server_backpressure_stalls = 1005;
-  stats.server_accept_errors = 1006;
-
-  std::string encoded;
-  wire::EncodeDbStats(stats, &encoded);
-  DbStats decoded;
-  ASSERT_TRUE(wire::DecodeDbStats(encoded, &decoded));
-
-  EXPECT_EQ(stats.total_write_amp, decoded.total_write_amp);
-  EXPECT_EQ(stats.level_write_amp, decoded.level_write_amp);
-  EXPECT_EQ(stats.level_bytes, decoded.level_bytes);
-  EXPECT_EQ(stats.level_node_counts, decoded.level_node_counts);
-  EXPECT_EQ(stats.user_bytes, decoded.user_bytes);
-  EXPECT_EQ(stats.space_used_bytes, decoded.space_used_bytes);
-  EXPECT_EQ(stats.cache_usage, decoded.cache_usage);
-  EXPECT_EQ(stats.cache_hits, decoded.cache_hits);
-  EXPECT_EQ(stats.cache_misses, decoded.cache_misses);
-  EXPECT_EQ(stats.mixed_level, decoded.mixed_level);
-  EXPECT_EQ(stats.mixed_level_k, decoded.mixed_level_k);
-  EXPECT_EQ(stats.pending_debt_bytes, decoded.pending_debt_bytes);
-  EXPECT_EQ(stats.stall_micros, decoded.stall_micros);
-  EXPECT_EQ(stats.io.bytes_written, decoded.io.bytes_written);
-  EXPECT_EQ(stats.io.bytes_read, decoded.io.bytes_read);
-  EXPECT_EQ(stats.io.write_ops, decoded.io.write_ops);
-  EXPECT_EQ(stats.io.read_ops, decoded.io.read_ops);
-  EXPECT_EQ(stats.io.fsyncs, decoded.io.fsyncs);
-  EXPECT_EQ(stats.server_loop_iterations, decoded.server_loop_iterations);
-  EXPECT_EQ(stats.server_writev_calls, decoded.server_writev_calls);
-  EXPECT_EQ(stats.server_responses_written, decoded.server_responses_written);
-  EXPECT_EQ(stats.server_output_buffer_hwm, decoded.server_output_buffer_hwm);
-  EXPECT_EQ(stats.server_backpressure_stalls,
-            decoded.server_backpressure_stalls);
-  EXPECT_EQ(stats.server_accept_errors, decoded.server_accept_errors);
-}
-
 TEST(WireProtocolTest, MultiGetPayloadRoundTripAndRejects) {
   std::vector<std::string> keys = {"a", "", std::string("b\0c", 3)};
   std::string payload;
