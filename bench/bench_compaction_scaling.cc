@@ -72,7 +72,9 @@ Options MakeCellOptions(const CellConfig& cell, Env* env) {
   options.leveled.max_bytes_level1 = 5 * (256 << 10);
   options.background_threads = cell.bg_threads;
   options.max_subcompactions = 4;
-  options.compaction_rate_limit = cell.rate_limit_mb << 20;
+  // A fixed budget is pacing with min == max; 0 leaves pacing off.
+  options.pacing.min_bytes_per_sec = cell.rate_limit_mb << 20;
+  options.pacing.max_bytes_per_sec = cell.rate_limit_mb << 20;
   return options;
 }
 

@@ -3,9 +3,10 @@
 // pacing regimes:
 //
 //   unpaced  - no compaction rate limit (merges burst at full speed)
-//   static   - fixed 32MB/s token bucket (BENCH_compaction_scaling's knee:
-//              smooth but ~10x slower)
+//   static   - fixed 32MB/s budget, pacing{32MB, 32MB}
+//              (BENCH_compaction_scaling's knee: smooth but ~10x slower)
 //   adaptive - debt/ingest feedback controller (core/compaction_pacer.h)
+//              between 8MB/s and 1GB/s
 //
 // Each cell first loads the whole key space and waits for compactions to
 // settle (warm-up), then runs a fixed-duration random-overwrite phase;
@@ -72,8 +73,9 @@ struct EngineSpec {
 
 struct ModeSpec {
   const char* name;
-  uint64_t rate_limit_mb;  // static token bucket; 0 = none
-  bool adaptive;
+  // PacingOptions range; max 0 = unpaced, min == max = fixed rate.
+  uint64_t min_mb;
+  uint64_t max_mb;
 };
 
 struct WindowStat {
@@ -94,8 +96,8 @@ Options MakeCellOptions(const EngineSpec& spec, const ModeSpec& mode,
   options.leveled.max_bytes_level1 = 5 * (256 << 10);
   options.background_threads = bg_threads;
   options.max_subcompactions = 4;
-  options.compaction_rate_limit = mode.rate_limit_mb << 20;
-  options.pacing.adaptive = mode.adaptive;
+  options.pacing.min_bytes_per_sec = mode.min_mb << 20;
+  options.pacing.max_bytes_per_sec = mode.max_mb << 20;
   return options;
 }
 
@@ -252,9 +254,9 @@ int main(int argc, char** argv) {
       {"iam", EngineType::kAmt, AmtPolicy::kIam},
   };
   const ModeSpec modes[] = {
-      {"unpaced", 0, false},
-      {"static", 32, false},
-      {"adaptive", 0, true},
+      {"unpaced", 0, 0},
+      {"static", 32, 32},
+      {"adaptive", 8, 1024},
   };
 
   std::printf(

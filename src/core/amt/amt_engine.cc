@@ -159,7 +159,10 @@ void AmtEngine::RecomputeMixedLevel() {
     uint64_t budget = amt.memory_budget_bytes != 0
                           ? amt.memory_budget_bytes
                           : db_->block_cache()->capacity();
-    budget = static_cast<uint64_t>(budget * amt.memory_budget_fraction);
+    // The tuner may plan for half of M: the paper's M/2 (Sec 4.2.1, Eq. 2)
+    // leaves the other half for sequences that merges generate.
+    constexpr double kTunerBudgetFraction = 0.5;
+    budget = static_cast<uint64_t>(budget * kTunerBudgetFraction);
     choice = ChooseMixedLevel(level_bytes, amt.fanout, amt.k, budget);
   }
   MixedLevelChoice old = mixed_.load(std::memory_order_relaxed);
@@ -275,28 +278,25 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
     return true;
   }
 
-  // 3. Full internal nodes; split at >= 2t children.  Greedy mode picks
-  //    the fullest node anywhere in the tree (most debt bytes retired per
-  //    job); classic mode takes the first hit deepest level first.
-  const bool greedy = db_->options().greedy_compaction;
+  // 3. Full internal nodes; split at >= 2t children.  Picks the fullest
+  //    node anywhere in the tree (most debt bytes retired per job).
   Job best;
   uint64_t best_bytes = 0;
   for (int level = n - 2; level >= 0; level--) {
     for (const auto& node : version.level(level)) {
-      if (node->data_bytes < capacity) continue;
-      if (greedy && node->data_bytes <= best_bytes) continue;
+      if (node->data_bytes < capacity || node->data_bytes <= best_bytes) {
+        continue;
+      }
       Job probe;
       probe.node = node;
       probe.targets = Children(version, level, *node);
       if (AnyBusy(probe, busy)) continue;
       // Precondition (Sec 4.2.1): an internal child that is itself full
-      // must be flushed first.  The deepest-first scan guarantees that for
-      // the first hit (any such child was handled or is busy, and a busy
-      // child means AnyBusy skipped us) — but the greedy pick compares
-      // across levels, so a shallow node could otherwise be chosen over
-      // its own full child.  Skip such nodes explicitly; the child is a
-      // candidate itself, so progress is preserved.
-      if (greedy && level < n - 2) {
+      // must be flushed first.  The pick compares across levels, so a
+      // shallow node could otherwise be chosen over its own full child.
+      // Skip such nodes; the child is a candidate itself, so progress is
+      // preserved.
+      if (level < n - 2) {
         bool full_internal_child = false;
         for (const auto& t : probe.targets) {
           if (t->data_bytes >= capacity) {
@@ -313,19 +313,13 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
                            probe.targets.size() >= 2
                        ? Job::Type::kSplit
                        : Job::Type::kFlushNode;
-      if (!greedy) {
-        *job = probe;
-        return true;
-      }
       best = probe;
       best_bytes = probe.node->data_bytes;
     }
   }
-  if (greedy && best.node != nullptr) {
-    *job = best;
-    return true;
-  }
-  return false;
+  if (best.node == nullptr) return false;
+  *job = best;
+  return true;
 }
 
 bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) const {
@@ -642,12 +636,13 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     CompactionStream stream(merged, smallest_snapshot,
                             /*bottommost=*/is_leaf);
 
-    // Leaf merges shatter into fresh nodes of Cts = Ct/split_factor
-    // (Sec 4.2.1, Fig. 4); internal merges produce one single-sequence
-    // node (Sec 5.1.1).
+    // Leaf merges shatter into fresh nodes of Cts = Ct/5 ("Ct/5 by
+    // default", Sec 4.2.1, Fig. 4): small enough that a leaf absorbs
+    // several appends before it fills again.  Internal merges produce one
+    // single-sequence node (Sec 5.1.1).
+    constexpr uint64_t kLeafMergeSplitFactor = 5;
     const uint64_t cut_bytes =
-        is_leaf ? capacity / options.amt.leaf_merge_split_factor
-                : UINT64_MAX;
+        is_leaf ? capacity / kLeafMergeSplitFactor : UINT64_MAX;
 
     std::vector<NodePtr> outputs;
     std::unique_ptr<MSTableWriter> writer;

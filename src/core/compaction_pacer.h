@@ -1,11 +1,12 @@
 // Adaptive compaction pacing: a feedback controller between the write path
 // and the background RateLimiter.
 //
-// The static compaction_rate_limit trades an order of magnitude of
+// A fixed budget (pacing min == max) trades an order of magnitude of
 // throughput for smoothness (BENCH_compaction_scaling.json): a budget low
 // enough to keep merges from saturating the device is also low enough that
-// debt piles up and the write path stalls.  The pacer closes the loop
-// instead: every retune interval it measures (EWMA, alpha = 1/2)
+// debt piles up and the write path stalls.  Given a range (min < max) the
+// pacer closes the loop instead: every retune interval it measures (EWMA,
+// alpha = 1/2)
 //
 //   ingest  - user bytes written (RecordIngest from the write path), and
 //   demand  - bytes compaction/flush actually offered to the limiter
@@ -34,7 +35,9 @@
 // untouched, so pacing survives lulls without re-converging.  DBImpl
 // starts the bucket fully open for the same reason: converging down from
 // max takes a couple of intervals, while ramping up from the floor would
-// throttle the first seconds of a burst behind an unwarmed estimate.
+// throttle the first seconds of a burst behind an unwarmed estimate.  At
+// min == max every branch above clamps to max, so the pacer never retunes
+// and the budget is a fixed rate.
 //
 // Threading: RecordIngest() is called lock-free from the write path.
 // MaybeRetune() is called from DBImpl::MaybeScheduleBackgroundWork with the
@@ -82,9 +85,6 @@ class CompactionPacer {
   uint64_t current_rate() const { return limiter_->bytes_per_second(); }
   uint64_t ingest_rate() const {
     return smoothed_ingest_.load(std::memory_order_relaxed);
-  }
-  uint64_t demand_rate() const {
-    return smoothed_demand_.load(std::memory_order_relaxed);
   }
   uint64_t retunes() const {
     return retunes_.load(std::memory_order_relaxed);

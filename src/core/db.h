@@ -49,6 +49,11 @@ inline constexpr uint64_t DbStats::*kAmpWeight = &DbStats::user_bytes;
 // each field's aggregation column in core/db_stats_fields.h.
 DbStats& operator+=(DbStats& lhs, const DbStats& rhs);
 
+// Every field EncodeDbStats carries, one `name: value` line each in wire
+// order; an omit-when-zero group is left out exactly when the wire leaves
+// it out.  The per-level vectors follow as one line per level.
+std::string FormatDbStats(const DbStats& stats);
+
 class DB {
  public:
   // Opens (creating if allowed) the database at `name`.

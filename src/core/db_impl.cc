@@ -65,21 +65,15 @@ DBImpl::DBImpl(const Options& options, const std::string& dbname)
   }
   options_.table.compression_stats = &compression_stats_;
   pool_ = std::make_unique<ThreadPool>(std::max(1, options.background_threads));
-  if (options.pacing.adaptive) {
-    // Adaptive pacing owns the budget: start with the bucket open (the
-    // unpaced behaviour) and let the controller pace it down as it learns
-    // the workload — converging down from max is a couple of retune
-    // intervals, whereas ramping up from the floor would throttle the
-    // first seconds of a write burst behind an unwarmed estimate.
+  if (options.pacing.max_bytes_per_sec > 0) {
+    // The pacer owns the budget and starts it open, at max (see
+    // core/compaction_pacer.h).  Table builds during flush/merge pace
+    // their block writes; user writes go through the WAL + memtable and
+    // are never paced.
     rate_limiter_ =
         std::make_unique<RateLimiter>(options.pacing.max_bytes_per_sec);
     pacer_ = std::make_unique<CompactionPacer>(options.pacing,
                                                rate_limiter_.get());
-    options_.table.rate_limiter = rate_limiter_.get();
-  } else if (options.compaction_rate_limit > 0) {
-    rate_limiter_ = std::make_unique<RateLimiter>(options.compaction_rate_limit);
-    // Table builds during flush/merge pace their block writes; user writes
-    // go through the WAL + memtable and are never paced.
     options_.table.rate_limiter = rate_limiter_.get();
   }
 }
@@ -121,12 +115,7 @@ Status ValidateOptions(const Options& options) {
   if (options.max_subcompactions < 0 || options.max_subcompactions > 64) {
     return Status::InvalidArgument("max_subcompactions must be in [0, 64]");
   }
-  if (options.table.compression_max_stored_fraction <= 0 ||
-      options.table.compression_max_stored_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "table.compression_max_stored_fraction must be in (0, 1]");
-  }
-  if (options.pacing.adaptive) {
+  if (options.pacing.max_bytes_per_sec > 0) {
     const PacingOptions& p = options.pacing;
     if (p.min_bytes_per_sec == 0 || p.max_bytes_per_sec < p.min_bytes_per_sec) {
       return Status::InvalidArgument(
@@ -151,16 +140,7 @@ Status ValidateOptions(const Options& options) {
           "memory_budget_bytes below minimum (one memtable at node_capacity "
           "plus 1MB per cache tier)");
     }
-    const ArbiterOptions& a = options.arbiter;
-    if (a.initial_write_fraction <= 0 || a.initial_write_fraction >= 1.0) {
-      return Status::InvalidArgument(
-          "arbiter.initial_write_fraction must be in (0, 1)");
-    }
-    if (a.step_fraction <= 0 || a.step_fraction >= 1.0) {
-      return Status::InvalidArgument(
-          "arbiter.step_fraction must be in (0, 1)");
-    }
-    if (a.retune_interval_micros == 0) {
+    if (options.arbiter.retune_interval_micros == 0) {
       return Status::InvalidArgument(
           "arbiter.retune_interval_micros must be positive");
     }
@@ -169,17 +149,8 @@ Status ValidateOptions(const Options& options) {
     if (options.amt.fanout < 2) {
       return Status::InvalidArgument("amt.fanout (t) must be at least 2");
     }
-    if (options.amt.memory_budget_fraction <= 0 ||
-        options.amt.memory_budget_fraction > 1.0) {
-      return Status::InvalidArgument(
-          "amt.memory_budget_fraction must be in (0, 1]");
-    }
     if (options.amt.k < 1) {
       return Status::InvalidArgument("amt.k must be at least 1");
-    }
-    if (options.amt.leaf_merge_split_factor < 1) {
-      return Status::InvalidArgument(
-          "amt.leaf_merge_split_factor must be at least 1");
     }
     if (options.amt.split_child_factor <= 1.0) {
       return Status::InvalidArgument(
@@ -1193,13 +1164,11 @@ DbStats DBImpl::GetStats() {
   stats.flush_queue_depth = pool_->QueueDepth(ThreadPool::Lane::kHigh);
   stats.compact_queue_depth = pool_->QueueDepth(ThreadPool::Lane::kLow);
   stats.subcompactions_run = subcompactions_.load(std::memory_order_relaxed);
-  if (rate_limiter_ != nullptr) {
+  if (pacer_ != nullptr) {
     stats.rate_limiter_wait_micros = rate_limiter_->total_wait_micros();
     stats.rate_limiter_paced_wall_micros =
         rate_limiter_->total_paced_wall_micros();
     stats.pacer_rate_bytes_per_sec = rate_limiter_->bytes_per_second();
-  }
-  if (pacer_ != nullptr) {
     stats.pacer_ingest_bytes_per_sec = pacer_->ingest_rate();
     stats.pacer_retunes = pacer_->retunes();
   }

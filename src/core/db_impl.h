@@ -109,7 +109,7 @@ class DBImpl final : public DB {
 
   // Shared background pool (engines fan subcompaction shards out on it; see
   // util/task_group.h for why that can't deadlock) and the background I/O
-  // budget (null when compaction_rate_limit == 0).  No mutex needed.
+  // budget (null when pacing.max_bytes_per_sec == 0).  No mutex needed.
   ThreadPool* pool() { return pool_.get(); }
   RateLimiter* rate_limiter() { return rate_limiter_.get(); }
 
@@ -203,9 +203,8 @@ class DBImpl final : public DB {
   std::unique_ptr<TreeEngine> engine_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<RateLimiter> rate_limiter_;
-  // Non-null iff options.pacing.adaptive: retunes rate_limiter_ from the
-  // measured ingest rate and the engine's compaction debt (see
-  // core/compaction_pacer.h).
+  // Non-null iff rate_limiter_ is: retunes it from the measured ingest
+  // rate and the engine's compaction debt (see core/compaction_pacer.h).
   std::unique_ptr<CompactionPacer> pacer_;
   // Non-null iff options.memory_budget_bytes > 0: re-divides the pooled
   // budget between the memtable quota and the cache tiers (see

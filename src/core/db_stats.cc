@@ -1,8 +1,12 @@
-// DbStats aggregation.  ShardedDB::GetStats folds per-shard snapshots with
-// this operator; each field combines by its aggregation column in
-// core/db_stats_fields.h.
+// DbStats aggregation and text rendering.  ShardedDB::GetStats folds
+// per-shard snapshots with operator+=; each field combines by its
+// aggregation column in core/db_stats_fields.h.
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/db.h"
@@ -64,6 +68,37 @@ DbStats& operator+=(DbStats& lhs, const DbStats& rhs) {
       },
       lhs, rhs);
   return lhs;
+}
+
+std::string FormatDbStats(const DbStats& stats) {
+  std::string out;
+  char buf[96];
+  ForEachEmittedDbStatsField(
+      [&](const DbStatsField& f, const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, double>) {
+          std::snprintf(buf, sizeof(buf), "%.3f", v);
+          out += std::string(f.name) + ": " + buf + "\n";
+        } else if constexpr (std::is_integral_v<T>) {
+          out += std::string(f.name) + ": " + std::to_string(v) + "\n";
+        }
+      },
+      stats);
+  for (size_t i = 0; i < stats.level_bytes.size(); i++) {
+    std::snprintf(buf, sizeof(buf), "level %zu: %" PRIu64 "B in %d nodes",
+                  i + 1, stats.level_bytes[i],
+                  i < stats.level_node_counts.size()
+                      ? stats.level_node_counts[i]
+                      : 0);
+    out.append(buf);
+    if (i < stats.level_write_amp.size()) {
+      std::snprintf(buf, sizeof(buf), ", write_amp %.3f",
+                    stats.level_write_amp[i]);
+      out.append(buf);
+    }
+    out.append("\n");
+  }
+  return out;
 }
 
 }  // namespace iamdb

@@ -51,8 +51,7 @@ NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
 
 }  // namespace
 
-LeveledEngine::LeveledEngine(DBImpl* db)
-    : db_(db), compact_pointer_(kNumLevels) {
+LeveledEngine::LeveledEngine(DBImpl* db) : db_(db) {
   current_.Store(std::make_shared<const TreeVersion>(
       std::vector<std::vector<NodePtr>>(kNumLevels), kOverlappingLevels));
 }
@@ -97,42 +96,17 @@ uint64_t LeveledEngine::LevelDebtBytes(const TreeVersion& version,
 
 int LeveledEngine::PickCompactionLevel(const std::set<int>& busy) const {
   TreeVersionPtr version = current_version();
-  const LeveledOptions& opts = db_->options().leveled;
-  if (db_->options().greedy_compaction) {
-    // Greedy debt scheduling: take the level owing the most bytes, not the
-    // first or best-ratio one.  A level is eligible exactly when its debt
-    // is positive, so the two modes agree on *whether* to compact and
-    // differ only in pick order.  Ties break toward L0 — its buildup is
-    // what stalls the write path.
-    uint64_t best_debt = 0;
-    int best_level = -1;
-    for (int level = 0; level < kNumLevels - 1; level++) {
-      if (busy.count(level) || busy.count(level + 1)) continue;
-      uint64_t debt = LevelDebtBytes(*version, level);
-      if (debt > best_debt) {
-        best_debt = debt;
-        best_level = level;
-      }
-    }
-    return best_level;
-  }
-  double best_score = 1.0;
+  // Greedy debt scheduling: take the level owing the most bytes, not the
+  // first or best-ratio one.  A level is eligible exactly when its debt is
+  // positive.  Ties break toward L0 — its buildup is what stalls the write
+  // path.
+  uint64_t best_debt = 0;
   int best_level = -1;
-  // L0 score: file count.
-  if (busy.count(0) == 0 && busy.count(1) == 0) {
-    double score = version->level(0).size() /
-                   static_cast<double>(opts.l0_compaction_trigger);
-    if (score >= best_score) {
-      best_score = score;
-      best_level = 0;
-    }
-  }
-  for (int level = 1; level < kNumLevels - 1; level++) {
+  for (int level = 0; level < kNumLevels - 1; level++) {
     if (busy.count(level) || busy.count(level + 1)) continue;
-    double score = static_cast<double>(version->LevelBytes(level)) /
-                   MaxBytesForLevel(level);
-    if (score > best_score) {
-      best_score = score;
+    uint64_t debt = LevelDebtBytes(*version, level);
+    if (debt > best_debt) {
+      best_debt = debt;
       best_level = level;
     }
   }
@@ -143,9 +117,7 @@ uint64_t LeveledEngine::PendingCompactionDebt() const {
   TreeVersionPtr version = current_version();
   uint64_t debt = 0;
   for (int level = 1; level < kNumLevels; level++) {
-    uint64_t bytes = version->LevelBytes(level);
-    uint64_t limit = MaxBytesForLevel(level);
-    if (bytes > limit) debt += bytes - limit;
+    debt += LevelDebtBytes(*version, level);
   }
   return debt;
 }
@@ -465,36 +437,23 @@ Status LeveledEngine::CompactLevel(int level) {
   } else {
     const auto& nodes = version->level(level);
     if (nodes.empty()) return Status::OK();
+    // The node with the cheapest write cost per debt byte retired — most
+    // of the merge's output should be this node's own bytes, not rewritten
+    // next-level overlap.
     NodePtr picked;
-    if (options.greedy_compaction) {
-      // Greedy: the node with the cheapest write cost per debt byte
-      // retired — most of the merge's output should be this node's own
-      // bytes, not rewritten next-level overlap.
-      double best_ratio = -1.0;
-      for (const auto& node : nodes) {
-        uint64_t overlap = 0;
-        for (const auto& below : OverlappingInputs(
-                 *version, level + 1, node->range_lo, node->range_hi)) {
-          overlap += below->data_bytes;
-        }
-        double ratio = static_cast<double>(node->data_bytes) /
-                       static_cast<double>(node->data_bytes + overlap);
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          picked = node;
-        }
+    double best_ratio = -1.0;
+    for (const auto& node : nodes) {
+      uint64_t overlap = 0;
+      for (const auto& below : OverlappingInputs(
+               *version, level + 1, node->range_lo, node->range_hi)) {
+        overlap += below->data_bytes;
       }
-    } else {
-      // Round-robin: first node with range_lo > compact_pointer_[level].
-      for (const auto& node : nodes) {
-        if (compact_pointer_[level].empty() ||
-            node->range_lo > compact_pointer_[level]) {
-          picked = node;
-          break;
-        }
+      double ratio = static_cast<double>(node->data_bytes) /
+                     static_cast<double>(node->data_bytes + overlap);
+      if (ratio > best_ratio) {
+        best_ratio = ratio;
+        picked = node;
       }
-      if (picked == nullptr) picked = nodes.front();  // wrap around
-      compact_pointer_[level] = picked->range_lo;
     }
     inputs0.push_back(picked);
   }

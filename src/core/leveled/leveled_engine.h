@@ -53,8 +53,7 @@ class LeveledEngine final : public TreeEngine {
   // level is within shape.
   uint64_t LevelDebtBytes(const TreeVersion& version, int level) const;
   // Compactable level whose input+output levels are not in `busy`; -1 if
-  // none qualifies.  Greedy mode (options.greedy_compaction) picks the
-  // level owing the most debt bytes; classic mode the best fullness ratio.
+  // none qualifies.  Picks the level owing the most debt bytes.
   int PickCompactionLevel(const std::set<int>& busy) const;
   uint64_t PendingCompactionDebt() const;
 
@@ -89,7 +88,6 @@ class LeveledEngine final : public TreeEngine {
   PublishedPtr<const TreeVersion> current_;
   std::set<int> busy_levels_;       // input+output levels of running jobs
   bool imm_flush_running_ = false;
-  std::vector<std::string> compact_pointer_;  // round-robin cursor per level
 };
 
 }  // namespace iamdb

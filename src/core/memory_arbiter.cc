@@ -6,6 +6,22 @@ namespace iamdb {
 
 namespace {
 
+// The write side starts at a quarter of the pool (clamped to the floors):
+// every cache miss costs a device read, so reads start with the larger
+// share.
+constexpr double kInitialWriteFraction = 0.25;
+// A step moves 1/16 of the pool: a full swing takes 16 intervals, so one
+// noisy interval cannot flip the split.
+constexpr double kStepFraction = 1.0 / 16;
+// Smoothed memtable-full stalls of 5% of the interval or more starve
+// writes.
+constexpr uint64_t kStallShiftPerMille = 50;
+// A smoothed miss rate of 20% or more (with stalls quiet) starves reads.
+constexpr uint64_t kMissShiftPerMille = 200;
+// Fewer lookups carry no read signal (the miss EWMA holds): below 64, one
+// miss moves the rate by more than 15 per mille.
+constexpr uint64_t kMinLookupsPerInterval = 64;
+
 uint64_t Clamp(uint64_t v, uint64_t lo, uint64_t hi) {
   return std::max(lo, std::min(hi, v));
 }
@@ -13,20 +29,20 @@ uint64_t Clamp(uint64_t v, uint64_t lo, uint64_t hi) {
 }  // namespace
 
 MemoryArbiter::MemoryArbiter(const Options& options, RateClock* clock)
-    : opts_(options.arbiter),
+    : retune_interval_micros_(options.arbiter.retune_interval_micros),
       budget_(options.memory_budget_bytes),
       write_floor_(options.node_capacity),
       write_ceiling_(budget_ -
                      (options.compressed_cache_capacity > 0 ? 2 : 1) *
                          MinReadBytesPerTier()),
       step_bytes_(std::max<uint64_t>(
-          1, static_cast<uint64_t>(budget_ * opts_.step_fraction))),
+          1, static_cast<uint64_t>(budget_ * kStepFraction))),
       debt_high_bytes_(options.pacing.debt_high_bytes),
       uncompressed_weight_(options.block_cache_capacity),
       compressed_weight_(options.compressed_cache_capacity),
       clock_(clock),
       write_quota_(Clamp(
-          static_cast<uint64_t>(budget_ * opts_.initial_write_fraction),
+          static_cast<uint64_t>(budget_ * kInitialWriteFraction),
           write_floor_, write_ceiling_)),
       last_retune_micros_(clock->NowMicros()) {}
 
@@ -55,20 +71,20 @@ uint64_t MemoryArbiter::compressed_target() const {
 bool MemoryArbiter::RetuneDue() const {
   return clock_->NowMicros() >=
          last_retune_micros_.load(std::memory_order_relaxed) +
-             opts_.retune_interval_micros;
+             retune_interval_micros_;
 }
 
 MemoryArbiter::Shift MemoryArbiter::Decide(uint64_t stall_per_mille,
                                            uint64_t miss_per_mille,
                                            uint64_t debt_bytes) const {
-  if (stall_per_mille >= opts_.stall_shift_per_mille) {
+  if (stall_per_mille >= kStallShiftPerMille) {
     // Writes are stalling on memtable rotation.  But if the tree owes more
     // compaction than the pacing high watermark, the stall is downstream
     // of merge bandwidth, not memtable capacity — growing the memtable
     // would only delay the same stall and starve the caches meanwhile.
     return debt_bytes >= debt_high_bytes_ ? Shift::kNone : Shift::kToWrite;
   }
-  if (miss_per_mille >= opts_.miss_shift_per_mille) {
+  if (miss_per_mille >= kMissShiftPerMille) {
     return Shift::kToRead;
   }
   return Shift::kNone;
@@ -78,7 +94,7 @@ bool MemoryArbiter::MaybeRebalance(uint64_t stall_micros_total,
                                    uint64_t debt_bytes) {
   uint64_t now = clock_->NowMicros();
   uint64_t last = last_retune_micros_.load(std::memory_order_relaxed);
-  if (now < last + opts_.retune_interval_micros) return false;
+  if (now < last + retune_interval_micros_) return false;
   last_retune_micros_.store(now, std::memory_order_relaxed);
   retunes_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t interval = std::max<uint64_t>(1, now - last);
@@ -114,7 +130,7 @@ bool MemoryArbiter::MaybeRebalance(uint64_t stall_micros_total,
   uint64_t miss_delta = misses - std::min(misses, last_m);
   uint64_t lookups = hit_delta + miss_delta;
   uint64_t ewma_miss = ewma_miss_pm_.load(std::memory_order_relaxed);
-  if (lookups >= opts_.min_lookups_per_interval) {
+  if (lookups >= kMinLookupsPerInterval) {
     uint64_t miss_pm = miss_delta * 1000 / lookups;
     ewma_miss = (ewma_miss + miss_pm) / 2;
     ewma_miss_pm_.store(ewma_miss, std::memory_order_relaxed);

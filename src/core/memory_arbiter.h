@@ -17,12 +17,12 @@
 //   miss  - block-cache miss rate over both tiers (cache gauge deltas),
 //           the read side starving,
 //
-// and moves the split one step_fraction toward whichever side is starved:
-// stalls past stall_shift_per_mille pull budget toward the memtable —
-// unless compaction debt is past pacing.debt_high_bytes, in which case
+// and moves the split one step (1/16 of the pool) toward whichever side is
+// starved: stalls past 5% of the interval pull budget toward the memtable
+// — unless compaction debt is past pacing.debt_high_bytes, in which case
 // the stalls are compaction-bound and a bigger memtable would only defer
-// them — while a miss rate past miss_shift_per_mille (with stalls quiet)
-// pushes budget toward the caches.  Intervals with no read traffic carry
+// them — while a miss rate past 20% (with stalls quiet) pushes budget
+// toward the caches.  Intervals with no read traffic carry
 // no read signal and leave the miss EWMA untouched, so a write-only lull
 // cannot decay the evidence that reads were starved.  The write quota
 // never drops below one memtable (node_capacity) and the read target
@@ -124,7 +124,7 @@ class MemoryArbiter {
  private:
   void ApplyReadTargets();
 
-  const ArbiterOptions opts_;
+  const uint64_t retune_interval_micros_;
   const uint64_t budget_;
   const uint64_t write_floor_;      // one memtable (node_capacity)
   const uint64_t write_ceiling_;    // budget - min read allotment

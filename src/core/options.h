@@ -20,13 +20,13 @@ class RateLimiter;
 class Snapshot;
 
 // Background pool sized from the machine: single-core stays single-threaded,
-// multi-core gets at least two workers (one can always take a flush while
-// the others merge) capped at 8 — background work rarely scales past that
-// and the pool should not crowd out foreground threads.
+// multi-core gets one worker per core (so at least two: one can always take
+// a flush while the others merge) capped at 8 — background work rarely
+// scales past that and the pool should not crowd out foreground threads.
 inline int DefaultBackgroundThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw <= 1) return 1;
-  return static_cast<int>(hw < 2 ? 2 : (hw > 8 ? 8 : hw));
+  return static_cast<int>(hw > 8 ? 8 : hw);
 }
 
 enum class EngineType {
@@ -57,16 +57,9 @@ struct AmtOptions {
   int fixed_mixed_level = 0;
 
   // Memory available for caching appended sequences (the "M" of Eq. 2).
-  // Defaults to the block-cache capacity when 0.
+  // Defaults to the block-cache capacity when 0.  The tuner plans with M/2
+  // (the paper's choice), leaving the rest for merge-generated sequences.
   uint64_t memory_budget_bytes = 0;
-
-  // Fraction of M usable by the tuner (paper suggests M/2 so merge-generated
-  // sequences keep some cache).
-  double memory_budget_fraction = 0.5;
-
-  // Initial size of merge-output nodes at the leaf level, as a divisor of
-  // node_capacity ("Cts, Ct/5 by default" — paper Sec 4.2.1).
-  int leaf_merge_split_factor = 5;
 
   // FLSM-emulation for Sec 6.8: rewrite records on every flush instead of
   // metadata-moving nodes with no children.
@@ -101,54 +94,33 @@ struct LeveledOptions {
   uint64_t hard_pending_bytes = 512ull << 20;
 };
 
-// Unified memory arbiter (see core/memory_arbiter.h).  Behaviour knobs for
-// the Options::memory_budget_bytes pool: the arbiter starts from
-// initial_write_fraction, then once per retune interval folds the observed
+// Unified memory arbiter (see core/memory_arbiter.h) for the
+// Options::memory_budget_bytes pool: the arbiter starts the write side at a
+// quarter of the pool, then once per retune interval folds the observed
 // write-stall time and cache miss rate into EWMAs and moves the split one
 // step toward whichever side is starved.  The write share never drops
 // below one memtable (node_capacity) and the read share never drops below
 // the minimum cache allotment, so neither side can be starved out
 // entirely.
 struct ArbiterOptions {
-  // Starting write-side share of the pool (clamped to the floors above).
-  double initial_write_fraction = 0.25;
-
-  // Fraction of the pool moved per rebalance step.
-  double step_fraction = 1.0 / 16;
-
   // Controller cadence; rebalances are rate-limited to one per interval.
   uint64_t retune_interval_micros = 50 * 1000;
-
-  // Write-side pressure: smoothed memtable-full stall time above this
-  // share of the interval (per mille) pulls budget toward the memtable —
-  // unless compaction debt is past pacing.debt_high_bytes, in which case
-  // the stalls are compaction-bound and a bigger memtable would not help.
-  uint64_t stall_shift_per_mille = 50;
-
-  // Read-side pressure: smoothed block-cache miss rate above this
-  // (per mille), with stalls quiet, pushes budget toward the caches.
-  uint64_t miss_shift_per_mille = 200;
-
-  // Intervals with fewer cache lookups than this carry no read signal
-  // (the miss-rate EWMA holds its value instead of folding noise).
-  uint64_t min_lookups_per_interval = 64;
 };
 
-// Adaptive compaction pacing (see core/compaction_pacer.h).  When enabled
-// the fixed compaction_rate_limit is replaced by a controller that measures
-// the sustained ingest/compaction load and the engine's outstanding
-// compaction debt and retunes the token bucket: at low debt merges are
-// paced just above the measured load (smooth, no device saturation); as
-// debt climbs toward debt_high_bytes the budget opens linearly up to
-// max_bytes_per_sec so debt stays bounded instead of snowballing into
-// write stalls.
+// Background (flush + compaction) I/O pacing (core/compaction_pacer.h).
+// max_bytes_per_sec == 0, the default, leaves it unpaced.  Otherwise a
+// token bucket paces table writes and compaction reads (flush I/O first)
+// and a controller retunes it within [min, max] from the sustained
+// ingest/compaction load and the engine's compaction debt: at low debt
+// merges run just above the measured load; as debt climbs toward
+// debt_high_bytes the budget opens linearly up to max, so debt stays
+// bounded.  min == max is a fixed rate.  Open requires 0 < min <= max
+// when max > 0.
 struct PacingOptions {
-  bool adaptive = false;
-
-  // Clamp range for the adaptive budget.  The bucket starts at max (the
-  // unpaced behaviour) and is paced down as the controller learns.
+  // Clamp range for the budget.  The bucket starts at max (the unpaced
+  // behaviour) and is paced down as the controller learns.
   uint64_t min_bytes_per_sec = 8ull << 20;
-  uint64_t max_bytes_per_sec = 1ull << 30;
+  uint64_t max_bytes_per_sec = 0;
 
   // Debt watermarks: at or below low the budget tracks the measured load;
   // at or above high it is fully open; linear in between.  Sized so the
@@ -190,19 +162,8 @@ struct Options {
   // by subcompaction_test across all three engines.
   int max_subcompactions = 0;
 
-  // Background (compaction + flush) I/O budget in bytes/sec; 0 = unpaced.
-  // Flush I/O has priority over merge I/O inside the budget (see
-  // util/rate_limiter.h).  Ignored when pacing.adaptive is set — the pacer
-  // owns the budget then.
-  uint64_t compaction_rate_limit = 0;
-
-  // Adaptive replacement for compaction_rate_limit (see PacingOptions).
+  // Background I/O budget; unpaced by default (see PacingOptions).
   PacingOptions pacing;
-
-  // Background job selection: pick the compaction that retires the most
-  // debt bytes first (greedy) instead of fixed scan/round-robin order.
-  // Applies to all engines; see docs/CONCURRENCY.md.
-  bool greedy_compaction = true;
 
   // One pooled memory budget across the memtable and both block-cache
   // tiers (core/memory_arbiter.h).  When > 0, block_cache_capacity and
@@ -214,7 +175,7 @@ struct Options {
   // allotment (Open returns InvalidArgument otherwise).  0 = fixed sizing.
   uint64_t memory_budget_bytes = 0;
 
-  // Arbiter behaviour knobs (used only when memory_budget_bytes > 0).
+  // Arbiter cadence (used only when memory_budget_bytes > 0).
   ArbiterOptions arbiter;
 
   // Block cache capacity; models the memory available for data blocks.

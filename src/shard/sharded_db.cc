@@ -426,19 +426,8 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
                   map_.hash.c_str());
     value->append(buf);
     for (size_t i = 0; i < shards_.size(); i++) {
-      DbStats s = shards_[i]->GetStats();
-      std::snprintf(
-          buf, sizeof(buf),
-          "[shard %zu] user=%llu space=%llu wamp=%.2f cache=%llu/%llu "
-          "debt=%llu stall_us=%llu\n",
-          i, static_cast<unsigned long long>(s.user_bytes),
-          static_cast<unsigned long long>(s.space_used_bytes),
-          s.total_write_amp,
-          static_cast<unsigned long long>(s.cache_hits),
-          static_cast<unsigned long long>(s.cache_hits + s.cache_misses),
-          static_cast<unsigned long long>(s.pending_debt_bytes),
-          static_cast<unsigned long long>(s.stall_micros));
-      value->append(buf);
+      value->append("[shard " + std::to_string(i) + "]\n");
+      value->append(FormatDbStats(shards_[i]->GetStats()));
     }
     return true;
   }

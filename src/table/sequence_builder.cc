@@ -59,15 +59,16 @@ Status SequenceBuilder::FlushDataBlock() {
   if (data_block_.empty()) return Status::OK();
   Slice contents = data_block_.Finish();
 
-  // Compress, falling back to raw unless the block shrinks past the
-  // configured threshold (or the codec declines the input outright).
+  // Compress, falling back to raw unless the block shrinks to 7/8 of its
+  // size or less (or the codec declines the input outright): a block that
+  // barely shrinks is not worth its decompress work on every read.
+  constexpr double kMaxStoredFraction = 0.875;
   Slice stored = contents;
   CompressionType stored_type = CompressionType::kNone;
   if (compressor_ != nullptr) {
     if (compressor_->Compress(contents, &compressed_scratch_) &&
         static_cast<double>(compressed_scratch_.size()) <=
-            static_cast<double>(contents.size()) *
-                options_.compression_max_stored_fraction) {
+            static_cast<double>(contents.size()) * kMaxStoredFraction) {
       stored = Slice(compressed_scratch_);
       stored_type = compressor_->type();
     }

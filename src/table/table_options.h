@@ -33,15 +33,10 @@ struct TableOptions {
   bool verify_checksums = true;
 
   // Per-block codec for newly written data blocks.  Blocks that do not
-  // shrink enough (see compression_max_stored_fraction) are stored raw;
-  // metadata blocks are always raw.  Appends to a format-v1 file stay raw
-  // regardless, so one file never mixes framing versions.
+  // shrink to 7/8 of their size or less are stored raw; metadata blocks
+  // are always raw.  Appends to a format-v1 file stay raw regardless, so
+  // one file never mixes framing versions.
   CompressionType compression = CompressionType::kNone;
-
-  // A compressed block is kept only when stored_size <= uncompressed_size *
-  // this fraction; otherwise the block falls back to raw.  Saves decompress
-  // work on blocks that barely shrink.
-  double compression_max_stored_fraction = 0.875;
 
   // Block cache, or nullptr to read through.  Not owned.  Entries are
   // charged at their uncompressed (resident) size.

@@ -49,6 +49,8 @@ constexpr EngineConfig kEngines[] = {
     {EngineType::kAmt, AmtPolicy::kIam, "Iam"},
 };
 
+#ifdef IAMDB_SYNC_POINTS
+// Helpers for the sync-point suites below (compiled out without them).
 Options MakeOptions(const EngineConfig& cfg, Env* env) {
   Options options;
   options.env = env;
@@ -98,6 +100,7 @@ void ExpectMatchesModel(DB* db,
   ASSERT_TRUE(it->status().ok()) << it->status().ToString();
   EXPECT_EQ(expected, model.end()) << "missing key " << expected->first;
 }
+#endif  // IAMDB_SYNC_POINTS
 
 class NoSpinTest : public testing::TestWithParam<EngineConfig> {};
 
@@ -179,6 +182,7 @@ class MergeParker {
   bool released_ = false;
 };
 
+#ifdef IAMDB_SYNC_POINTS
 // Loads a two-level tree, parks an L1 merge under a writer overwriting
 // the whole key space, and waits until that writer hard-stalls on the
 // flush the parked merge blocks.  Then checks the flush lane sleeps
@@ -274,6 +278,7 @@ void RunBlockedFlush(bool fail_merge) {
   }
   ExpectMatchesModel(db.get(), model);
 }
+#endif  // IAMDB_SYNC_POINTS
 
 TEST(BlockedFlushTest, FlushLaneSleepsUntilMergeCompletes) {
 #ifndef IAMDB_SYNC_POINTS

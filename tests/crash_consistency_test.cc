@@ -270,6 +270,7 @@ void SimulateDiskAfterCrash(FaultInjectionEnv* fault, uint64_t seed) {
   fault->Heal();
 }
 
+#ifdef IAMDB_SYNC_POINTS
 // One runtime-crash cycle: open, arm the point, drive ops until the crash
 // surfaces (or the op budget ends), tear the disk, verify recovery.
 // Accumulates the point's hit count into *total_hits.
@@ -352,6 +353,7 @@ void RunOpenCrashCycle(const EngineConfig& cfg, const CrashPoint& pt,
   fault.Heal();
   VerifyRecovered(options, history, last_acked_sync);
 }
+#endif  // IAMDB_SYNC_POINTS
 
 // ---------------------------------------------------------------------------
 // Parameterization: engine x crash point.

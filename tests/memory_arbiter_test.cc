@@ -54,7 +54,7 @@ Options ArbiterOnlyOptions() {
 TEST(MemoryArbiterTest, InitialDivisionRespectsFloorsAndRatio) {
   Options options = ArbiterOnlyOptions();
   MemoryArbiter arbiter(options);
-  // initial_write_fraction 0.25 of 16MB = 4MB, within [1MB, 14MB].
+  // The initial write fraction 0.25 of 16MB = 4MB, within [1MB, 14MB].
   EXPECT_EQ(arbiter.write_quota(), 4u << 20);
   EXPECT_EQ(arbiter.read_target(), 12u << 20);
   // Tiers split the read share 3:1 (the configured capacity ratio) and
@@ -212,25 +212,9 @@ TEST(MemoryArbiterTest, OpenRejectsInvalidBudgets) {
 
   // Knob sanity.
   options.memory_budget_bytes = 64 << 20;
-  options.arbiter.initial_write_fraction = 0;
-  EXPECT_TRUE(DB::Open(options, "/db", &db).IsInvalidArgument());
-  options.arbiter.initial_write_fraction = 1.0;
-  EXPECT_TRUE(DB::Open(options, "/db", &db).IsInvalidArgument());
-  options.arbiter.initial_write_fraction = 0.25;
-  options.arbiter.step_fraction = 0;
-  EXPECT_TRUE(DB::Open(options, "/db", &db).IsInvalidArgument());
-  options.arbiter.step_fraction = 1.0 / 16;
   options.arbiter.retune_interval_micros = 0;
   EXPECT_TRUE(DB::Open(options, "/db", &db).IsInvalidArgument());
   options.arbiter.retune_interval_micros = 50 * 1000;
-
-  // The AMT tuner's budget fraction must be a usable fraction.
-  options.engine = EngineType::kAmt;
-  options.amt.memory_budget_fraction = 0;
-  EXPECT_TRUE(DB::Open(options, "/db", &db).IsInvalidArgument());
-  options.amt.memory_budget_fraction = 1.5;
-  EXPECT_TRUE(DB::Open(options, "/db", &db).IsInvalidArgument());
-  options.amt.memory_budget_fraction = 0.5;
 
   // And the repaired configuration opens.
   EXPECT_TRUE(DB::Open(options, "/db", &db).ok());
@@ -249,15 +233,14 @@ TEST(MemoryArbiterTest, WriteQuotaControlsRotation) {
   Options options;
   options.env = &env;
   options.node_capacity = 32 << 10;
-  options.memory_budget_bytes = 2 << 20;
-  options.arbiter.initial_write_fraction = 0.5;  // 1MB quota
+  options.memory_budget_bytes = 2 << 20;  // 512KB initial write quota
   // Keep the arbiter from retuning on its own: only forced steps move.
   options.arbiter.retune_interval_micros = 1ull << 40;
   options.background_threads = 1;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 
-  // 200KB of writes: far past node_capacity, but under the 1MB quota — the
+  // 200KB of writes: far past node_capacity, but under the 512KB quota — the
   // memtable must NOT rotate (nothing reaches disk tables).
   std::string value(1000, 'v');
   for (int i = 0; i < 200; i++) {
@@ -341,12 +324,11 @@ std::string Scan(DB* db) {
 
 class ArbiterEquivalenceTest : public testing::TestWithParam<EngineConfig> {};
 
-// A DB whose memory division was retuned online (quota walked from 50% of
-// the pool down to the floor, with the engine re-running its (m,k) tuner
-// after every step) must end with the same logical tree as a control DB
-// opened fresh with the final division — the ISSUE's acceptance property:
-// live retuning converges to exactly the state it would have been
-// configured into.
+// A DB whose memory division was retuned online (quota walked from a
+// quarter of the pool down to the floor, with the engine re-running its
+// (m,k) tuner after every step) must end with the same logical tree as a
+// control DB opened fresh with the final division: live retuning converges
+// to exactly the state it would have been configured into.
 TEST_P(ArbiterEquivalenceTest, OnlineRetuneMatchesFreshOpenWithFinalSplit) {
   const uint64_t seed = test::TestSeed(20260807);
   SCOPED_TRACE(test::SeedTrace(seed));
@@ -370,12 +352,11 @@ TEST_P(ArbiterEquivalenceTest, OnlineRetuneMatchesFreshOpenWithFinalSplit) {
     return options;
   };
 
-  // Live DB: pooled budget, quota starts at ~50%.  A huge retune interval
+  // Live DB: pooled budget, quota starts at ~25%.  A huge retune interval
   // pins the division between the deterministic forced steps.
   MemEnv live_env;
   Options live_options = base_options(&live_env);
   live_options.memory_budget_bytes = kBudget;
-  live_options.arbiter.initial_write_fraction = 0.5;
   live_options.arbiter.retune_interval_micros = 1ull << 40;
   std::unique_ptr<DB> live;
   ASSERT_TRUE(DB::Open(live_options, "/live", &live).ok());

@@ -130,7 +130,9 @@ class MultiGetTest : public testing::TestWithParam<MultiGetParam> {
       Status expect = db_->Get(options, keys[i], &expect_value);
       EXPECT_EQ(expect.ok(), statuses[i].ok()) << keys[i];
       EXPECT_EQ(expect.IsNotFound(), statuses[i].IsNotFound()) << keys[i];
-      if (expect.ok()) EXPECT_EQ(expect_value, values[i]) << keys[i];
+      if (expect.ok()) {
+        EXPECT_EQ(expect_value, values[i]) << keys[i];
+      }
     }
   }
 
@@ -162,7 +164,9 @@ TEST_P(MultiGetTest, MatchesModel) {
       } else {
         put(k, version);
       }
-      if (i % 500 == 499) ASSERT_TRUE(db_->WaitForQuiescence().ok());
+      if (i % 500 == 499) {
+        ASSERT_TRUE(db_->WaitForQuiescence().ok());
+      }
     }
   };
 
@@ -230,7 +234,9 @@ TEST_P(MultiGetTest, ColdCacheBatchIssuesFewerDeviceReads) {
   Open();
   for (int i = 0; i < 20000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-    if (i % 500 == 499) ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    if (i % 500 == 499) {
+      ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    }
   }
   ASSERT_TRUE(db_->FlushAll().ok());
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
@@ -277,7 +283,9 @@ TEST_P(MultiGetTest, CoalescingGaugesRecorded) {
   Open();
   for (int i = 0; i < 20000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-    if (i % 500 == 499) ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    if (i % 500 == 499) {
+      ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    }
   }
   ASSERT_TRUE(db_->FlushAll().ok());
   ASSERT_TRUE(db_->WaitForQuiescence().ok());

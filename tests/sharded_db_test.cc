@@ -235,7 +235,9 @@ void RunEquivalence(const EngineCase& engine, int num_shards, uint64_t seed) {
     Status ps = plain->Get(ReadOptions(), Key(i), &pv);
     ASSERT_EQ(ss.ok(), ps.ok()) << Key(i);
     ASSERT_EQ(ss.IsNotFound(), ps.IsNotFound()) << Key(i);
-    if (ss.ok()) ASSERT_EQ(sv, pv) << Key(i);
+    if (ss.ok()) {
+      ASSERT_EQ(sv, pv) << Key(i);
+    }
   }
 
   auto Collect = [](Iterator* it) {
@@ -363,7 +365,9 @@ TEST(ShardedMultiGetTest, MatchesPerKeyGets) {
         Status expect = db->Get(ro, keys[i], &expect_value);
         ASSERT_EQ(expect.ok(), statuses[i].ok()) << keys[i];
         ASSERT_EQ(expect.IsNotFound(), statuses[i].IsNotFound()) << keys[i];
-        if (expect.ok()) ASSERT_EQ(expect_value, values[i]) << keys[i];
+        if (expect.ok()) {
+          ASSERT_EQ(expect_value, values[i]) << keys[i];
+        }
       }
     }
     db->ReleaseSnapshot(snap);
@@ -440,10 +444,16 @@ TEST(ShardedStatsTest, SumsShardsAndExposesBreakdown) {
   ASSERT_TRUE(db->GetProperty("iamdb.shardmap", &prop));
   EXPECT_EQ(prop, "v=1 shards=4 hash=splitmix64");
   ASSERT_TRUE(db->GetProperty("iamdb.shard-stats", &prop));
+  // Each shard's section renders every emitted DbStats field, the AMT
+  // mixed level included.
   for (int s = 0; s < 4; s++) {
-    EXPECT_NE(prop.find("[shard " + std::to_string(s) + "]"),
-              std::string::npos)
-        << prop;
+    const size_t begin = prop.find("[shard " + std::to_string(s) + "]\n");
+    ASSERT_NE(begin, std::string::npos) << prop;
+    const std::string section = prop.substr(
+        begin, prop.find("[shard " + std::to_string(s + 1) + "]") - begin);
+    EXPECT_NE(section.find("\nmixed_level: "), std::string::npos) << section;
+    EXPECT_NE(section.find("\nmixed_level_k: "), std::string::npos)
+        << section;
   }
   ASSERT_TRUE(db->GetProperty("iamdb.approximate-memory-usage", &prop));
   EXPECT_GT(std::stoull(prop), 0u);

@@ -4,8 +4,9 @@
 //    RateClock, so refill, chunking, zero-byte requests, dynamic retune and
 //    the kHigh/kLow priority bypass are all asserted on exact simulated
 //    timestamps with no wall-clock sleeps.
-//  * CompactionPacerTest — the control law (TargetRate) and the retune
-//    cadence/EWMA on a manual clock, with exact expected rates.
+//  * CompactionPacerTest — the control law (TargetRate), the retune
+//    cadence/EWMA and the fixed-rate (min == max) case on a manual clock,
+//    with exact expected rates, plus Open's checks on the pacing range.
 //  * StabilityTest — seeded (IAMDB_TEST_SEED-replayable) end-to-end runs on
 //    all three engines with adaptive pacing: compaction debt stays bounded,
 //    no single write stalls pathologically, and the pacer actually engages.
@@ -202,7 +203,6 @@ TEST(RateLimiterDeterministicTest, HighPriorityBypassesLowAndWallGauge) {
 
 PacingOptions TestPacing() {
   PacingOptions p;
-  p.adaptive = true;
   p.min_bytes_per_sec = 4 << 20;
   p.max_bytes_per_sec = 100 << 20;
   p.debt_low_bytes = 10 << 20;
@@ -323,6 +323,57 @@ TEST(CompactionPacerTest, SaturatedDemandEscalatesBudget) {
   EXPECT_EQ(pacer.retunes(), 3u);
 }
 
+// min == max is a fixed rate: the law and the x1.5 escalation both clamp
+// to max, so no window — saturated, idle or at the high watermark — moves
+// the budget.
+TEST(CompactionPacerTest, FixedRateHoldsBudget) {
+  ManualRateClock clock;  // auto-advance: waits move simulated time
+  PacingOptions p = TestPacing();
+  p.min_bytes_per_sec = 32 << 20;
+  p.max_bytes_per_sec = 32 << 20;
+  RateLimiter limiter(p.max_bytes_per_sec, &clock);
+  CompactionPacer pacer(p, &limiter, &clock);
+
+  // Saturated: one interval's worth of budget on an empty bucket blocks
+  // the limiter for the whole window, with heavy ingest and high debt.
+  pacer.RecordIngest(64 << 20);
+  limiter.Request(p.max_bytes_per_sec / 10);
+  EXPECT_TRUE(pacer.RetuneDue());
+  pacer.MaybeRetune(1ull << 40);
+  EXPECT_EQ(limiter.bytes_per_second(), p.max_bytes_per_sec);
+  EXPECT_EQ(pacer.retunes(), 0u);
+
+  // Idle: no ingest, no demand, no debt.
+  clock.Step(p.retune_interval_micros);
+  pacer.MaybeRetune(0);
+  EXPECT_EQ(limiter.bytes_per_second(), p.max_bytes_per_sec);
+  EXPECT_EQ(pacer.retunes(), 0u);
+
+  // Light ingest with debt exactly at the high watermark.
+  pacer.RecordIngest(1 << 20);
+  clock.Step(p.retune_interval_micros);
+  pacer.MaybeRetune(p.debt_high_bytes);
+  EXPECT_EQ(limiter.bytes_per_second(), p.max_bytes_per_sec);
+  EXPECT_EQ(pacer.retunes(), 0u);
+}
+
+// Pacing is on iff max > 0, and then needs 0 < min <= max.
+TEST(CompactionPacerTest, OpenValidatesRange) {
+  MemEnv env;
+  Options options;
+  options.env = &env;
+  std::unique_ptr<DB> db;
+  options.pacing.min_bytes_per_sec = 0;
+  options.pacing.max_bytes_per_sec = 32 << 20;
+  EXPECT_TRUE(DB::Open(options, "/pacing", &db).IsInvalidArgument());
+  options.pacing.min_bytes_per_sec = 64 << 20;
+  EXPECT_TRUE(DB::Open(options, "/pacing", &db).IsInvalidArgument());
+  // min == max: a fixed rate the bucket starts at and keeps.
+  options.pacing.min_bytes_per_sec = 32 << 20;
+  ASSERT_TRUE(DB::Open(options, "/pacing", &db).ok());
+  EXPECT_EQ(db->GetStats().pacer_rate_bytes_per_sec, 32u << 20);
+}
+
 // ---- Seeded multi-engine stability ----
 
 struct EngineSpec {
@@ -351,7 +402,6 @@ TEST_P(StabilityTest, AdaptivePacingBoundsDebtAndStalls) {
   options.background_threads = 2;
   options.max_subcompactions = 2;
   options.block_cache_capacity = 8 << 20;
-  options.pacing.adaptive = true;
   options.pacing.min_bytes_per_sec = 2 << 20;
   options.pacing.max_bytes_per_sec = 1 << 30;
   options.pacing.debt_low_bytes = 256 << 10;

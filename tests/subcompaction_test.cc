@@ -240,7 +240,8 @@ TEST_P(SubcompactionTest, ConcurrentShardedCompactionStress) {
   Options options = SmallTreeOptions(GetParam(), &env);
   options.background_threads = 4;
   options.max_subcompactions = 4;
-  options.compaction_rate_limit = 256 << 20;  // paced, but not slow
+  options.pacing.min_bytes_per_sec = 256 << 20;  // paced, but not slow
+  options.pacing.max_bytes_per_sec = 256 << 20;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 

@@ -19,14 +19,12 @@
 // With no command, drops into a REPL speaking the same verbs plus
 // `batch` (lines of put/del until `commit`, applied atomically) and
 // `quit`.
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "memtable/write_batch.h"
@@ -35,33 +33,6 @@
 namespace {
 
 using namespace iamdb;
-
-// Every field EncodeDbStats carries, as `name: value` in wire order; an
-// omit-when-zero group is left out exactly when the wire leaves it out.
-// The per-level vectors print as one line per level instead.
-void PrintStats(const DbStats& stats) {
-  ForEachEmittedDbStatsField(
-      [](const DbStatsField& f, const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, double>) {
-          std::printf("%s: %.3f\n", f.name, v);
-        } else if constexpr (std::is_integral_v<T>) {
-          std::printf("%s: %s\n", f.name, std::to_string(v).c_str());
-        }
-      },
-      stats);
-  for (size_t i = 0; i < stats.level_bytes.size(); i++) {
-    std::printf("level %zu: %" PRIu64 "B in %d nodes", i + 1,
-                stats.level_bytes[i],
-                i < stats.level_node_counts.size()
-                    ? stats.level_node_counts[i]
-                    : 0);
-    if (i < stats.level_write_amp.size()) {
-      std::printf(", write_amp %.3f", stats.level_write_amp[i]);
-    }
-    std::printf("\n");
-  }
-}
 
 // Returns the process exit code for one command; `argv`-style tokens.
 int RunCommand(Client* client, const std::vector<std::string>& args) {
@@ -117,7 +88,7 @@ int RunCommand(Client* client, const std::vector<std::string>& args) {
     if (args.size() == 1) {
       DbStats stats;
       s = client->GetStats(&stats);
-      if (s.ok()) PrintStats(stats);
+      if (s.ok()) std::fputs(FormatDbStats(stats).c_str(), stdout);
     } else {
       std::string value;
       s = client->GetProperty(args[1], &value);
@@ -126,7 +97,7 @@ int RunCommand(Client* client, const std::vector<std::string>& args) {
   } else if (cmd == "stats") {
     DbStats stats;
     s = client->GetStats(&stats);
-    if (s.ok()) PrintStats(stats);
+    if (s.ok()) std::fputs(FormatDbStats(stats).c_str(), stdout);
   } else if (cmd == "shardmap") {
     int num_shards = 1;
     s = client->GetShardMap(&num_shards);
