@@ -183,7 +183,7 @@ TEST_F(BlockTest, TwoLevelIteratorComposesBlocks) {
     std::string last;
     for (int i = 0; i < 10; i++) {
       last = IKey("key" + std::to_string(b * 10 + i + 100));
-      builder.Add(last, "v" + std::to_string(b * 10 + i));
+      builder.Add(last, std::string("v").append(std::to_string(b * 10 + i)));
     }
     data_blocks.push_back(
         std::make_unique<Block>(builder.Finish().ToString()));
@@ -204,7 +204,8 @@ TEST_F(BlockTest, TwoLevelIteratorComposesBlocks) {
   // Full forward pass: 30 entries in order.
   int count = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), count++) {
-    EXPECT_EQ("v" + std::to_string(count), iter->value().ToString());
+    EXPECT_EQ(std::string("v").append(std::to_string(count)),
+              iter->value().ToString());
   }
   EXPECT_EQ(30, count);
 
@@ -226,7 +227,8 @@ TEST_F(BlockTest, TwoLevelIteratorComposesBlocks) {
   // Backward full pass.
   count = 29;
   for (iter->SeekToLast(); iter->Valid(); iter->Prev(), count--) {
-    EXPECT_EQ("v" + std::to_string(count), iter->value().ToString());
+    EXPECT_EQ(std::string("v").append(std::to_string(count)),
+              iter->value().ToString());
   }
   EXPECT_EQ(-1, count);
 }
@@ -276,7 +278,7 @@ TEST_F(BlockTest, RandomizedMixedOperations) {
   std::map<std::string, std::string> model;
   for (int i = 0; i < 500; i++) {
     std::string key = IKey("key" + std::to_string(10000 + rnd.Uniform(100000)));
-    model[key] = "v" + std::to_string(i);
+    model[key] = std::string("v").append(std::to_string(i));
   }
   std::vector<std::pair<std::string, std::string>> entries(model.begin(),
                                                            model.end());

@@ -397,7 +397,9 @@ TEST(ShardedCacheOnlyTest, FlagReachesEveryShard) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(ShardedDB::Open(options, "/sharded", 4, &db).ok());
   for (int i = 0; i < 1000; i++) {
-    ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), std::string("k").append(std::to_string(i)), "v")
+            .ok());
   }
   ASSERT_TRUE(db->FlushAll().ok());
   ASSERT_TRUE(db->WaitForQuiescence().ok());
@@ -406,7 +408,9 @@ TEST(ShardedCacheOnlyTest, FlagReachesEveryShard) {
   ASSERT_TRUE(db->Put(WriteOptions(), "fresh", "new").ok());
 
   std::vector<std::string> keys = {"fresh"};
-  for (int i = 0; i < 1000; i += 50) keys.push_back("k" + std::to_string(i));
+  for (int i = 0; i < 1000; i += 50) {
+    keys.push_back(std::string("k").append(std::to_string(i)));
+  }
   std::vector<Slice> slices(keys.begin(), keys.end());
   std::vector<std::string> values(keys.size());
   std::vector<Status> statuses(keys.size());

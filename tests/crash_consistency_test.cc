@@ -114,8 +114,11 @@ Op MakeOp(Random64* rnd, int serial) {
       op.writes.emplace_back(std::move(key), std::nullopt);
     } else {
       size_t len = 20 + rnd->Next() % 90;
-      std::string value =
-          "v" + std::to_string(serial) + "." + std::to_string(w) + "-";
+      std::string value = std::string("v")
+                              .append(std::to_string(serial))
+                              .append(".")
+                              .append(std::to_string(w))
+                              .append("-");
       value.resize(len, 'x');
       op.writes.emplace_back(std::move(key), std::move(value));
     }

@@ -210,7 +210,7 @@ TEST_P(DbTest, RandomInsertOrderFullScan) {
   std::map<std::string, std::string> model;
   for (int i = 0; i < 8000; i++) {
     std::string k = Key(rnd.Uniform(4000));
-    std::string v = "v" + std::to_string(rnd.Next());
+    std::string v = std::string("v").append(std::to_string(rnd.Next()));
     ASSERT_TRUE(Put(k, v).ok());
     model[k] = v;
   }
@@ -409,8 +409,9 @@ TEST_P(DbTest, ReopenWithUnflushedWal) {
 TEST_P(DbTest, RepeatedReopen) {
   for (int round = 0; round < 5; round++) {
     for (int i = 0; i < 500; i++) {
-      ASSERT_TRUE(
-          Put(Key(i + round * 500), "r" + std::to_string(round)).ok());
+      ASSERT_TRUE(Put(Key(i + round * 500),
+                      std::string("r").append(std::to_string(round)))
+                      .ok());
     }
     Reopen();
   }
@@ -509,7 +510,7 @@ TEST_P(DbTest, RandomizedModelCheck) {
     int op = rnd.Uniform(100);
     std::string k = Key(rnd.Uniform(2000));
     if (op < 60) {
-      std::string v = "v" + std::to_string(i);
+      std::string v = std::string("v").append(std::to_string(i));
       ASSERT_TRUE(Put(k, v).ok());
       model[k] = v;
     } else if (op < 85) {

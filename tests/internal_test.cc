@@ -135,7 +135,7 @@ std::vector<std::pair<std::string, std::string>> RandomVersions(
     iamdb::Random* rnd) {
   std::vector<std::pair<std::string, std::string>> input;
   for (int k = 0; k < 30; k++) {
-    std::string user = "k" + std::to_string(k);
+    std::string user = std::string("k").append(std::to_string(k));
     int versions = 1 + rnd->Uniform(6);
     std::set<SequenceNumber> seqs;
     while (static_cast<int>(seqs.size()) < versions) {
@@ -143,8 +143,9 @@ std::vector<std::pair<std::string, std::string>> RandomVersions(
     }
     for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
       ValueType t = rnd->OneIn(3) ? kTypeDeletion : kTypeValue;
-      input.emplace_back(IKey(user, *it, t),
-                         t == kTypeValue ? "v" + std::to_string(*it) : "");
+      input.emplace_back(
+          IKey(user, *it, t),
+          t == kTypeValue ? std::string("v").append(std::to_string(*it)) : "");
     }
   }
   return input;

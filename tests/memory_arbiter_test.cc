@@ -293,8 +293,12 @@ void ApplyRounds(DB* db, uint64_t seed, int rounds, int keyspace) {
       if (rnd.Next() % 8 == 0) {
         ASSERT_TRUE(db->Delete(WriteOptions(), Key(k)).ok());
       } else {
-        std::string value = "v" + std::to_string(rnd.Next() % 1000) + "-" +
-                            std::string(1 + rnd.Next() % 100, 'x');
+        const uint64_t tag = rnd.Next() % 1000;
+        const size_t padding = 1 + rnd.Next() % 100;
+        std::string value = std::string("v")
+                                .append(std::to_string(tag))
+                                .append("-")
+                                .append(padding, 'x');
         ASSERT_TRUE(db->Put(WriteOptions(), Key(k), value).ok());
       }
     }

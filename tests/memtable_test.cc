@@ -277,18 +277,18 @@ TEST_F(MemTableTest, RandomizedAgainstReferenceModel) {
   std::map<std::string, std::string> model;
   SequenceNumber seq = 1;
   for (int i = 0; i < 5000; i++) {
-    std::string key = "k" + std::to_string(rnd.Uniform(500));
+    std::string key = std::string("k").append(std::to_string(rnd.Uniform(500)));
     if (rnd.OneIn(4)) {
       mem_->Add(seq++, kTypeDeletion, key, "");
       model.erase(key);
     } else {
-      std::string value = "v" + std::to_string(rnd.Next());
+      std::string value = std::string("v").append(std::to_string(rnd.Next()));
       mem_->Add(seq++, kTypeValue, key, value);
       model[key] = value;
     }
   }
   for (int k = 0; k < 500; k++) {
-    std::string key = "k" + std::to_string(k);
+    std::string key = std::string("k").append(std::to_string(k));
     bool found, deleted;
     std::string value = Get(key, seq, &found, &deleted);
     auto it = model.find(key);

@@ -181,7 +181,7 @@ TEST_F(MSTableTest, MultipleAppendsAccumulate) {
     auto reader = OpenReader("/t4", r.meta_end, gen);
     r = Append("/t4", *reader,
                {{IKey("a", static_cast<SequenceNumber>(gen)),
-                 "v" + std::to_string(gen)}});
+                 std::string("v").append(std::to_string(gen))}});
     EXPECT_EQ(static_cast<uint32_t>(gen), r.seq_count);
   }
   auto reader = OpenReader("/t4", r.meta_end, 100);
@@ -284,7 +284,7 @@ TEST_F(MSTableTest, AppendsLeaveDeadMetadataAccountedInFootprint) {
   for (int gen = 2; gen <= 6; gen++) {
     auto reader = OpenReader("/tc", r.meta_end, gen);
     r = Append("/tc", *reader,
-               {{IKey("b" + std::to_string(gen), gen),
+               {{IKey(std::string("b").append(std::to_string(gen)), gen),
                  std::string(2000, 'v')}});
     data += 2000;
   }
@@ -416,7 +416,10 @@ TEST_F(MSTableTest, RandomizedMultiSequenceAgainstModel) {
     for (int i = 0; i < 300; i++) {
       char buf[16];
       snprintf(buf, sizeof(buf), "key%04d", rnd.Uniform(1000));
-      batch[buf] = "s" + std::to_string(s) + "i" + std::to_string(i);
+      batch[buf] = std::string("s")
+                       .append(std::to_string(s))
+                       .append("i")
+                       .append(std::to_string(i));
     }
     std::vector<std::pair<std::string, std::string>> entries;
     for (const auto& [k, v] : batch) {

@@ -79,8 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(0, 1, 7, 64, 500),
                      testing::Values(1, 2, 16, 128)),
     [](const testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_ri" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("n")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_ri")
+          .append(std::to_string(std::get<1>(info.param)));
     });
 
 // ---------------------------------------------------------------------------
@@ -142,7 +144,10 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
     for (int i = 0; i < 120; i++) {
       char buf[16];
       snprintf(buf, sizeof(buf), "k%05d", rnd.Uniform(600));
-      batch[buf] = "a" + std::to_string(append) + "v" + std::to_string(i);
+      batch[buf] = std::string("a")
+                       .append(std::to_string(append))
+                       .append("v")
+                       .append(std::to_string(i));
     }
     MSTableBuildResult result;
     if (append == 0) {
@@ -326,7 +331,8 @@ TEST_P(FanoutSweepTest, InvariantsAndReadsAcrossFanouts) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FanoutSweepTest, testing::Values(2, 3, 5, 10),
                          [](const testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           return std::string("t").append(
+                               std::to_string(info.param));
                          });
 
 INSTANTIATE_TEST_SUITE_P(

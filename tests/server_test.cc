@@ -330,13 +330,17 @@ TEST_F(ServerTest, ManyClientsPipelinedStress) {
     threads.emplace_back([this, c, &failures] {
       Client client(MakeClientOptions());
       for (int i = 0; i < kOpsPerClient; i++) {
-        std::string key =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+        std::string key = std::string("c")
+                              .append(std::to_string(c))
+                              .append("-")
+                              .append(std::to_string(i));
         if (!client.Put(key, "v" + key).ok()) failures++;
       }
       for (int i = 0; i < kOpsPerClient; i++) {
-        std::string key =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+        std::string key = std::string("c")
+                              .append(std::to_string(c))
+                              .append("-")
+                              .append(std::to_string(i));
         std::string value;
         if (!client.Get(key, &value).ok() || value != "v" + key) failures++;
       }
@@ -359,8 +363,8 @@ TEST_F(ServerTest, RawPipelinedRequests) {
   std::string wire_out;
   for (uint64_t id = 1; id <= kRequests; id++) {
     std::string payload;
-    wire::EncodePut("pipe" + std::to_string(id), "v" + std::to_string(id),
-                    &payload);
+    wire::EncodePut(std::string("pipe").append(std::to_string(id)),
+                    std::string("v").append(std::to_string(id)), &payload);
     wire::BuildFrame(id, wire::Opcode::kPut, payload, &wire_out);
   }
   ASSERT_TRUE(RawSend(fd, wire_out));
@@ -623,8 +627,10 @@ TEST_F(ServerTest, PipelinedClientWaitsOutOfOrder) {
   Client client(MakeClientOptions());
   constexpr int kN = 16;
   for (int i = 0; i < kN; i++) {
-    ASSERT_TRUE(
-        client.Put("pl" + std::to_string(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(client
+                    .Put(std::string("pl").append(std::to_string(i)),
+                         std::string("v").append(std::to_string(i)))
+                    .ok());
   }
 
   std::vector<uint64_t> ids;

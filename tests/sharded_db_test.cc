@@ -212,8 +212,10 @@ void RunEquivalence(const EngineCase& engine, int num_shards, uint64_t seed) {
       WriteBatch b1, b2;
       for (int j = 0; j < 8; j++) {
         const std::string bk = Key(static_cast<int>(rng() % kKeySpace));
-        const std::string bv = "b" + std::to_string(i) + "." +
-                               std::to_string(j);
+        const std::string bv = std::string("b")
+                                   .append(std::to_string(i))
+                                   .append(".")
+                                   .append(std::to_string(j));
         b1.Put(bk, bv);
         b2.Put(bk, bv);
       }
@@ -337,8 +339,9 @@ TEST(ShardedMultiGetTest, MatchesPerKeyGets) {
       if (rng() % 5 == 0) {
         ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
       } else {
-        ASSERT_TRUE(
-            db->Put(WriteOptions(), key, "v" + std::to_string(i)).ok());
+        ASSERT_TRUE(db->Put(WriteOptions(), key,
+                            std::string("v").append(std::to_string(i)))
+                        .ok());
       }
     }
 
@@ -589,7 +592,9 @@ TEST_F(ShardedServerTest, ScanShardedMergesAndBounds) {
   std::vector<std::string> keys;
   for (int i = 0; i < 60; i++) {
     keys.push_back(Key(i));
-    ASSERT_TRUE(client->Put(keys.back(), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        client->Put(keys.back(), std::string("v").append(std::to_string(i)))
+            .ok());
   }
 
   // Full range: globally sorted despite per-shard storage.

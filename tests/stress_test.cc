@@ -168,8 +168,10 @@ TEST_P(StressTest, SnapshotPinningUnderChurn) {
         ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
         model.erase(key);
       } else {
-        std::string value = "e" + std::to_string(epoch) + "-" +
-                            std::to_string(i);
+        std::string value = std::string("e")
+                                .append(std::to_string(epoch))
+                                .append("-")
+                                .append(std::to_string(i));
         ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
         model[key] = value;
       }

@@ -158,8 +158,12 @@ void ApplySeededWorkload(DB* db, uint64_t seed, int rounds, int keyspace) {
       if (rnd.Next() % 8 == 0) {
         ASSERT_TRUE(db->Delete(WriteOptions(), Key(k)).ok());
       } else {
-        std::string value = "v" + std::to_string(rnd.Next() % 1000) + "-" +
-                            std::string(1 + rnd.Next() % 100, 'x');
+        const uint64_t tag = rnd.Next() % 1000;
+        const size_t padding = 1 + rnd.Next() % 100;
+        std::string value = std::string("v")
+                                .append(std::to_string(tag))
+                                .append("-")
+                                .append(padding, 'x');
         ASSERT_TRUE(db->Put(WriteOptions(), Key(k), value).ok());
       }
     }
@@ -272,8 +276,9 @@ TEST_P(SubcompactionTest, ConcurrentShardedCompactionStress) {
       ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
       model.erase(key);
     } else {
-      std::string value =
-          "s" + std::to_string(i) + std::string(rnd.Next() % 150, 'y');
+      std::string value = std::string("s")
+                              .append(std::to_string(i))
+                              .append(rnd.Next() % 150, 'y');
       ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
       model[key] = value;
     }
