@@ -3,38 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <functional>
 
-#include "core/compaction_stream.h"
+#include "core/compaction_output.h"
 #include "core/db_impl.h"
 #include "core/filename.h"
 #include "table/merging_iterator.h"
 #include "util/rate_limiter.h"
 #include "util/sync_point.h"
-#include "util/task_group.h"
 
 namespace iamdb {
 
 namespace {
-
-NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = e.node_id;
-  node->file_number = e.file_number;
-  node->meta_end = e.meta_end;
-  node->data_bytes = e.data_bytes;
-  node->num_entries = e.num_entries;
-  node->seq_count = e.seq_count;
-  node->range_lo = e.range_lo;
-  node->range_hi = e.range_hi;
-  node->smallest_ikey = e.smallest_ikey;
-  node->largest_ikey = e.largest_ikey;
-  if (e.file_number != 0) {
-    node->lifetime = std::make_shared<FileLifetime>(
-        env, TableFileName(dbname, e.file_number));
-  }
-  return node;
-}
 
 void SortByRange(std::vector<NodePtr>* nodes) {
   std::sort(nodes->begin(), nodes->end(),
@@ -246,7 +225,6 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
     if (nodes.size() <= LevelNodeLimit(level)) continue;
     // Candidates: nodes with two adjacent siblings and Tcn <= 3t; pick the
     // smallest Tcn (Sec 4.2.3).
-    int t = Fanout();
     const bool min_tcn = db_->options().amt.combine_min_tcn;
     size_t best = SIZE_MAX;
     size_t best_tcn = SIZE_MAX;
@@ -270,7 +248,6 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
     // Paper: candidates must satisfy Tcn <= 3t and the set is non-empty on
     // average; under extreme skew we still take the global minimum so the
     // node-count invariant is always restored.
-    (void)t;
     job->type = Job::Type::kCombine;
     job->level = level;
     job->node = nodes[best];
@@ -476,22 +453,6 @@ void AmtEngine::ApplyToVersion(
   RecomputeMixedLevel();
 }
 
-NodeEdit AmtEngine::ToEdit(const NodeMeta& node, int level) const {
-  NodeEdit e;
-  e.level = level;
-  e.node_id = node.node_id;
-  e.file_number = node.file_number;
-  e.meta_end = node.meta_end;
-  e.data_bytes = node.data_bytes;
-  e.num_entries = node.num_entries;
-  e.seq_count = node.seq_count;
-  e.range_lo = node.range_lo;
-  e.range_hi = node.range_hi;
-  e.smallest_ikey = node.smallest_ikey;
-  e.largest_ikey = node.largest_ikey;
-  return e;
-}
-
 NodePtr AmtEngine::MakeEmptyNode(uint64_t node_id, const std::string& lo,
                                  const std::string& hi) const {
   auto node = std::make_shared<NodeMeta>();
@@ -548,29 +509,30 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
   }
 
   if (!do_merge) {
-    // ---- Append path ----
+    // ---- Append path: one more sequence on the target's file, or the
+    // first file of an empty placeholder ----
     MSTableBuildResult result;
+    auto drain = [&](auto& table) -> Status {
+      Status s = table.Open();
+      for (; s.ok() && records->Valid(); records->Next()) {
+        s = table.Add(records->key(), records->value());
+      }
+      if (s.ok()) s = records->status();
+      if (s.ok()) return table.Finish(/*sync=*/true, &result);
+      table.Abandon();
+      return s;
+    };
     Status s;
     uint64_t file_number = target->file_number;
     std::shared_ptr<FileLifetime> lifetime = target->lifetime;
     if (target->file_number == 0) {
-      // Empty placeholder: materialize its first file.
       {
         std::lock_guard<std::mutex> l(db_->mutex());
         file_number = db_->NewFileNumber();
       }
       MSTableWriter writer(db_->env(), options.table,
                            TableFileName(db_->dbname(), file_number));
-      s = writer.Open();
-      for (; s.ok() && records->Valid(); records->Next()) {
-        s = writer.Add(records->key(), records->value());
-      }
-      if (s.ok()) s = records->status();
-      if (s.ok()) {
-        s = writer.Finish(/*sync=*/true, &result);
-      } else {
-        writer.Abandon();
-      }
+      s = drain(writer);
       if (!s.ok()) return s;
       lifetime = std::make_shared<FileLifetime>(
           db_->env(), TableFileName(db_->dbname(), file_number));
@@ -582,31 +544,14 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
       MSTableAppender appender(db_->env(), options.table,
                                TableFileName(db_->dbname(), file_number),
                                *reader);
-      s = appender.Open();
-      for (; s.ok() && records->Valid(); records->Next()) {
-        s = appender.Add(records->key(), records->value());
-      }
-      if (s.ok()) s = records->status();
-      if (s.ok()) {
-        s = appender.Finish(/*sync=*/true, &result);
-      } else {
-        appender.Abandon();
-      }
+      s = drain(appender);
       if (!s.ok()) return s;
     }
 
-    auto updated = std::make_shared<NodeMeta>();
-    updated->node_id = target->node_id;
-    updated->file_number = file_number;
-    updated->meta_end = result.meta_end;
-    updated->data_bytes = result.data_bytes;
-    updated->num_entries = result.num_entries;
-    updated->seq_count = result.seq_count;
-    updated->smallest_ikey = result.smallest;
-    updated->largest_ikey = result.largest;
+    NodePtr updated = NodeFromBuild(result, target->node_id, file_number,
+                                    std::move(lifetime));
     updated->range_lo = std::min(target->range_lo, records->first_user_key());
     updated->range_hi = std::max(target->range_hi, records->last_user_key());
-    updated->lifetime = std::move(lifetime);
 
     db_->amp_stats_mutable()->RecordLevelWrite(paper_level, append_reason,
                                                result.new_data_bytes);
@@ -627,10 +572,7 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     const PartitionIterator* partition = records.get();
     std::vector<Iterator*> iters;
     iters.push_back(records.release());
-    ReadOptions merge_read;
-    merge_read.fill_cache = false;
-    merge_read.rate_limiter = db_->rate_limiter();
-    reader->AddSequenceIterators(merge_read, &iters);
+    reader->AddSequenceIterators(CompactionReadOptions(db_), &iters);
     Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
                                           static_cast<int>(iters.size()));
     CompactionStream stream(merged, smallest_snapshot,
@@ -639,82 +581,18 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     // Leaf merges shatter into fresh nodes of Cts = Ct/5 ("Ct/5 by
     // default", Sec 4.2.1, Fig. 4): small enough that a leaf absorbs
     // several appends before it fills again.  Internal merges produce one
-    // single-sequence node (Sec 5.1.1).
+    // single-sequence node (Sec 5.1.1).  Cuts fall on user-key boundaries
+    // so node ranges in a level stay user-key-disjoint (point reads pick
+    // exactly one node per level).
     constexpr uint64_t kLeafMergeSplitFactor = 5;
-    const uint64_t cut_bytes =
-        is_leaf ? capacity / kLeafMergeSplitFactor : UINT64_MAX;
-
-    std::vector<NodePtr> outputs;
-    std::unique_ptr<MSTableWriter> writer;
-    uint64_t out_file = 0, out_node = 0;
-    uint64_t written = 0, meta_written = 0;
-    auto finish_output = [&]() -> Status {
-      if (writer == nullptr) return Status::OK();
-      MSTableBuildResult result;
-      Status fs = writer->Finish(/*sync=*/true, &result);
-      if (!fs.ok()) return fs;
-      auto node = std::make_shared<NodeMeta>();
-      node->node_id = out_node;
-      node->file_number = out_file;
-      node->meta_end = result.meta_end;
-      node->data_bytes = result.data_bytes;
-      node->num_entries = result.num_entries;
-      node->seq_count = result.seq_count;
-      node->smallest_ikey = result.smallest;
-      node->largest_ikey = result.largest;
-      node->range_lo = ExtractUserKey(result.smallest).ToString();
-      node->range_hi = ExtractUserKey(result.largest).ToString();
-      node->lifetime = std::make_shared<FileLifetime>(
-          db_->env(), TableFileName(db_->dbname(), out_file));
-      outputs.push_back(std::move(node));
-      written += result.data_bytes;
-      meta_written += result.meta_bytes;
-      writer.reset();
-      return Status::OK();
-    };
-
-    std::string last_user_key;
-    while (stream.Valid() && s.ok()) {
-      Slice user_key = ExtractUserKey(stream.key());
-      // Cut only at user-key boundaries so node ranges in a level stay
-      // user-key-disjoint (point reads pick exactly one node per level).
-      if (writer != nullptr &&
-          writer->EstimatedDataBytes() >= cut_bytes &&
-          user_key != Slice(last_user_key)) {
-        s = finish_output();
-        if (!s.ok()) break;
-      }
-      if (writer == nullptr) {
-        {
-          std::lock_guard<std::mutex> l(db_->mutex());
-          out_file = db_->NewFileNumber();
-          out_node = db_->NewNodeId();
-        }
-        writer = std::make_unique<MSTableWriter>(
-            db_->env(), options.table,
-            TableFileName(db_->dbname(), out_file));
-        s = writer->Open();
-        if (!s.ok()) break;
-      }
-      s = writer->Add(stream.key(), stream.value());
-      if (!s.ok()) break;
-      last_user_key.assign(user_key.data(), user_key.size());
-      stream.Next();
-    }
-    if (s.ok()) s = stream.status();
-    if (s.ok()) {
-      s = finish_output();
-    } else if (writer != nullptr) {
-      writer->Abandon();
-    }
-    if (!s.ok()) {
-      for (const auto& node : outputs) {
-        if (node->lifetime) node->lifetime->MarkObsolete();
-      }
-      return s;
-    }
+    CompactionOutput out(db_, is_leaf ? capacity / kLeafMergeSplitFactor
+                                      : CompactionOutput::kNoCut);
+    out.AddStream(&stream);
+    s = out.Finish();
+    if (!s.ok()) return s;
 
     // Preserve the child's range coverage on the outer outputs.
+    const std::vector<NodePtr>& outputs = out.outputs();
     if (!outputs.empty()) {
       outputs.front()->range_lo =
           std::min({outputs.front()->range_lo, target->range_lo,
@@ -724,10 +602,10 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
                     partition->last_user_key()});
     }
 
-    db_->amp_stats_mutable()->RecordLevelWrite(paper_level,
-                                               WriteReason::kMerge, written);
     db_->amp_stats_mutable()->RecordLevelWrite(
-        paper_level, WriteReason::kMetadata, meta_written);
+        paper_level, WriteReason::kMerge, out.data_bytes());
+    db_->amp_stats_mutable()->RecordLevelWrite(
+        paper_level, WriteReason::kMetadata, out.meta_bytes());
 
     frag->removed.emplace_back(tlevel, target->node_id);
     if (target->lifetime) frag->obsolete.push_back(target->lifetime);
@@ -744,8 +622,6 @@ Status AmtEngine::FlushInto(const SourceOpener& open_source,
                             const std::vector<NodePtr>& targets, bool is_leaf,
                             WriteReason append_reason, WorkLane lane,
                             FlushDelta* delta) {
-  const Options& options = db_->options();
-
   SequenceNumber smallest_snapshot;
   {
     std::lock_guard<std::mutex> l(db_->mutex());
@@ -791,56 +667,13 @@ Status AmtEngine::FlushInto(const SourceOpener& open_source,
     return stream->status();
   };
 
-  int fan = options.max_subcompactions > 0 ? options.max_subcompactions
-                                           : options.background_threads;
-  fan = std::min<int>(fan, static_cast<int>(targets.size()));
-
-  Status s;
-  if (fan <= 1) {
-    s = run_group(0, targets.size());
-  } else {
-    // Contiguous groups balanced by an estimate known before reading: a
-    // merge target's cost grows with its own bytes, and every target takes
-    // a share of the source.  Each group is one pool task, so a skewed
-    // target doesn't serialize the job behind one shard.
-    std::vector<uint64_t> cost(targets.size());
-    uint64_t total_cost = 0;
-    for (size_t i = 0; i < targets.size(); i++) {
-      cost[i] = targets[i]->data_bytes + source_bytes / targets.size();
-      total_cost += cost[i];
-    }
-    std::vector<size_t> group_begin = {0};
-    const uint64_t per_group = total_cost / fan + 1;
-    uint64_t acc = 0;
-    for (size_t i = 0; i < targets.size(); i++) {
-      if (acc >= per_group && static_cast<int>(group_begin.size()) < fan) {
-        group_begin.push_back(i);
-        acc = 0;
-      }
-      acc += cost[i];
-    }
-    group_begin.push_back(targets.size());
-
-    const RateLimiter::IoPriority prio = lane == WorkLane::kFlush
-                                             ? RateLimiter::IoPriority::kHigh
-                                             : RateLimiter::IoPriority::kLow;
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(group_begin.size() - 1);
-    for (size_t g = 0; g + 1 < group_begin.size(); g++) {
-      tasks.push_back([&run_group, begin = group_begin[g],
-                       end = group_begin[g + 1], prio]() -> Status {
-        // Pool helpers carry no priority scope of their own.
-        RateLimiter::ScopedPriority p(prio);
-        return run_group(begin, end);
-      });
-    }
-    db_->RecordSubcompactions(tasks.size());
-    s = TaskGroup::RunAll(db_->pool(),
-                          lane == WorkLane::kFlush ? ThreadPool::Lane::kHigh
-                                                   : ThreadPool::Lane::kLow,
-                          std::move(tasks));
+  // A merge target's cost grows with its own bytes, and every target
+  // takes a share of the source: an estimate known before reading.
+  std::vector<uint64_t> cost(targets.size());
+  for (size_t i = 0; i < targets.size(); i++) {
+    cost[i] = targets[i]->data_bytes + source_bytes / targets.size();
   }
-
+  Status s = RunSubcompactions(db_, cost, lane, run_group);
   if (!s.ok()) {
     // Shards that succeeded before the failure produced files that will
     // never be installed.  Merge outputs get fresh lifetimes — mark those
@@ -893,58 +726,24 @@ Status AmtEngine::RunFlushImm(const Job& job, WorkLane lane) {
   Status s;
   if (job.targets.empty()) {
     // No L1 nodes overlap (or none exist): the memtable becomes one new L1
-    // node, written exactly once — the sequential-load fast path.
-    uint64_t file_number, node_id;
-    {
-      std::lock_guard<std::mutex> l(db_->mutex());
-      file_number = db_->NewFileNumber();
-      node_id = db_->NewNodeId();
-    }
-    MSTableWriter writer(db_->env(), db_->options().table,
-                         TableFileName(db_->dbname(), file_number));
-    s = writer.Open();
-    MSTableBuildResult result;
-    uint64_t records_added = 0;
+    // node, written exactly once — the sequential-load fast path.  If the
+    // bottommost stream elides every record (all tombstones) nothing is
+    // written; the edit still advances the log number so the WAL can be
+    // released.
+    CompactionOutput out(db_);
+    CompactionStream stream(imm->NewIterator(), smallest_snapshot,
+                            /*bottommost=*/n <= 1);
+    out.AddStream(&stream);
+    s = out.Finish();
     if (s.ok()) {
-      CompactionStream stream(imm->NewIterator(), smallest_snapshot,
-                              /*bottommost=*/n <= 1);
-      while (stream.Valid() && s.ok()) {
-        s = writer.Add(stream.key(), stream.value());
-        records_added++;
-        stream.Next();
+      for (const NodePtr& node : out.outputs()) {
+        delta.added.emplace_back(0, node);
+        delta.edit.AddNode(ToEdit(*node, 0));
       }
-      if (s.ok()) s = stream.status();
-      if (s.ok() && records_added == 0) {
-        // Every record was a tombstone elided by the bottommost stream:
-        // there is nothing to install.  Drop the file; the edit below
-        // still advances the log number so the WAL can be released.
-        writer.Abandon();
-      } else if (s.ok()) {
-        s = writer.Finish(/*sync=*/true, &result);
-      } else {
-        writer.Abandon();
-      }
-    }
-    if (s.ok() && records_added > 0) {
-      auto node = std::make_shared<NodeMeta>();
-      node->node_id = node_id;
-      node->file_number = file_number;
-      node->meta_end = result.meta_end;
-      node->data_bytes = result.data_bytes;
-      node->num_entries = result.num_entries;
-      node->seq_count = result.seq_count;
-      node->smallest_ikey = result.smallest;
-      node->largest_ikey = result.largest;
-      node->range_lo = ExtractUserKey(result.smallest).ToString();
-      node->range_hi = ExtractUserKey(result.largest).ToString();
-      node->lifetime = std::make_shared<FileLifetime>(
-          db_->env(), TableFileName(db_->dbname(), file_number));
-      delta.added.emplace_back(0, node);
-      delta.edit.AddNode(ToEdit(*node, 0));
       db_->amp_stats_mutable()->RecordLevelWrite(1, WriteReason::kFlush,
-                                                 result.new_data_bytes);
+                                                 out.data_bytes());
       db_->amp_stats_mutable()->RecordLevelWrite(1, WriteReason::kMetadata,
-                                                 result.meta_bytes);
+                                                 out.meta_bytes());
     }
   } else {
     s = FlushInto([imm] { return imm->NewIterator(); }, smallest_snapshot,
@@ -1020,61 +819,28 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
       db_->mutex().lock();
       return s;
     }
-    ReadOptions merge_read;
-    merge_read.fill_cache = false;
-    merge_read.rate_limiter = db_->rate_limiter();
-    auto open_node = [&]() -> Iterator* {
-      std::vector<Iterator*> iters;
-      reader->AddSequenceIterators(merge_read, &iters);
-      return NewMergingIterator(db_->icmp(), iters.data(),
-                                static_cast<int>(iters.size()));
-    };
+    const ReadOptions merge_read = CompactionReadOptions(db_);
+    auto open_node = [&] { return reader->NewIterator(merge_read); };
 
     if (job.targets.empty()) {
       // FLSM emulation: rewrite the records into a fresh node one level
       // down instead of moving metadata (Sec 6.8's comparison).
-      uint64_t file_number, node_id;
-      {
-        std::lock_guard<std::mutex> l(db_->mutex());
-        file_number = db_->NewFileNumber();
-        node_id = db_->NewNodeId();
-      }
-      MSTableWriter writer(db_->env(), db_->options().table,
-                           TableFileName(db_->dbname(), file_number));
-      s = writer.Open();
-      MSTableBuildResult result;
+      CompactionOutput out(db_);
       CompactionStream stream(open_node(), smallest_snapshot,
                               /*bottommost=*/false);
-      while (stream.Valid() && s.ok()) {
-        s = writer.Add(stream.key(), stream.value());
-        stream.Next();
-      }
-      if (s.ok()) s = stream.status();
+      out.AddStream(&stream);
+      s = out.Finish();
       if (s.ok()) {
-        s = writer.Finish(/*sync=*/true, &result);
-      } else {
-        writer.Abandon();
-      }
-      if (s.ok()) {
-        auto out = std::make_shared<NodeMeta>();
-        out->node_id = node_id;
-        out->file_number = file_number;
-        out->meta_end = result.meta_end;
-        out->data_bytes = result.data_bytes;
-        out->num_entries = result.num_entries;
-        out->seq_count = result.seq_count;
-        out->smallest_ikey = result.smallest;
-        out->largest_ikey = result.largest;
-        out->range_lo = std::min(node->range_lo,
-                                 ExtractUserKey(result.smallest).ToString());
-        out->range_hi = std::max(node->range_hi,
-                                 ExtractUserKey(result.largest).ToString());
-        out->lifetime = std::make_shared<FileLifetime>(
-            db_->env(), TableFileName(db_->dbname(), file_number));
-        delta.added.emplace_back(level + 1, out);
-        delta.edit.AddNode(ToEdit(*out, level + 1));
+        for (const NodePtr& rewritten : out.outputs()) {
+          rewritten->range_lo = std::min(node->range_lo, rewritten->range_lo);
+          rewritten->range_hi = std::max(node->range_hi, rewritten->range_hi);
+          delta.added.emplace_back(level + 1, rewritten);
+          delta.edit.AddNode(ToEdit(*rewritten, level + 1));
+        }
         db_->amp_stats_mutable()->RecordLevelWrite(
-            level + 2, WriteReason::kMerge, result.data_bytes);
+            level + 2, WriteReason::kMerge, out.data_bytes());
+        db_->amp_stats_mutable()->RecordLevelWrite(
+            level + 2, WriteReason::kMetadata, out.meta_bytes());
       }
       destroy_parent = true;  // the rewrite replaces the move
     } else {
@@ -1124,90 +890,39 @@ Status AmtEngine::RunSplit(const Job& job) {
   std::shared_ptr<MSTableReader> reader;
   Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
                               db_->dbname(), &reader);
-  FlushDelta delta;
-  uint64_t written = 0, meta_written = 0;
+  // The left node takes the records below the boundary, the right one the
+  // rest; either may be empty, and then is not written.
+  CompactionOutput out(db_);
+  size_t left_count = 0;
   if (s.ok()) {
-    std::vector<Iterator*> iters;
-    ReadOptions merge_read;
-    merge_read.fill_cache = false;
-    merge_read.rate_limiter = db_->rate_limiter();
-    reader->AddSequenceIterators(merge_read, &iters);
-    Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
-                                          static_cast<int>(iters.size()));
-    CompactionStream stream(merged, smallest_snapshot, /*bottommost=*/false);
-
-    for (int side = 0; side < 2 && s.ok(); side++) {
-      std::unique_ptr<MSTableWriter> writer;
-      uint64_t out_file = 0, out_node = 0;
-      MSTableBuildResult result;
-      bool wrote_any = false;
-      while (stream.Valid() && s.ok()) {
-        Slice user_key = ExtractUserKey(stream.key());
-        bool left = user_key.compare(boundary) < 0;
-        if (side == 0 && !left) break;  // right side starts
-        if (writer == nullptr) {
-          {
-            std::lock_guard<std::mutex> l(db_->mutex());
-            out_file = db_->NewFileNumber();
-            out_node = db_->NewNodeId();
-          }
-          writer = std::make_unique<MSTableWriter>(
-              db_->env(), db_->options().table,
-              TableFileName(db_->dbname(), out_file));
-          s = writer->Open();
-          if (!s.ok()) break;
-        }
-        s = writer->Add(stream.key(), stream.value());
-        wrote_any = true;
-        stream.Next();
-      }
-      if (s.ok()) s = stream.status();
-      if (s.ok() && wrote_any) {
-        s = writer->Finish(/*sync=*/true, &result);
-        if (s.ok()) {
-          auto out = std::make_shared<NodeMeta>();
-          out->node_id = out_node;
-          out->file_number = out_file;
-          out->meta_end = result.meta_end;
-          out->data_bytes = result.data_bytes;
-          out->num_entries = result.num_entries;
-          out->seq_count = result.seq_count;
-          out->smallest_ikey = result.smallest;
-          out->largest_ikey = result.largest;
-          out->range_lo = ExtractUserKey(result.smallest).ToString();
-          out->range_hi = ExtractUserKey(result.largest).ToString();
-          if (side == 0) {
-            out->range_lo = std::min(out->range_lo, node->range_lo);
-          } else {
-            out->range_hi = std::max(out->range_hi, node->range_hi);
-          }
-          out->lifetime = std::make_shared<FileLifetime>(
-              db_->env(), TableFileName(db_->dbname(), out_file));
-          delta.added.emplace_back(level, out);
-          delta.edit.AddNode(ToEdit(*out, level));
-          written += result.data_bytes;
-          meta_written += result.meta_bytes;
-        }
-      } else if (writer != nullptr) {
-        writer->Abandon();
-      }
-    }
+    CompactionStream stream(reader->NewIterator(CompactionReadOptions(db_)),
+                            smallest_snapshot, /*bottommost=*/false);
+    out.AddStream(&stream, &boundary);
+    out.Cut();
+    left_count = out.outputs().size();
+    out.AddStream(&stream);
+    s = out.Finish();
   }
 
   db_->mutex().lock();
-  if (!s.ok()) {
-    for (const auto& [lvl, out] : delta.added) {
-      (void)lvl;
-      if (out->lifetime) out->lifetime->MarkObsolete();
-    }
-    return s;
-  }
+  if (!s.ok()) return s;
 
+  FlushDelta delta;
+  for (size_t i = 0; i < out.outputs().size(); i++) {
+    const NodePtr& half = out.outputs()[i];
+    if (i < left_count) {
+      half->range_lo = std::min(half->range_lo, node->range_lo);
+    } else {
+      half->range_hi = std::max(half->range_hi, node->range_hi);
+    }
+    delta.added.emplace_back(level, half);
+    delta.edit.AddNode(ToEdit(*half, level));
+  }
   db_->amp_stats_mutable()->RecordLevelWrite(level + 1, WriteReason::kSplit,
-                                             written);
+                                             out.data_bytes());
   db_->amp_stats_mutable()->RecordLevelWrite(level + 1,
                                              WriteReason::kMetadata,
-                                             meta_written);
+                                             out.meta_bytes());
   delta.edit.RemoveNode(level, node->node_id);
   delta.removed.emplace_back(level, node->node_id);
   if (node->lifetime) delta.obsolete.push_back(node->lifetime);

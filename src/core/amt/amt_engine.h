@@ -27,8 +27,9 @@
 //
 // Parallelism: a flush job's per-child work is independent — the partition
 // rule assigns each record to exactly one child — so FlushInto shards the
-// children across the thread pool (partitioned subcompactions) and
-// installs every shard's output in ONE VersionEdit.  Each shard streams
+// children across the thread pool (partitioned subcompactions, through
+// RunSubcompactions in core/compaction_output.h) and installs every
+// shard's output in ONE VersionEdit.  Each shard streams
 // its own key range of the read-only source straight into its children;
 // no partition is buffered.  Job-level conflicts are prevented by
 // busy-marking node ids under the DB mutex; shard-level conflicts cannot
@@ -168,7 +169,6 @@ class AmtEngine final : public TreeEngine {
 
   void RecomputeMixedLevel();
 
-  NodeEdit ToEdit(const NodeMeta& node, int level) const;
   NodePtr MakeEmptyNode(uint64_t node_id, const std::string& lo,
                         const std::string& hi) const;
 

@@ -321,19 +321,7 @@ Status DBImpl::WriteSnapshotManifest() {
   base.SetNumLevels(version->num_levels());
   for (int level = 0; level < version->num_levels(); level++) {
     for (const auto& node : version->level(level)) {
-      NodeEdit ne;
-      ne.level = level;
-      ne.node_id = node->node_id;
-      ne.file_number = node->file_number;
-      ne.meta_end = node->meta_end;
-      ne.data_bytes = node->data_bytes;
-      ne.num_entries = node->num_entries;
-      ne.seq_count = node->seq_count;
-      ne.range_lo = node->range_lo;
-      ne.range_hi = node->range_hi;
-      ne.smallest_ikey = node->smallest_ikey;
-      ne.largest_ikey = node->largest_ikey;
-      base.AddNode(ne);
+      base.AddNode(ToEdit(*node, level));
     }
   }
   uint64_t manifest_number = next_file_number_++;
@@ -1066,10 +1054,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
           Status s = node->OpenReader(counting_env_.get(), options_.table,
                                       &icmp_, dbname_, &reader);
           if (!s.ok()) return false;
-          std::vector<Iterator*> iters;
-          reader->AddSequenceIterators(digest_read, &iters);
-          std::unique_ptr<Iterator> merged(NewMergingIterator(
-              &icmp_, iters.data(), static_cast<int>(iters.size())));
+          std::unique_ptr<Iterator> merged(reader->NewIterator(digest_read));
           for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
             node_crc = crc32c::Extend(node_crc, merged->key().data(),
                                       merged->key().size());

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 
-#include "core/compaction_stream.h"
+#include "core/compaction_output.h"
 #include "core/db_impl.h"
 #include "core/filename.h"
 #include "table/merging_iterator.h"
 #include "util/rate_limiter.h"
-#include "util/task_group.h"
 
 namespace iamdb {
 
@@ -28,25 +26,6 @@ void SortLevel(std::vector<NodePtr>* nodes, int level) {
                 return a->range_lo < b->range_lo;
               });
   }
-}
-
-NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = e.node_id;
-  node->file_number = e.file_number;
-  node->meta_end = e.meta_end;
-  node->data_bytes = e.data_bytes;
-  node->num_entries = e.num_entries;
-  node->seq_count = e.seq_count;
-  node->range_lo = e.range_lo;
-  node->range_hi = e.range_hi;
-  node->smallest_ikey = e.smallest_ikey;
-  node->largest_ikey = e.largest_ikey;
-  if (e.file_number != 0) {
-    node->lifetime = std::make_shared<FileLifetime>(
-        env, TableFileName(dbname, e.file_number));
-  }
-  return node;
 }
 
 }  // namespace
@@ -182,22 +161,6 @@ Status LeveledEngine::BackgroundWork(WorkLane lane, bool* did_work) {
   return s;
 }
 
-NodeEdit LeveledEngine::ToEdit(const NodeMeta& node, int level) const {
-  NodeEdit e;
-  e.level = level;
-  e.node_id = node.node_id;
-  e.file_number = node.file_number;
-  e.meta_end = node.meta_end;
-  e.data_bytes = node.data_bytes;
-  e.num_entries = node.num_entries;
-  e.seq_count = node.seq_count;
-  e.range_lo = node.range_lo;
-  e.range_hi = node.range_hi;
-  e.smallest_ikey = node.smallest_ikey;
-  e.largest_ikey = node.largest_ikey;
-  return e;
-}
-
 void LeveledEngine::ApplyToVersion(const std::vector<NodePtr>& removed,
                                    const std::vector<NodePtr>& added,
                                    int add_level) {
@@ -227,58 +190,31 @@ Status LeveledEngine::FlushImm() {
   assert(imm != nullptr);
   imm->Ref();
   SequenceNumber smallest_snapshot = db_->SmallestSnapshot();
-  uint64_t file_number = db_->NewFileNumber();
-  uint64_t node_id = db_->NewNodeId();
 
   db_->mutex().unlock();
   // Build one L0 table from the whole memtable.
-  MSTableWriter writer(db_->env(), db_->options().table,
-                       TableFileName(db_->dbname(), file_number));
-  Status s = writer.Open();
-  MSTableBuildResult result;
-  if (s.ok()) {
+  CompactionOutput out(db_);
+  {
     CompactionStream stream(imm->NewIterator(), smallest_snapshot,
                             /*bottommost=*/false);
-    while (stream.Valid() && s.ok()) {
-      s = writer.Add(stream.key(), stream.value());
-      stream.Next();
-    }
-    if (s.ok()) s = stream.status();
-    if (s.ok()) {
-      s = writer.Finish(/*sync=*/true, &result);
-    } else {
-      writer.Abandon();
-    }
+    out.AddStream(&stream);
   }
+  Status s = out.Finish();
   imm->Unref();
   db_->mutex().lock();
   if (!s.ok()) return s;
 
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = node_id;
-  node->file_number = file_number;
-  node->meta_end = result.meta_end;
-  node->data_bytes = result.data_bytes;
-  node->num_entries = result.num_entries;
-  node->seq_count = result.seq_count;
-  node->smallest_ikey = result.smallest;
-  node->largest_ikey = result.largest;
-  node->range_lo = ExtractUserKey(result.smallest).ToString();
-  node->range_hi = ExtractUserKey(result.largest).ToString();
-  node->lifetime = std::make_shared<FileLifetime>(
-      db_->env(), TableFileName(db_->dbname(), file_number));
-
   db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kFlush,
-                                             result.new_data_bytes);
+                                             out.data_bytes());
   db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kMetadata,
-                                             result.meta_bytes);
+                                             out.meta_bytes());
 
   VersionEdit edit;
-  edit.AddNode(ToEdit(*node, 0));
+  for (const NodePtr& node : out.outputs()) edit.AddNode(ToEdit(*node, 0));
   edit.SetLogNumber(db_->CurrentLogNumber());
   s = db_->LogEdit(&edit);
   if (!s.ok()) return s;
-  ApplyToVersion({}, {node}, 0);
+  ApplyToVersion({}, out.outputs(), 0);
   db_->ImmFlushed();
   return Status::OK();
 }
@@ -299,19 +235,14 @@ Status LeveledEngine::CompactSubrange(
     const std::vector<NodePtr>& inputs0,
     const std::vector<NodePtr>& inputs1_group, const std::string* start,
     const std::string* stop, SequenceNumber smallest_snapshot, bool bottommost,
-    std::vector<NodePtr>* outputs, uint64_t* written_bytes,
-    uint64_t* meta_bytes) {
-  const Options& options = db_->options();
-
+    CompactionOutput* out) {
   Status s;
   std::vector<Iterator*> input_iters;
-  ReadOptions read_options;
-  read_options.fill_cache = false;
-  read_options.rate_limiter = db_->rate_limiter();
+  const ReadOptions read_options = CompactionReadOptions(db_);
   for (const auto* inputs : {&inputs0, &inputs1_group}) {
     for (const auto& node : *inputs) {
       std::shared_ptr<MSTableReader> reader;
-      s = node->OpenReader(db_->env(), options.table, db_->icmp(),
+      s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
                            db_->dbname(), &reader);
       if (!s.ok()) break;
       reader->AddSequenceIterators(read_options, &input_iters);
@@ -333,73 +264,10 @@ Status LeveledEngine::CompactSubrange(
     stream = std::make_unique<CompactionStream>(merged, smallest_snapshot,
                                                 bottommost);
   }
-
-  std::unique_ptr<MSTableWriter> writer;
-  uint64_t out_file_number = 0, out_node_id = 0;
-  MSTableBuildResult result;
-  auto finish_output = [&]() -> Status {
-    if (writer == nullptr) return Status::OK();
-    Status fs = writer->Finish(/*sync=*/true, &result);
-    if (!fs.ok()) return fs;
-    auto node = std::make_shared<NodeMeta>();
-    node->node_id = out_node_id;
-    node->file_number = out_file_number;
-    node->meta_end = result.meta_end;
-    node->data_bytes = result.data_bytes;
-    node->num_entries = result.num_entries;
-    node->seq_count = result.seq_count;
-    node->smallest_ikey = result.smallest;
-    node->largest_ikey = result.largest;
-    node->range_lo = ExtractUserKey(result.smallest).ToString();
-    node->range_hi = ExtractUserKey(result.largest).ToString();
-    node->lifetime = std::make_shared<FileLifetime>(
-        db_->env(), TableFileName(db_->dbname(), out_file_number));
-    outputs->push_back(std::move(node));
-    *written_bytes += result.data_bytes;
-    *meta_bytes += result.meta_bytes;
-    writer.reset();
-    return Status::OK();
-  };
-
-  std::string last_user_key;
-  while (stream->Valid() && s.ok()) {
-    Slice user_key = ExtractUserKey(stream->key());
-    // The boundary key itself belongs to the next shard (its stream seeks
-    // to the key's newest version, so no record is emitted twice).
-    if (stop != nullptr && user_key.compare(Slice(*stop)) >= 0) break;
-    // Cut outputs only at user-key boundaries: all versions of a key
-    // stay in one file, keeping level ranges user-key-disjoint (the
-    // invariant the point-read binary search relies on).
-    if (writer != nullptr &&
-        writer->EstimatedDataBytes() >= options.leveled.target_file_size &&
-        user_key != Slice(last_user_key)) {
-      s = finish_output();
-      if (!s.ok()) break;
-    }
-    if (writer == nullptr) {
-      {
-        std::lock_guard<std::mutex> l(db_->mutex());
-        out_file_number = db_->NewFileNumber();
-        out_node_id = db_->NewNodeId();
-      }
-      writer = std::make_unique<MSTableWriter>(
-          db_->env(), options.table,
-          TableFileName(db_->dbname(), out_file_number));
-      s = writer->Open();
-      if (!s.ok()) break;
-    }
-    s = writer->Add(stream->key(), stream->value());
-    if (!s.ok()) break;
-    last_user_key.assign(user_key.data(), user_key.size());
-    stream->Next();
-  }
-  if (s.ok()) s = stream->status();
-  if (s.ok()) {
-    s = finish_output();
-  } else if (writer != nullptr) {
-    writer->Abandon();
-  }
-  return s;
+  // The stop key itself belongs to the next shard (its stream seeks to the
+  // key's newest version, so no record is emitted twice).
+  out->AddStream(stream.get(), stop);
+  return out->Finish();
 }
 
 Status LeveledEngine::CompactLevel(int level) {
@@ -494,74 +362,39 @@ Status LeveledEngine::CompactLevel(int level) {
   db_->mutex().unlock();
 
   // Partitioned subcompaction: with several next-level inputs the merge
-  // splits into contiguous key-range shards along inputs1 node boundaries.
-  // Each shard merges ALL of inputs0 (bounded by the shard's range) with
-  // its own slice of inputs1 — inputs1 nodes are user-key-disjoint, so
-  // each belongs to exactly one shard and shards write disjoint outputs.
-  int fan = options.max_subcompactions > 0 ? options.max_subcompactions
-                                           : options.background_threads;
-  fan = std::min<int>(fan, static_cast<int>(inputs1.size()));
-
-  Status s;
+  // splits into contiguous key-range shards along inputs1 node boundaries,
+  // balanced by data bytes.  Each shard merges ALL of inputs0 (bounded by
+  // the shard's range) with its own slice of inputs1 — inputs1 nodes are
+  // user-key-disjoint, so each belongs to exactly one shard and shards
+  // write disjoint outputs.  A shard starts at its first inputs1 node's
+  // range_lo; inputs0 records below the first boundary go to shard 0.
+  std::vector<uint64_t> cost;
+  for (const auto& node : inputs1) cost.push_back(node->data_bytes);
+  // One output per shard, indexed by the shard's first inputs1 node.
+  std::vector<CompactionOutput> shards;
+  for (size_t i = 0; i < std::max<size_t>(inputs1.size(), 1); i++) {
+    shards.emplace_back(db_, options.leveled.target_file_size);
+  }
+  Status s = RunSubcompactions(
+      db_, cost, WorkLane::kCompaction, [&](size_t begin, size_t end) {
+        return CompactSubrange(
+            inputs0,
+            std::vector<NodePtr>(inputs1.begin() + begin,
+                                 inputs1.begin() + end),
+            begin == 0 ? nullptr : &inputs1[begin]->range_lo,
+            end < inputs1.size() ? &inputs1[end]->range_lo : nullptr,
+            smallest_snapshot, bottommost, &shards[begin]);
+      });
+  // Concatenate in shard order (shards cover increasing disjoint ranges,
+  // so this is also range order); collect even on failure so every
+  // written file gets obsoleted below.
   std::vector<NodePtr> outputs;
   uint64_t written_bytes = 0, meta_bytes = 0;
-
-  if (fan <= 1) {
-    s = CompactSubrange(inputs0, inputs1, nullptr, nullptr, smallest_snapshot,
-                        bottommost, &outputs, &written_bytes, &meta_bytes);
-  } else {
-    // Contiguous groups of inputs1 balanced by data bytes.
-    uint64_t total = 0;
-    for (const auto& node : inputs1) total += node->data_bytes;
-    std::vector<std::vector<NodePtr>> groups;
-    groups.emplace_back();
-    uint64_t per_group = total / fan + 1;
-    uint64_t acc = 0;
-    for (const auto& node : inputs1) {
-      if (acc >= per_group && static_cast<int>(groups.size()) < fan) {
-        groups.emplace_back();
-        acc = 0;
-      }
-      groups.back().push_back(node);
-      acc += node->data_bytes;
-    }
-    const size_t num_groups = groups.size();
-    // Shard boundaries: each non-first group starts at its first node's
-    // range_lo.  inputs0 records below the first boundary go to shard 0,
-    // and each record lands in exactly one shard.
-    std::vector<std::string> starts(num_groups);
-    for (size_t g = 1; g < num_groups; g++) {
-      starts[g] = groups[g].front()->range_lo;
-    }
-    std::vector<std::vector<NodePtr>> shard_outputs(num_groups);
-    std::vector<uint64_t> shard_written(num_groups, 0);
-    std::vector<uint64_t> shard_meta(num_groups, 0);
-
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(num_groups);
-    for (size_t g = 0; g < num_groups; g++) {
-      tasks.push_back([&, g]() -> Status {
-        // Pool helpers carry no priority scope of their own.
-        RateLimiter::ScopedPriority p(RateLimiter::IoPriority::kLow);
-        const std::string* start = g == 0 ? nullptr : &starts[g];
-        const std::string* stop = g + 1 < num_groups ? &starts[g + 1] : nullptr;
-        return CompactSubrange(inputs0, groups[g], start, stop,
-                               smallest_snapshot, bottommost,
-                               &shard_outputs[g], &shard_written[g],
-                               &shard_meta[g]);
-      });
-    }
-    db_->RecordSubcompactions(tasks.size());
-    s = TaskGroup::RunAll(db_->pool(), ThreadPool::Lane::kLow,
-                          std::move(tasks));
-    // Concatenate in shard order (shards cover increasing disjoint ranges,
-    // so this is also range order); collect even on failure so every
-    // written file gets obsoleted below.
-    for (size_t g = 0; g < num_groups; g++) {
-      for (auto& node : shard_outputs[g]) outputs.push_back(std::move(node));
-      written_bytes += shard_written[g];
-      meta_bytes += shard_meta[g];
-    }
+  for (const CompactionOutput& shard : shards) {
+    outputs.insert(outputs.end(), shard.outputs().begin(),
+                   shard.outputs().end());
+    written_bytes += shard.data_bytes();
+    meta_bytes += shard.meta_bytes();
   }
 
   db_->mutex().lock();

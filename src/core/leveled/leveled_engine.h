@@ -24,6 +24,7 @@
 
 namespace iamdb {
 
+class CompactionOutput;
 class DBImpl;
 
 class LeveledEngine final : public TreeEngine {
@@ -63,15 +64,13 @@ class LeveledEngine final : public TreeEngine {
 
   // One key-range shard of a partitioned compaction: merges all of
   // `inputs0` with `inputs1_group` over the user-key span
-  // [*start, *stop) — null bounds mean open-ended — cutting outputs at
-  // target_file_size.  Runs on pool helpers; appends to *outputs and the
-  // byte counters only (the caller owns the VersionEdit).  Mutex NOT held.
+  // [*start, *stop) — null bounds mean open-ended — into `out` (the caller
+  // owns the VersionEdit).  Runs on pool helpers.  Mutex NOT held.
   Status CompactSubrange(const std::vector<NodePtr>& inputs0,
                          const std::vector<NodePtr>& inputs1_group,
                          const std::string* start, const std::string* stop,
                          SequenceNumber smallest_snapshot, bool bottommost,
-                         std::vector<NodePtr>* outputs,
-                         uint64_t* written_bytes, uint64_t* meta_bytes);
+                         CompactionOutput* out);
 
   // Mutex held: apply removed/added to the current version and publish.
   void ApplyToVersion(const std::vector<NodePtr>& removed,
@@ -80,7 +79,6 @@ class LeveledEngine final : public TreeEngine {
   std::vector<NodePtr> OverlappingInputs(const TreeVersion& version, int level,
                                          const Slice& lo_user,
                                          const Slice& hi_user) const;
-  NodeEdit ToEdit(const NodeMeta& node, int level) const;
 
   DBImpl* db_;
   // Stores happen at open time or under the DB mutex (ApplyToVersion) —

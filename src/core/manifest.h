@@ -20,22 +20,6 @@
 
 namespace iamdb {
 
-// Serializable image of a NodeMeta (everything but runtime handles).
-struct NodeEdit {
-  int level = 0;
-  uint64_t node_id = 0;
-  uint64_t file_number = 0;
-  uint64_t meta_end = 0;
-  uint64_t data_bytes = 0;
-  uint64_t num_entries = 0;
-  uint32_t seq_count = 0;
-  std::string range_lo, range_hi;
-  std::string smallest_ikey, largest_ikey;
-
-  void EncodeTo(std::string* dst) const;
-  bool DecodeFrom(Slice* input);
-};
-
 class VersionEdit {
  public:
   void SetLogNumber(uint64_t num) { log_number_ = num; }

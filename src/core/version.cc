@@ -31,4 +31,57 @@ std::shared_ptr<MSTableReader> NodeMeta::OpenedReader() const {
   return reader_;
 }
 
+NodePtr NodeFromBuild(const MSTableBuildResult& result, uint64_t node_id,
+                      uint64_t file_number,
+                      std::shared_ptr<FileLifetime> lifetime) {
+  auto node = std::make_shared<NodeMeta>();
+  node->node_id = node_id;
+  node->file_number = file_number;
+  node->meta_end = result.meta_end;
+  node->data_bytes = result.data_bytes;
+  node->num_entries = result.num_entries;
+  node->seq_count = result.seq_count;
+  node->smallest_ikey = result.smallest;
+  node->largest_ikey = result.largest;
+  node->range_lo = ExtractUserKey(result.smallest).ToString();
+  node->range_hi = ExtractUserKey(result.largest).ToString();
+  node->lifetime = std::move(lifetime);
+  return node;
+}
+
+NodeEdit ToEdit(const NodeMeta& node, int level) {
+  NodeEdit e;
+  e.level = level;
+  e.node_id = node.node_id;
+  e.file_number = node.file_number;
+  e.meta_end = node.meta_end;
+  e.data_bytes = node.data_bytes;
+  e.num_entries = node.num_entries;
+  e.seq_count = node.seq_count;
+  e.range_lo = node.range_lo;
+  e.range_hi = node.range_hi;
+  e.smallest_ikey = node.smallest_ikey;
+  e.largest_ikey = node.largest_ikey;
+  return e;
+}
+
+NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
+  auto node = std::make_shared<NodeMeta>();
+  node->node_id = e.node_id;
+  node->file_number = e.file_number;
+  node->meta_end = e.meta_end;
+  node->data_bytes = e.data_bytes;
+  node->num_entries = e.num_entries;
+  node->seq_count = e.seq_count;
+  node->range_lo = e.range_lo;
+  node->range_hi = e.range_hi;
+  node->smallest_ikey = e.smallest_ikey;
+  node->largest_ikey = e.largest_ikey;
+  if (e.file_number != 0) {
+    node->lifetime = std::make_shared<FileLifetime>(
+        env, TableFileName(dbname, e.file_number));
+  }
+  return node;
+}
+
 }  // namespace iamdb

@@ -6,6 +6,8 @@
 //  * NodeMeta      — one node: key range, data stats, lazily-opened reader.
 //    Immutable once published (appends produce a NEW NodeMeta for the same
 //    file at a larger meta_end).
+//  * NodeEdit      — a node's manifest image, and the conversions between
+//    it, NodeMeta and a finished table build.
 //  * TreeVersion   — immutable snapshot of the whole tree (levels of nodes).
 //    Reads grab a shared_ptr under the DB mutex and then run lock-free.
 #pragma once
@@ -90,6 +92,34 @@ struct NodeMeta {
 };
 
 using NodePtr = std::shared_ptr<NodeMeta>;
+
+// Serializable image of a NodeMeta (everything but runtime handles); the
+// manifest encodes it (core/manifest.cc).
+struct NodeEdit {
+  int level = 0;
+  uint64_t node_id = 0;
+  uint64_t file_number = 0;
+  uint64_t meta_end = 0;
+  uint64_t data_bytes = 0;
+  uint64_t num_entries = 0;
+  uint32_t seq_count = 0;
+  std::string range_lo, range_hi;
+  std::string smallest_ikey, largest_ikey;
+
+  void EncodeTo(std::string* dst) const;
+  bool DecodeFrom(Slice* input);
+};
+
+// The node a finished table build describes: its data stats and its exact
+// key range (callers widen the range where a node must cover more).
+NodePtr NodeFromBuild(const MSTableBuildResult& result, uint64_t node_id,
+                      uint64_t file_number,
+                      std::shared_ptr<FileLifetime> lifetime);
+
+// A node's manifest image at `level`, and the node an image describes (a
+// file-backed one gets a fresh FileLifetime for the file in `dbname`).
+NodeEdit ToEdit(const NodeMeta& node, int level);
+NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname);
 
 // An immutable picture of the tree.  levels()[0] is the first ON-DISK level
 // (L1 in the paper for AMT; L0 for the leveled engine).  The first

@@ -138,6 +138,24 @@ TEST_F(AmtEngineTest, FlsmEmulationRewritesOnSequentialLoad) {
   EXPECT_GT(stats.total_write_amp, 2.0);
 }
 
+TEST_F(AmtEngineTest, FlsmRewriteAccountsItsMetadata) {
+  // A rewritten node writes a fresh metadata region, which write amp
+  // counts like every other output's; a move writes none.
+  uint64_t metadata[2];
+  for (bool rewrite : {false, true}) {
+    Options options = BaseOptions();
+    options.amt.policy = AmtPolicy::kLsa;
+    options.amt.rewrite_on_flush = rewrite;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, rewrite ? "/meta_flsm" : "/meta_lsa", &db)
+                    .ok());
+    Load(db.get(), 40000, /*sequential=*/true);
+    metadata[rewrite] = db->amp_stats().reason_bytes(WriteReason::kMetadata);
+  }
+  EXPECT_GT(metadata[0], 0u);
+  EXPECT_GT(metadata[1], metadata[0]);
+}
+
 TEST_F(AmtEngineTest, HashLoadInvariantsHold) {
   for (AmtPolicy policy : {AmtPolicy::kLsa, AmtPolicy::kIam}) {
     Options options = BaseOptions();
