@@ -278,7 +278,7 @@ void BM_MSTableAppendSequence(benchmark::State& state) {
     MSTableReader::Open(&env, options, &cmp, "/t", 1, base.meta_end, &reader);
     state.ResumeTiming();
 
-    MSTableAppender appender(&env, options, "/t", *reader);
+    MSTableWriter appender(&env, options, "/t", reader.get());
     appender.Open();
     for (int i = 1; i < 4000; i += 8) {
       appender.Add(MakeIKey(i, 2), value);

@@ -511,41 +511,32 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
   if (!do_merge) {
     // ---- Append path: one more sequence on the target's file, or the
     // first file of an empty placeholder ----
-    MSTableBuildResult result;
-    auto drain = [&](auto& table) -> Status {
-      Status s = table.Open();
-      for (; s.ok() && records->Valid(); records->Next()) {
-        s = table.Add(records->key(), records->value());
-      }
-      if (s.ok()) s = records->status();
-      if (s.ok()) return table.Finish(/*sync=*/true, &result);
-      table.Abandon();
-      return s;
-    };
-    Status s;
     uint64_t file_number = target->file_number;
     std::shared_ptr<FileLifetime> lifetime = target->lifetime;
-    if (target->file_number == 0) {
-      {
-        std::lock_guard<std::mutex> l(db_->mutex());
-        file_number = db_->NewFileNumber();
-      }
-      MSTableWriter writer(db_->env(), options.table,
-                           TableFileName(db_->dbname(), file_number));
-      s = drain(writer);
-      if (!s.ok()) return s;
-      lifetime = std::make_shared<FileLifetime>(
-          db_->env(), TableFileName(db_->dbname(), file_number));
+    std::shared_ptr<MSTableReader> reader;
+    Status s;
+    if (file_number == 0) {
+      std::lock_guard<std::mutex> l(db_->mutex());
+      file_number = db_->NewFileNumber();
     } else {
-      std::shared_ptr<MSTableReader> reader;
       s = target->OpenReader(db_->env(), options.table, db_->icmp(),
                              db_->dbname(), &reader);
       if (!s.ok()) return s;
-      MSTableAppender appender(db_->env(), options.table,
-                               TableFileName(db_->dbname(), file_number),
-                               *reader);
-      s = drain(appender);
-      if (!s.ok()) return s;
+    }
+    const std::string fname = TableFileName(db_->dbname(), file_number);
+    // On failure the writer abandons: a new file is removed, the target's
+    // own file stays readable at its recorded meta_end.
+    MSTableWriter writer(db_->env(), options.table, fname, reader.get());
+    s = writer.Open();
+    for (; s.ok() && records->Valid(); records->Next()) {
+      s = writer.Add(records->key(), records->value());
+    }
+    if (s.ok()) s = records->status();
+    MSTableBuildResult result;
+    if (s.ok()) s = writer.Finish(/*sync=*/true, &result);
+    if (!s.ok()) return s;
+    if (lifetime == nullptr) {
+      lifetime = std::make_shared<FileLifetime>(db_->env(), fname);
     }
 
     NodePtr updated = NodeFromBuild(result, target->node_id, file_number,

@@ -64,8 +64,7 @@ Status CompactionOutput::Cut() {
 Status CompactionOutput::Finish() {
   Cut();
   if (!status_.ok()) {
-    if (writer_ != nullptr) writer_->Abandon();
-    writer_.reset();
+    writer_.reset();  // abandons the open file
     for (const NodePtr& node : outputs_) node->lifetime->MarkObsolete();
   }
   return status_;

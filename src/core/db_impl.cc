@@ -975,7 +975,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
                   "stalls=%.1fs\n",
                   stats.space_used_bytes / 1048576.0,
                   stats.cache_usage / 1048576.0,
-                  options_.block_cache_capacity / 1048576.0,
+                  block_cache_->capacity() / 1048576.0,
                   100.0 * stats.cache_hits /
                       std::max<uint64_t>(1, stats.cache_hits +
                                                 stats.cache_misses),

@@ -51,32 +51,14 @@ NodePtr NodeFromBuild(const MSTableBuildResult& result, uint64_t node_id,
 
 NodeEdit ToEdit(const NodeMeta& node, int level) {
   NodeEdit e;
+  static_cast<NodeImage&>(e) = node;
   e.level = level;
-  e.node_id = node.node_id;
-  e.file_number = node.file_number;
-  e.meta_end = node.meta_end;
-  e.data_bytes = node.data_bytes;
-  e.num_entries = node.num_entries;
-  e.seq_count = node.seq_count;
-  e.range_lo = node.range_lo;
-  e.range_hi = node.range_hi;
-  e.smallest_ikey = node.smallest_ikey;
-  e.largest_ikey = node.largest_ikey;
   return e;
 }
 
 NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
   auto node = std::make_shared<NodeMeta>();
-  node->node_id = e.node_id;
-  node->file_number = e.file_number;
-  node->meta_end = e.meta_end;
-  node->data_bytes = e.data_bytes;
-  node->num_entries = e.num_entries;
-  node->seq_count = e.seq_count;
-  node->range_lo = e.range_lo;
-  node->range_hi = e.range_hi;
-  node->smallest_ikey = e.smallest_ikey;
-  node->largest_ikey = e.largest_ikey;
+  static_cast<NodeImage&>(*node) = e;
   if (e.file_number != 0) {
     node->lifetime = std::make_shared<FileLifetime>(
         env, TableFileName(dbname, e.file_number));

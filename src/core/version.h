@@ -3,11 +3,12 @@
 //  * FileLifetime  — RAII owner of an on-disk table file; the physical file
 //    is unlinked when the last reference drops AND it was marked obsolete,
 //    so live iterators/readers on old versions never lose their data.
-//  * NodeMeta      — one node: key range, data stats, lazily-opened reader.
-//    Immutable once published (appends produce a NEW NodeMeta for the same
-//    file at a larger meta_end).
-//  * NodeEdit      — a node's manifest image, and the conversions between
-//    it, NodeMeta and a finished table build.
+//  * NodeImage     — a node's recorded fields: key range and data stats.
+//  * NodeMeta      — one live node: its image plus the file lifetime and a
+//    lazily-opened reader.  Immutable once published (appends produce a NEW
+//    NodeMeta for the same file at a larger meta_end).
+//  * NodeEdit      — a node's image at a level as the manifest records it,
+//    and the conversions between it, NodeMeta and a finished table build.
 //  * TreeVersion   — immutable snapshot of the whole tree (levels of nodes).
 //    Reads grab a shared_ptr under the DB mutex and then run lock-free.
 #pragma once
@@ -47,7 +48,8 @@ class FileLifetime {
   std::atomic<bool> obsolete_{false};
 };
 
-struct NodeMeta {
+// A node's recorded fields: everything the manifest persists about it.
+struct NodeImage {
   // Stable identity across appends/emptiness (file_number changes when an
   // empty node gets its first file).
   uint64_t node_id = 0;
@@ -67,7 +69,9 @@ struct NodeMeta {
   // Data extremes as internal keys (empty when the node is empty).
   std::string smallest_ikey;
   std::string largest_ikey;
+};
 
+struct NodeMeta : NodeImage {
   std::shared_ptr<FileLifetime> lifetime;
 
   bool empty() const { return file_number == 0 || data_bytes == 0; }
@@ -93,18 +97,9 @@ struct NodeMeta {
 
 using NodePtr = std::shared_ptr<NodeMeta>;
 
-// Serializable image of a NodeMeta (everything but runtime handles); the
-// manifest encodes it (core/manifest.cc).
-struct NodeEdit {
+// A node's image at a level, as the manifest encodes it (core/manifest.cc).
+struct NodeEdit : NodeImage {
   int level = 0;
-  uint64_t node_id = 0;
-  uint64_t file_number = 0;
-  uint64_t meta_end = 0;
-  uint64_t data_bytes = 0;
-  uint64_t num_entries = 0;
-  uint32_t seq_count = 0;
-  std::string range_lo, range_hi;
-  std::string smallest_ikey, largest_ikey;
 
   void EncodeTo(std::string* dst) const;
   bool DecodeFrom(Slice* input);

@@ -12,17 +12,21 @@
 
 // Global allocation counter for the zero-allocation-on-hit test.  Replacing
 // operator new/delete is sanctioned by the standard; the counter only has to
-// be monotone, not exact.
+// be monotone, not exact.  The replacements stay out of line: a delete
+// inlined to free() next to a new that stays a call is what GCC's
+// -Wmismatched-new-delete reports.
 static std::atomic<uint64_t> g_allocations{0};
 
-void* operator new(size_t size) {
+[[gnu::noinline]] void* operator new(size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace iamdb {
 namespace {

@@ -4,7 +4,12 @@
 // fault clears and the store is reopened.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+
 #include "core/db.h"
+#include "core/filename.h"
+#include "core/manifest.h"
 #include "env/fault_injection_env.h"
 #include "env/mem_env.h"
 #include "test_seed.h"
@@ -138,6 +143,72 @@ TEST_P(FaultTest, RepeatedFaultCycles) {
     faulty_.Heal();
     db.reset();
   }
+}
+
+// An empty placeholder node (an L1 node that flushed into its children)
+// gets a new file on its next append.  If writing that file fails, the file
+// must be gone at once, not left for the next open's clean-up: the table
+// files on disk are exactly the live version's.
+TEST(PlaceholderFaultTest, FailedFirstFileLeavesNoTableFile) {
+  MemEnv mem;
+  FaultInjectionEnv faulty(&mem);
+  Options options;
+  options.env = &faulty;
+  options.engine = EngineType::kAmt;
+  options.node_capacity = 24 << 10;
+  options.table.block_size = 1024;
+  options.amt.fanout = 4;
+  options.background_threads = 1;
+  options.table.compression = test::TestCompression();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+
+  // Overwrite until the live tree holds an L1 placeholder.
+  const std::string value(100, 'v');
+  Random64 rnd(17);
+  RecoveredState state;
+  std::optional<std::string> placeholder_lo;
+  for (int round = 0; round < 50 && !placeholder_lo; round++) {
+    for (int i = 0; i < 500; i++) {
+      char key[32];
+      snprintf(key, sizeof(key), "key%06d",
+               static_cast<int>(rnd.Next() % 4000));
+      ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+    }
+    ASSERT_TRUE(db->FlushAll().ok());
+    ASSERT_TRUE(RecoverManifest(&faulty, "/db", &state).ok());
+    if (state.nodes.empty()) continue;
+    for (const NodeEdit& node : state.nodes[0]) {
+      if (node.file_number == 0) placeholder_lo = node.range_lo;
+    }
+  }
+  ASSERT_TRUE(placeholder_lo.has_value());
+
+  // One record in the placeholder's range: the memtable flush appends to
+  // that node alone.  Writes fail from here on; the memtable switch writes
+  // nothing, so the first failing write is the data block that the new
+  // file's Finish writes.
+  ASSERT_TRUE(db->Put(WriteOptions(), *placeholder_lo, value).ok());
+  faulty.SetErrorSchedule(kFaultWrite, /*seed=*/1, /*one_in=*/1);
+  Status s = db->FlushAll();
+  EXPECT_NE(std::string::npos, s.ToString().find(".mst")) << s.ToString();
+
+  ASSERT_TRUE(RecoverManifest(&faulty, "/db", &state).ok());
+  std::set<uint64_t> live;
+  for (const auto& level : state.nodes) {
+    for (const NodeEdit& node : level) live.insert(node.file_number);
+  }
+  std::vector<std::string> children;
+  ASSERT_TRUE(faulty.GetChildren("/db", &children).ok());
+  for (const std::string& child : children) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(child, &number, &type) &&
+        type == FileType::kTableFile) {
+      EXPECT_EQ(1u, live.count(number)) << child << " is not live";
+    }
+  }
+  faulty.Heal();
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, FaultTest,

@@ -231,7 +231,7 @@ TEST(CompactionStreamTest, BlockBackedSlicesStableUntilNext) {
     ASSERT_TRUE(MSTableReader::Open(&env, options, &icmp, fname, 1,
                                     result.meta_end, &reader)
                     .ok());
-    MSTableAppender appender(&env, options, fname, *reader);
+    MSTableWriter appender(&env, options, fname, reader.get());
     ASSERT_TRUE(appender.Open().ok());
     for (const auto& [k, v] : halves[1]) ASSERT_TRUE(appender.Add(k, v).ok());
     ASSERT_TRUE(appender.Finish(false, &result).ok());

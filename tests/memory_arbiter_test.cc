@@ -271,6 +271,15 @@ TEST(MemoryArbiterTest, WriteQuotaControlsRotation) {
   std::string text;
   ASSERT_TRUE(db->GetProperty("iamdb.stats", &text));
   EXPECT_NE(text.find("arbiter"), std::string::npos);
+  // With no compressed tier the cache holds the whole read share, and the
+  // stats line shows that capacity, not the block_cache_capacity ratio.
+  const size_t cache_at = text.find(" cache=");
+  ASSERT_NE(cache_at, std::string::npos) << text;
+  const size_t slash = text.find('/', cache_at);
+  char want[32];
+  snprintf(want, sizeof(want), "/%.1fMB",
+           stats.arbiter_read_bytes / 1048576.0);
+  EXPECT_EQ(want, text.substr(slash, text.find(' ', slash) - slash)) << text;
 }
 
 // ---- Online retuning vs fresh-open equivalence ----

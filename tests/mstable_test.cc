@@ -1,12 +1,14 @@
 // MSTable tests: build/read round trips, appended sequences, metadata
 // clustering, crash-tolerance of appends (stale meta_end still readable),
-// point reads across sequences with MVCC, merged iteration.
+// clean-up of abandoned and failed writes, point reads across sequences
+// with MVCC, merged iteration.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "core/dbformat.h"
 #include "env/counting_env.h"
+#include "env/fault_injection_env.h"
 #include "env/mem_env.h"
 #include "table/cache.h"
 #include "table/compressor.h"
@@ -50,7 +52,7 @@ class MSTableTest : public testing::Test {
   MSTableBuildResult Append(
       const std::string& fname, const MSTableReader& existing,
       const std::vector<std::pair<std::string, std::string>>& entries) {
-    MSTableAppender appender(&env_, options_, fname, existing);
+    MSTableWriter appender(&env_, options_, fname, &existing);
     EXPECT_TRUE(appender.Open().ok());
     for (const auto& [k, v] : entries) {
       EXPECT_TRUE(appender.Add(k, v).ok());
@@ -190,6 +192,87 @@ TEST_F(MSTableTest, MultipleAppendsAccumulate) {
   EXPECT_EQ("v5", Get(*reader, "a", 100, &state));
   EXPECT_EQ("v3", Get(*reader, "a", 3, &state));
   EXPECT_EQ("v1", Get(*reader, "a", 1, &state));
+}
+
+TEST_F(MSTableTest, AbandonedNewFileLeavesNoFile) {
+  {
+    MSTableWriter writer(&env_, options_, "/tab1");
+    ASSERT_TRUE(writer.Open().ok());
+    ASSERT_TRUE(writer.Add(IKey("a", 1), "v").ok());
+    writer.Abandon();
+    EXPECT_FALSE(env_.FileExists("/tab1"));
+  }
+  // A writer destroyed unfinished abandons too.
+  {
+    MSTableWriter writer(&env_, options_, "/tab2");
+    ASSERT_TRUE(writer.Open().ok());
+    ASSERT_TRUE(writer.Add(IKey("a", 1), "v").ok());
+  }
+  EXPECT_FALSE(env_.FileExists("/tab2"));
+}
+
+TEST_F(MSTableTest, AbandonedAppendLeavesNodeReadable) {
+  auto r = BuildNew("/tap", {{IKey("a", 1), "a1"}, {IKey("b", 1), "b1"}});
+  {
+    auto reader = OpenReader("/tap", r.meta_end);
+    MSTableWriter appender(&env_, options_, "/tap", reader.get());
+    ASSERT_TRUE(appender.Open().ok());
+    // Enough records that data blocks land past the recorded meta_end.
+    for (int i = 0; i < 100; i++) {
+      char key[16];
+      snprintf(key, sizeof(key), "c%03d", i);
+      ASSERT_TRUE(appender.Add(IKey(key, 2), std::string(100, 'x')).ok());
+    }
+    appender.Abandon();
+  }
+  uint64_t file_size = 0;
+  ASSERT_TRUE(env_.GetFileSize("/tap", &file_size).ok());
+  EXPECT_GT(file_size, r.meta_end);
+
+  auto reader = OpenReader("/tap", r.meta_end, 2);
+  EXPECT_EQ(1, reader->seq_count());
+  EXPECT_EQ(2u, reader->total_entries());
+  MultiGetRequest::State state;
+  EXPECT_EQ("a1", Get(*reader, "a", 100, &state));
+  EXPECT_EQ("b1", Get(*reader, "b", 100, &state));
+
+  // The next append writes past the abandoned bytes.
+  auto r2 = Append("/tap", *reader, {{IKey("a", 3), "a3"}});
+  auto reader2 = OpenReader("/tap", r2.meta_end, 3);
+  EXPECT_EQ(2, reader2->seq_count());
+  EXPECT_EQ("a3", Get(*reader2, "a", 100, &state));
+  EXPECT_EQ("b1", Get(*reader2, "b", 100, &state));
+  Get(*reader2, "c000", 100, &state);
+  EXPECT_EQ(MultiGetRequest::State::kPending, state);
+}
+
+TEST_F(MSTableTest, FailedFinishCleansUpAsAbandonDoes) {
+  FaultInjectionEnv faulty(&env_);
+  MSTableBuildResult result;
+  {
+    MSTableWriter writer(&faulty, options_, "/tfn");
+    ASSERT_TRUE(writer.Open().ok());
+    ASSERT_TRUE(writer.Add(IKey("a", 1), "v").ok());
+    faulty.SetErrorSchedule(kFaultSync, /*seed=*/1, /*one_in=*/1);
+    EXPECT_FALSE(writer.Finish(/*sync=*/true, &result).ok());
+    faulty.ClearErrorSchedule();
+    EXPECT_FALSE(env_.FileExists("/tfn"));
+  }
+
+  auto r = BuildNew("/tfa", {{IKey("a", 1), "a1"}});
+  {
+    auto reader = OpenReader("/tfa", r.meta_end);
+    MSTableWriter appender(&faulty, options_, "/tfa", reader.get());
+    ASSERT_TRUE(appender.Open().ok());
+    ASSERT_TRUE(appender.Add(IKey("a", 2), "a2").ok());
+    faulty.SetErrorSchedule(kFaultSync, /*seed=*/1, /*one_in=*/1);
+    EXPECT_FALSE(appender.Finish(/*sync=*/true, &result).ok());
+    faulty.ClearErrorSchedule();
+  }
+  auto reader = OpenReader("/tfa", r.meta_end, 2);
+  EXPECT_EQ(1, reader->seq_count());
+  MultiGetRequest::State state;
+  EXPECT_EQ("a1", Get(*reader, "a", 100, &state));
 }
 
 TEST_F(MSTableTest, DeletionTombstoneVisible) {

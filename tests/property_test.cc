@@ -163,7 +163,7 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
       ASSERT_TRUE(MSTableReader::Open(&env, options, &cmp, "/t", append,
                                       meta_end, &reader)
                       .ok());
-      MSTableAppender appender(&env, options, "/t", *reader);
+      MSTableWriter appender(&env, options, "/t", reader.get());
       ASSERT_TRUE(appender.Open().ok());
       for (const auto& [k, v] : batch) {
         ASSERT_TRUE(appender.Add(IKey(k, seq), v).ok());
