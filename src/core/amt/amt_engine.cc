@@ -8,21 +8,9 @@
 #include "core/db_impl.h"
 #include "core/filename.h"
 #include "table/merging_iterator.h"
-#include "util/rate_limiter.h"
 #include "util/sync_point.h"
 
 namespace iamdb {
-
-namespace {
-
-void SortByRange(std::vector<NodePtr>* nodes) {
-  std::sort(nodes->begin(), nodes->end(),
-            [](const NodePtr& a, const NodePtr& b) {
-              return a->range_lo < b->range_lo;
-            });
-}
-
-}  // namespace
 
 // The records one flush target receives under the left-biased gap rule: a
 // forward-only view of a shard's CompactionStream that ends before the
@@ -82,25 +70,16 @@ class AmtEngine::PartitionIterator final : public Iterator {
   std::string last_user_key_;
 };
 
-AmtEngine::AmtEngine(DBImpl* db) : db_(db) {
-  current_.Store(
-      std::make_shared<const TreeVersion>(std::vector<std::vector<NodePtr>>()));
+AmtEngine::AmtEngine(DBImpl* db)
+    : TreeEngine(db, /*num_levels=*/0, /*overlapping_levels=*/0) {
   RecomputeMixedLevel();
 }
 
 Status AmtEngine::Recover(const RecoveredState& state) {
-  std::vector<std::vector<NodePtr>> levels(state.num_levels);
-  for (int level = 0; level < static_cast<int>(state.nodes.size()); level++) {
-    for (const NodeEdit& e : state.nodes[level]) {
-      levels[level].push_back(NodeFromEdit(e, db_->env(), db_->dbname()));
-    }
-    SortByRange(&levels[level]);
-  }
-  current_.Store(std::make_shared<const TreeVersion>(std::move(levels)));
-  RecomputeMixedLevel();
-  // The recovered-state computation above is the baseline, not a retune.
+  Status s = TreeEngine::Recover(state);
+  // The recovered-state computation is the baseline, not a retune.
   mk_retunes_.store(0, std::memory_order_relaxed);
-  return Status::OK();
+  return s;
 }
 
 int AmtEngine::Fanout() const { return db_->options().amt.fanout; }
@@ -185,28 +164,34 @@ std::vector<NodePtr> AmtEngine::Children(const TreeVersion& version, int level,
 // ---------------------------------------------------------------------------
 // Picking
 
-bool AmtEngine::AnyBusy(const Job& job, const std::set<uint64_t>& busy) {
-  if (job.node != nullptr && busy.count(job.node->node_id)) return true;
-  for (const auto& t : job.targets) {
-    if (busy.count(t->node_id)) return true;
-  }
-  return false;
+TreeEngine::Job AmtEngine::NodeJob(const TreeVersion& version, int level,
+                                   const NodePtr& node) const {
+  Job job;
+  job.level = level;
+  job.node = node;
+  job.targets = Children(version, level, *node);
+  job.claims.push_back(node->node_id);
+  for (const auto& t : job.targets) job.claims.push_back(t->node_id);
+  return job;
 }
 
-void AmtEngine::MarkBusyIn(const Job& job, std::set<uint64_t>* busy) {
-  if (job.node != nullptr) busy->insert(job.node->node_id);
-  for (const auto& t : job.targets) busy->insert(t->node_id);
+AmtEngine::JobKind AmtEngine::FullNodeKind(const Job& job) const {
+  const double split_at = db_->options().amt.split_child_factor * Fanout();
+  return job.targets.size() >= static_cast<size_t>(split_at) &&
+                 job.targets.size() >= 2
+             ? kSplit
+             : kFlushNode;
 }
 
-void AmtEngine::MarkBusy(const Job& job) { MarkBusyIn(job, &busy_nodes_); }
-
-void AmtEngine::ClearBusy(const Job& job) {
-  if (job.node != nullptr) busy_nodes_.erase(job.node->node_id);
-  for (const auto& t : job.targets) busy_nodes_.erase(t->node_id);
+bool AmtEngine::PickJob(WorkLane lane, const std::set<uint64_t>& claimed,
+                        Job* job) const {
+  TreeVersionPtr version = current_version();
+  return lane == WorkLane::kFlush ? PickFlushJob(*version, claimed, job)
+                                  : PickCompactionJob(*version, claimed, job);
 }
 
 bool AmtEngine::PickCompactionJob(const TreeVersion& version,
-                                  const std::set<uint64_t>& busy,
+                                  const std::set<uint64_t>& claimed,
                                   Job* job) const {
   const int n = version.num_levels();
   const uint64_t capacity = NodeCapacity();
@@ -215,7 +200,7 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
   //    pre-processing: n increases, a fresh empty leaf level appears).
   if (n > 0 &&
       version.level(n - 1).size() >= LevelNodeLimit(n - 1)) {
-    job->type = Job::Type::kGrow;
+    job->kind = kGrow;
     return true;
   }
 
@@ -235,23 +220,18 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
       size_t tcn =
           min_tcn ? Children(version, level, combined).size() : i;
       if (tcn < best_tcn) {
-        Job probe;
-        probe.node = nodes[i];
-        probe.targets = Children(version, level, *nodes[i]);
-        if (AnyBusy(probe, busy)) continue;
+        if (AnyClaimed(NodeJob(version, level, nodes[i]), claimed)) continue;
         best_tcn = tcn;
         best = i;
         if (!min_tcn) break;  // naive: first available candidate
       }
     }
-    if (best == SIZE_MAX) continue;  // everything busy; try other levels
+    if (best == SIZE_MAX) continue;  // everything claimed; try other levels
     // Paper: candidates must satisfy Tcn <= 3t and the set is non-empty on
     // average; under extreme skew we still take the global minimum so the
     // node-count invariant is always restored.
-    job->type = Job::Type::kCombine;
-    job->level = level;
-    job->node = nodes[best];
-    job->targets = Children(version, level, *job->node);
+    *job = NodeJob(version, level, nodes[best]);
+    job->kind = kCombine;
     return true;
   }
 
@@ -264,10 +244,8 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
       if (node->data_bytes < capacity || node->data_bytes <= best_bytes) {
         continue;
       }
-      Job probe;
-      probe.node = node;
-      probe.targets = Children(version, level, *node);
-      if (AnyBusy(probe, busy)) continue;
+      Job probe = NodeJob(version, level, node);
+      if (AnyClaimed(probe, claimed)) continue;
       // Precondition (Sec 4.2.1): an internal child that is itself full
       // must be flushed first.  The pick compares across levels, so a
       // shallow node could otherwise be chosen over its own full child.
@@ -283,13 +261,7 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
         }
         if (full_internal_child) continue;
       }
-      probe.level = level;
-      const double split_at =
-          db_->options().amt.split_child_factor * Fanout();
-      probe.type = probe.targets.size() >= static_cast<size_t>(split_at) &&
-                           probe.targets.size() >= 2
-                       ? Job::Type::kSplit
-                       : Job::Type::kFlushNode;
+      probe.kind = FullNodeKind(probe);
       best = probe;
       best_bytes = probe.node->data_bytes;
     }
@@ -299,8 +271,9 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
   return true;
 }
 
-bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) const {
-  if (db_->imm() == nullptr || imm_flush_running_) return false;
+bool AmtEngine::PickFlushJob(const TreeVersion& version,
+                             const std::set<uint64_t>& claimed,
+                             Job* job) const {
   const int n = version.num_levels();
   const uint64_t capacity = NodeCapacity();
 
@@ -308,8 +281,8 @@ bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) const {
   // when none do (sequential loads), the memtable becomes a brand-new node
   // written exactly once.
   Job probe;
-  probe.type = Job::Type::kFlushImm;
-  probe.level = -1;
+  probe.kind = kFlushImm;
+  probe.flushes_imm = true;
   if (n > 0) {
     std::string imm_lo, imm_hi;
     {
@@ -327,53 +300,19 @@ bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) const {
         // the flush lane — with flush priority — instead of waiting for
         // the compaction queue to reach it, so the stalled writer is
         // unblocked as fast as the prerequisite allows.
-        Job pre;
-        pre.level = 0;
-        pre.node = node;
-        pre.targets = Children(version, 0, *node);
-        if (AnyBusy(pre, busy_nodes_)) return false;  // being handled now
-        const double split_at =
-            db_->options().amt.split_child_factor * Fanout();
-        pre.type = pre.targets.size() >= static_cast<size_t>(split_at) &&
-                           pre.targets.size() >= 2
-                       ? Job::Type::kSplit
-                       : Job::Type::kFlushNode;
+        Job pre = NodeJob(version, 0, node);
+        if (AnyClaimed(pre, claimed)) return false;  // being handled now
+        pre.kind = FullNodeKind(pre);
         *job = pre;
         return true;
       }
       probe.targets.push_back(node);
+      probe.claims.push_back(node->node_id);
     }
   }
-  if (AnyBusy(probe, busy_nodes_)) return false;
+  if (AnyClaimed(probe, claimed)) return false;
   *job = probe;
   return true;
-}
-
-int AmtEngine::RunnableJobs(WorkLane lane, int max) const {
-  if (max <= 0) return 0;
-  TreeVersionPtr version = current_version();
-  if (lane == WorkLane::kFlush) {
-    // The flush worker's own pick: the imm flush, or the full-L1-child
-    // prerequisite blocking it.  A pick that fails here is blocked by a
-    // busy mark, and the job holding it runs a scheduling pass when it
-    // completes — so no worker is woken just to find that out.
-    Job job;
-    return PickFlushJob(*version, &job) ? 1 : 0;
-  }
-  // Simulate the scheduler: pick, busy-mark, repeat.  Every non-grow pick
-  // marks at least its own node busy, so the loop terminates.
-  std::set<uint64_t> busy = busy_nodes_;
-  int count = 0;
-  while (count < max) {
-    Job job;
-    if (!PickCompactionJob(*version, busy, &job)) break;
-    count++;
-    // Grow mutates the level count under the mutex and serializes with
-    // everything; it marks nothing busy, so stop simulating past it.
-    if (job.type == Job::Type::kGrow) break;
-    MarkBusyIn(job, &busy);
-  }
-  return count;
 }
 
 TreeEngine::WritePressure AmtEngine::GetWritePressure() const {
@@ -382,95 +321,22 @@ TreeEngine::WritePressure AmtEngine::GetWritePressure() const {
   return WritePressure::kNone;
 }
 
-Status AmtEngine::BackgroundWork(WorkLane lane, bool* did_work) {
-  *did_work = false;
-  TreeVersionPtr version = current_version();
-  Job job;
-  if (lane == WorkLane::kFlush) {
-    if (!PickFlushJob(*version, &job)) return Status::OK();
-  } else {
-    if (!PickCompactionJob(*version, busy_nodes_, &job)) return Status::OK();
+Status AmtEngine::RunJob(const Job& job, WorkLane lane) {
+  switch (job.kind) {
+    case kGrow: {
+      // The leaf level is full: a fresh empty leaf level appears.
+      Delta grow;
+      grow.num_levels = current_version()->num_levels() + 1;
+      return Install(grow);
+    }
+    case kFlushImm:
+      return RunFlushImm(job, lane);
+    case kFlushNode:
+    case kCombine:
+      return RunFlushNode(job, /*destroy_parent=*/job.kind == kCombine, lane);
+    default:
+      return RunSplit(job);
   }
-  *did_work = true;
-
-  if (job.type == Job::Type::kGrow) return RunGrow();
-
-  // Flush-lane I/O outranks merge I/O at the rate limiter for the whole
-  // job on this thread; subcompaction shards re-establish the scope on
-  // their own threads (FlushInto).
-  RateLimiter::ScopedPriority prio(lane == WorkLane::kFlush
-                                       ? RateLimiter::IoPriority::kHigh
-                                       : RateLimiter::IoPriority::kLow);
-
-  MarkBusy(job);
-  if (job.type == Job::Type::kFlushImm) imm_flush_running_ = true;
-  Status s;
-  switch (job.type) {
-    case Job::Type::kFlushImm:
-      s = RunFlushImm(job, lane);
-      break;
-    case Job::Type::kFlushNode:
-      s = RunFlushNode(job, /*destroy_parent=*/false, lane);
-      break;
-    case Job::Type::kCombine:
-      s = RunFlushNode(job, /*destroy_parent=*/true, lane);
-      break;
-    case Job::Type::kSplit:
-      s = RunSplit(job);
-      break;
-    case Job::Type::kGrow:
-      break;
-  }
-  if (job.type == Job::Type::kFlushImm) imm_flush_running_ = false;
-  ClearBusy(job);
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Version application
-
-void AmtEngine::ApplyToVersion(
-    const std::vector<std::pair<int, uint64_t>>& removed,
-    const std::vector<std::pair<int, NodePtr>>& added, int new_num_levels) {
-  TreeVersionPtr base = current_version();
-  std::vector<std::vector<NodePtr>> levels = base->levels();
-  if (new_num_levels > static_cast<int>(levels.size())) {
-    levels.resize(new_num_levels);
-  }
-  for (const auto& [level, node_id] : removed) {
-    auto& nodes = levels[level];
-    nodes.erase(std::remove_if(nodes.begin(), nodes.end(),
-                               [&, id = node_id](const NodePtr& node) {
-                                 return node->node_id == id;
-                               }),
-                nodes.end());
-  }
-  for (const auto& [level, node] : added) {
-    levels[level].push_back(node);
-  }
-  for (auto& nodes : levels) SortByRange(&nodes);
-  current_.Store(std::make_shared<const TreeVersion>(std::move(levels)));
-  RecomputeMixedLevel();
-}
-
-NodePtr AmtEngine::MakeEmptyNode(uint64_t node_id, const std::string& lo,
-                                 const std::string& hi) const {
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = node_id;
-  node->range_lo = lo;
-  node->range_hi = hi;
-  return node;
-}
-
-Status AmtEngine::RunGrow() {
-  TreeVersionPtr version = current_version();
-  int new_count = version->num_levels() + 1;
-  VersionEdit edit;
-  edit.SetNumLevels(new_count);
-  Status s = db_->LogEdit(&edit);
-  if (!s.ok()) return s;
-  ApplyToVersion({}, {}, new_count);
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +350,7 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
                                  int tlevel, bool is_leaf,
                                  WriteReason append_reason,
                                  SequenceNumber smallest_snapshot,
-                                 FlushDelta* frag) {
+                                 Delta* frag) {
   const Options& options = db_->options();
   const uint64_t capacity = NodeCapacity();
   const int paper_level = tlevel + 1;
@@ -598,8 +464,7 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     db_->amp_stats_mutable()->RecordLevelWrite(
         paper_level, WriteReason::kMetadata, out.meta_bytes());
 
-    frag->removed.emplace_back(tlevel, target->node_id);
-    if (target->lifetime) frag->obsolete.push_back(target->lifetime);
+    frag->Retire(tlevel, target);
     for (const auto& node : outputs) {
       frag->added.emplace_back(tlevel, node);
     }
@@ -612,7 +477,7 @@ Status AmtEngine::FlushInto(const SourceOpener& open_source,
                             uint64_t source_bytes, int tlevel,
                             const std::vector<NodePtr>& targets, bool is_leaf,
                             WriteReason append_reason, WorkLane lane,
-                            FlushDelta* delta) {
+                            Delta* delta) {
   SequenceNumber smallest_snapshot;
   {
     std::lock_guard<std::mutex> l(db_->mutex());
@@ -633,7 +498,7 @@ Status AmtEngine::FlushInto(const SourceOpener& open_source,
   // target i owns [range_lo(i), range_lo(i+1)) of the source, and a group
   // of contiguous targets owns one key range, which it streams from its
   // own iterator: nothing is buffered between the source and the targets.
-  std::vector<FlushDelta> fragments(targets.size());
+  std::vector<Delta> fragments(targets.size());
   auto run_group = [&](size_t begin, size_t end) -> Status {
     std::unique_ptr<CompactionStream> stream;
     if (begin == 0) {
@@ -683,19 +548,13 @@ Status AmtEngine::FlushInto(const SourceOpener& open_source,
   }
 
   // Deterministic install order: child order, independent of shard timing.
-  for (size_t i = 0; i < targets.size(); i++) {
-    FlushDelta& frag = fragments[i];
-    for (const auto& [lvl, node_id] : frag.removed) {
-      delta->removed.emplace_back(lvl, node_id);
-      delta->edit.RemoveNode(lvl, node_id);
-    }
-    for (const auto& [lvl, node] : frag.added) {
-      delta->added.emplace_back(lvl, node);
-      delta->edit.AddNode(ToEdit(*node, lvl));
-    }
-    for (auto& lifetime : frag.obsolete) {
-      delta->obsolete.push_back(std::move(lifetime));
-    }
+  for (const Delta& frag : fragments) {
+    delta->removed.insert(delta->removed.end(), frag.removed.begin(),
+                          frag.removed.end());
+    delta->added.insert(delta->added.end(), frag.added.begin(),
+                        frag.added.end());
+    delta->obsolete.insert(delta->obsolete.end(), frag.obsolete.begin(),
+                           frag.obsolete.end());
   }
   return Status::OK();
 }
@@ -706,14 +565,13 @@ Status AmtEngine::RunFlushImm(const Job& job, WorkLane lane) {
   assert(imm != nullptr);
   imm->Ref();
   SequenceNumber smallest_snapshot = db_->SmallestSnapshot();
-  TreeVersionPtr version = current_version();
-  int n = version->num_levels();
-  const uint64_t current_log = db_->CurrentLogNumber();
+  const int n = current_version()->num_levels();
 
   db_->mutex().unlock();
 
-  FlushDelta delta;
-  delta.new_num_levels = std::max(n, 1);
+  Delta delta;
+  delta.num_levels = 1;  // an empty tree gains its first level
+  delta.flushes_imm = true;
   Status s;
   if (job.targets.empty()) {
     // No L1 nodes overlap (or none exist): the memtable becomes one new L1
@@ -729,7 +587,6 @@ Status AmtEngine::RunFlushImm(const Job& job, WorkLane lane) {
     if (s.ok()) {
       for (const NodePtr& node : out.outputs()) {
         delta.added.emplace_back(0, node);
-        delta.edit.AddNode(ToEdit(*node, 0));
       }
       db_->amp_stats_mutable()->RecordLevelWrite(1, WriteReason::kFlush,
                                                  out.data_bytes());
@@ -745,15 +602,7 @@ Status AmtEngine::RunFlushImm(const Job& job, WorkLane lane) {
 
   db_->mutex().lock();
   if (!s.ok()) return s;
-  delta.edit.SetLogNumber(current_log);
-  if (delta.new_num_levels > n) delta.edit.SetNumLevels(delta.new_num_levels);
-  s = db_->LogEdit(&delta.edit);
-  if (!s.ok()) return s;
-  ApplyToVersion(delta.removed, delta.added,
-                 std::max(delta.new_num_levels, n));
-  for (const auto& lifetime : delta.obsolete) lifetime->MarkObsolete();
-  db_->ImmFlushed();
-  return Status::OK();
+  return Install(delta);
 }
 
 Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
@@ -761,8 +610,7 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
   // Mutex held on entry.
   const NodePtr& node = job.node;
   const int level = job.level;
-  TreeVersionPtr version = current_version();
-  const int n = version->num_levels();
+  const int n = current_version()->num_levels();
   SequenceNumber smallest_snapshot = db_->SmallestSnapshot();
   const bool rewrite = db_->options().amt.rewrite_on_flush;
 
@@ -770,37 +618,32 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
   // no data to flush and dropping its range narrows nothing that the
   // partition rule can't reassign.
   if (node->empty()) {
-    VersionEdit edit;
-    edit.RemoveNode(level, node->node_id);
-    Status s = db_->LogEdit(&edit);
-    if (!s.ok()) return s;
-    ApplyToVersion({{level, node->node_id}}, {}, n);
-    return Status::OK();
+    Delta drop;
+    drop.removed.emplace_back(level, node->node_id);
+    return Install(drop);
   }
 
   // Metadata-only move: no overlapping children (Sec 4.2.1 "Without
   // children, the node is directly moved to the next level").
   if (job.targets.empty() && !rewrite) {
-    VersionEdit edit;
-    edit.RemoveNode(level, node->node_id);
-    edit.AddNode(ToEdit(*node, level + 1));
-    Status s = db_->LogEdit(&edit);
+    Delta move;
+    move.removed.emplace_back(level, node->node_id);
+    move.added.emplace_back(level + 1, node);
+    Status s = Install(move);
     if (!s.ok()) return s;
-    ApplyToVersion({{level, node->node_id}}, {{level + 1, node}}, n);
     db_->amp_stats_mutable()->RecordLevelWrite(level + 2, WriteReason::kMove,
                                                0);
     return Status::OK();
   }
 
   db_->mutex().unlock();
-  // Arg: the flushed node's version index (const int*).  The job's busy
-  // marks are held and the DB mutex is not.
+  // Arg: the flushed node's version index (const int*).  The job's claims
+  // are held and the DB mutex is not.
   IAMDB_SYNC_POINT_ARG("AmtEngine::RunFlushNode:Unlocked",
                        const_cast<int*>(&level));
 
   Status s;
-  FlushDelta delta;
-  delta.new_num_levels = n;
+  Delta delta;
   {
     // The node's records: its sequences merged in memory (Sec 4.2.1).
     std::shared_ptr<MSTableReader> reader;
@@ -826,7 +669,6 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
           rewritten->range_lo = std::min(node->range_lo, rewritten->range_lo);
           rewritten->range_hi = std::max(node->range_hi, rewritten->range_hi);
           delta.added.emplace_back(level + 1, rewritten);
-          delta.edit.AddNode(ToEdit(*rewritten, level + 1));
         }
         db_->amp_stats_mutable()->RecordLevelWrite(
             level + 2, WriteReason::kMerge, out.data_bytes());
@@ -846,23 +688,17 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
   if (!s.ok()) return s;
 
   // The parent's data moved out.
-  delta.edit.RemoveNode(level, node->node_id);
-  delta.removed.emplace_back(level, node->node_id);
-  if (node->lifetime) delta.obsolete.push_back(node->lifetime);
+  delta.Retire(level, node);
   if (!destroy_parent) {
     // Keep the node as an empty range placeholder (flushes preserve the
     // level's node count and range coverage; Sec 4.2.1).
-    NodePtr placeholder =
-        MakeEmptyNode(node->node_id, node->range_lo, node->range_hi);
+    auto placeholder = std::make_shared<NodeMeta>();
+    placeholder->node_id = node->node_id;
+    placeholder->range_lo = node->range_lo;
+    placeholder->range_hi = node->range_hi;
     delta.added.emplace_back(level, placeholder);
-    delta.edit.AddNode(ToEdit(*placeholder, level));
   }
-
-  s = db_->LogEdit(&delta.edit);
-  if (!s.ok()) return s;
-  ApplyToVersion(delta.removed, delta.added, delta.new_num_levels);
-  for (const auto& lifetime : delta.obsolete) lifetime->MarkObsolete();
-  return Status::OK();
+  return Install(delta);
 }
 
 Status AmtEngine::RunSplit(const Job& job) {
@@ -870,8 +706,6 @@ Status AmtEngine::RunSplit(const Job& job) {
   // its middle child (Sec 4.2.2).
   const NodePtr& node = job.node;
   const int level = job.level;
-  TreeVersionPtr version = current_version();
-  const int n = version->num_levels();
   SequenceNumber smallest_snapshot = db_->SmallestSnapshot();
   assert(job.targets.size() >= 2);
   std::string boundary = job.targets[job.targets.size() / 2]->range_lo;
@@ -898,7 +732,7 @@ Status AmtEngine::RunSplit(const Job& job) {
   db_->mutex().lock();
   if (!s.ok()) return s;
 
-  FlushDelta delta;
+  Delta delta;
   for (size_t i = 0; i < out.outputs().size(); i++) {
     const NodePtr& half = out.outputs()[i];
     if (i < left_count) {
@@ -907,22 +741,14 @@ Status AmtEngine::RunSplit(const Job& job) {
       half->range_hi = std::max(half->range_hi, node->range_hi);
     }
     delta.added.emplace_back(level, half);
-    delta.edit.AddNode(ToEdit(*half, level));
   }
   db_->amp_stats_mutable()->RecordLevelWrite(level + 1, WriteReason::kSplit,
                                              out.data_bytes());
   db_->amp_stats_mutable()->RecordLevelWrite(level + 1,
                                              WriteReason::kMetadata,
                                              out.meta_bytes());
-  delta.edit.RemoveNode(level, node->node_id);
-  delta.removed.emplace_back(level, node->node_id);
-  if (node->lifetime) delta.obsolete.push_back(node->lifetime);
-
-  s = db_->LogEdit(&delta.edit);
-  if (!s.ok()) return s;
-  ApplyToVersion(delta.removed, delta.added, n);
-  for (const auto& lifetime : delta.obsolete) lifetime->MarkObsolete();
-  return Status::OK();
+  delta.Retire(level, node);
+  return Install(delta);
 }
 
 uint64_t AmtEngine::CompactionDebtBytes() const {

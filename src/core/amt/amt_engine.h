@@ -31,9 +31,10 @@
 // RunSubcompactions in core/compaction_output.h) and installs every
 // shard's output in ONE VersionEdit.  Each shard streams
 // its own key range of the read-only source straight into its children;
-// no partition is buffered.  Job-level conflicts are prevented by
-// busy-marking node ids under the DB mutex; shard-level conflicts cannot
-// exist because shards own disjoint children.
+// no partition is buffered.  Job-level conflicts are prevented by the
+// skeleton's claims (core/tree_engine.h): a node job claims the node and
+// its targets' node ids; shard-level conflicts cannot exist because shards
+// own disjoint children.
 #pragma once
 
 #include <atomic>
@@ -48,7 +49,6 @@
 #include "core/compaction_stream.h"
 #include "core/tree_engine.h"
 #include "stats/amp_stats.h"
-#include "util/published_ptr.h"
 
 namespace iamdb {
 
@@ -59,16 +59,10 @@ class AmtEngine final : public TreeEngine {
   explicit AmtEngine(DBImpl* db);
 
   Status Recover(const RecoveredState& state) override;
-  int RunnableJobs(WorkLane lane, int max) const override;
-  Status BackgroundWork(WorkLane lane, bool* did_work) override;
   WritePressure GetWritePressure() const override;
   uint64_t CompactionDebtBytes() const override;
   void FillStats(DbStats* stats) const override;
-  void OnMemoryRetune() override { RecomputeMixedLevel(); }
-  TreeVersionPtr current_version() const override {
-    return current_.Snapshot();
-  }
-  uint64_t version_stamp() const override { return current_.stamp(); }
+  void Retune() override { RecomputeMixedLevel(); }
   Status CheckInvariants(bool quiescent) const override;
 
   // Current mixed-level decision (recomputed when the version changes).
@@ -77,24 +71,10 @@ class AmtEngine final : public TreeEngine {
   }
 
  private:
-  struct Job {
-    enum class Type { kGrow, kFlushImm, kFlushNode, kSplit, kCombine } type;
-    int level = -1;  // version index of `node` (paper level - 1)
-    NodePtr node;
-    std::vector<NodePtr> targets;  // overlapping children (next level)
-  };
-
-  // Structural changes accumulated while flushing into a target set.
-  // Subcompaction shards fill per-shard deltas (removed/added/obsolete
-  // only); FlushInto merges them in child order and builds the edit, so
-  // the installed VersionEdit is identical however shards interleave.
-  struct FlushDelta {
-    std::vector<std::pair<int, uint64_t>> removed;
-    std::vector<std::pair<int, NodePtr>> added;
-    std::vector<std::shared_ptr<FileLifetime>> obsolete;
-    VersionEdit edit;
-    int new_num_levels = 0;
-  };
+  // A job's `kind`.  Its `level` is the version index of its `node`
+  // (paper level - 1), and its `targets` are the overlapping next-level
+  // nodes: the node's children, or the imm's L1 nodes for an imm flush.
+  enum JobKind { kGrow, kFlushImm, kFlushNode, kSplit, kCombine };
 
   // Opens a new iterator over a flush job's read-only source: the imm, or
   // the parent node's merged sequences.  Every subcompaction shard calls
@@ -114,19 +94,25 @@ class AmtEngine final : public TreeEngine {
   uint64_t LevelNodeLimit(int version_index) const;  // t^(index+1)
 
   // Pickers (mutex held).  Compaction lane: deepest structural violation
-  // first (grow, combine, full-node flush/split), skipping jobs whose
-  // nodes appear in `busy`.  Flush lane: the imm flush, or — when a full
+  // first (grow, combine, full-node flush/split), skipping jobs that claim
+  // a node in `claimed`.  Flush lane: the imm flush, or — when a full
   // internal L1 child blocks it (Sec 4.2.1 precondition) — that child's
   // flush job, run with flush priority so the stalled writer never waits
   // behind the merge queue.
+  bool PickJob(WorkLane lane, const std::set<uint64_t>& claimed,
+               Job* job) const override;
   bool PickCompactionJob(const TreeVersion& version,
-                         const std::set<uint64_t>& busy, Job* job) const;
-  bool PickFlushJob(const TreeVersion& version, Job* job) const;
+                         const std::set<uint64_t>& claimed, Job* job) const;
+  bool PickFlushJob(const TreeVersion& version,
+                    const std::set<uint64_t>& claimed, Job* job) const;
 
-  static bool AnyBusy(const Job& job, const std::set<uint64_t>& busy);
-  static void MarkBusyIn(const Job& job, std::set<uint64_t>* busy);
-  void MarkBusy(const Job& job);
-  void ClearBusy(const Job& job);
+  // A job on `node` at version index `level`: its targets are the node's
+  // children, and it claims the node and every target.
+  Job NodeJob(const TreeVersion& version, int level,
+              const NodePtr& node) const;
+  // What a full node's job does (Sec 4.2.2): split once it has
+  // split_child_factor x t children (and at least two), else flush down.
+  JobKind FullNodeKind(const Job& job) const;
 
   // Children of `node` (at version index `level`) = next-level nodes whose
   // range overlaps the node's range.
@@ -136,7 +122,7 @@ class AmtEngine final : public TreeEngine {
   // Executors (mutex held on entry/exit, unlocked around I/O).  `lane` is
   // the scheduler lane the job runs on: it selects the fan-out lane for
   // subcompaction shards and the rate-limiter priority of the job's I/O.
-  Status RunGrow();
+  Status RunJob(const Job& job, WorkLane lane) override;
   Status RunFlushImm(const Job& job, WorkLane lane);
   Status RunFlushNode(const Job& job, bool destroy_parent, WorkLane lane);
   Status RunSplit(const Job& job);
@@ -151,7 +137,7 @@ class AmtEngine final : public TreeEngine {
                    SequenceNumber source_snapshot, uint64_t source_bytes,
                    int tlevel, const std::vector<NodePtr>& targets,
                    bool is_leaf, WriteReason append_reason, WorkLane lane,
-                   FlushDelta* delta);
+                   Delta* delta);
 
   // One target's append-or-merge step (one subcompaction unit).  Runs on
   // pool helpers or the job thread; touches only its own target/records/
@@ -160,24 +146,10 @@ class AmtEngine final : public TreeEngine {
   Status FlushOneTarget(const NodePtr& target,
                         std::unique_ptr<PartitionIterator> records, int tlevel,
                         bool is_leaf, WriteReason append_reason,
-                        SequenceNumber smallest_snapshot, FlushDelta* frag);
-
-  // Apply a structural delta to the latest version and publish.
-  void ApplyToVersion(
-      const std::vector<std::pair<int, uint64_t>>& removed,
-      const std::vector<std::pair<int, NodePtr>>& added, int new_num_levels);
+                        SequenceNumber smallest_snapshot, Delta* frag);
 
   void RecomputeMixedLevel();
 
-  NodePtr MakeEmptyNode(uint64_t node_id, const std::string& lo,
-                        const std::string& hi) const;
-
-  DBImpl* db_;
-  // Stores happen at open time or under the DB mutex (ApplyToVersion) —
-  // the serialization PublishedPtr requires.  Reads take an epoch guard.
-  PublishedPtr<const TreeVersion> current_;
-  std::set<uint64_t> busy_nodes_;  // node ids owned by running jobs
-  bool imm_flush_running_ = false;
   // Written under the DB mutex; read lock-free from reads/stats/flushes.
   std::atomic<MixedLevelChoice> mixed_{MixedLevelChoice{}};
   // Times the stored (m,k) changed after open — tree growth or an arbiter

@@ -812,7 +812,7 @@ void DBImpl::MaybeScheduleBackgroundWork() {
   // could pick a flush job now.  Flushes serialize on the single imm slot,
   // so one worker is always enough — and the high lane guarantees it never
   // queues behind merges.  A flush the engine cannot pick is blocked by a
-  // busy mark, and the job holding that mark runs a pass when it ends.
+  // claim, and the job holding that claim runs a pass when it ends.
   if (imm_ != nullptr && !flush_scheduled_ &&
       engine_->RunnableJobs(TreeEngine::WorkLane::kFlush, 1) > 0) {
     flush_scheduled_ = true;
@@ -826,7 +826,7 @@ void DBImpl::MaybeScheduleBackgroundWork() {
     }
   }
   // Compaction lane: exactly one worker per job the engine could start
-  // right now given what is already running (busy-marking simulated by
+  // right now given what is already running (claims simulated by
   // RunnableJobs) — not one per pool slot, which would wake workers that
   // immediately find every job conflicted and exit.
   int slots = pool_->num_threads() - compactions_scheduled_;
@@ -845,12 +845,12 @@ void DBImpl::MaybeScheduleBackgroundWork() {
 }
 
 void DBImpl::MaybeRebalanceMemory() {
-  // mutex_ held.  OnMemoryRetune only fires when the division actually
+  // mutex_ held.  Retune only fires when the division actually
   // moved — the AMT tuner re-run reads the new cache capacity.
   if (arbiter_ == nullptr || !arbiter_->RetuneDue()) return;
   if (arbiter_->MaybeRebalance(stall_micros_.load(std::memory_order_relaxed),
                                engine_->CompactionDebtBytes())) {
-    engine_->OnMemoryRetune();
+    engine_->Retune();
   }
 }
 
@@ -868,7 +868,7 @@ bool DBImpl::ForceMemoryStep(MemoryArbiter::Shift direction) {
   if (arbiter_ == nullptr) return false;
   std::lock_guard<std::mutex> l(mutex_);
   bool moved = arbiter_->ForceStep(direction);
-  if (moved) engine_->OnMemoryRetune();
+  if (moved) engine_->Retune();
   return moved;
 }
 
@@ -886,7 +886,7 @@ void DBImpl::BackgroundCall(TreeEngine::WorkLane lane) {
   }
   if (did_work) {
     IAMDB_SYNC_POINT("DBImpl::BackgroundCall:RanJob");
-    // One job per wakeup: the finished job released its busy marks and
+    // One job per wakeup: the finished job released its claims and
     // may have made more work runnable, so a pass hands that to fresh
     // workers, and the pool consults its high lane before starting them.
     MaybeScheduleBackgroundWork();

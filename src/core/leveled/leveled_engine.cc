@@ -7,48 +7,18 @@
 #include "core/db_impl.h"
 #include "core/filename.h"
 #include "table/merging_iterator.h"
-#include "util/rate_limiter.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 
-namespace {
-
-// Sort orders: L0 by age (node_id), deeper levels by key range.
-void SortLevel(std::vector<NodePtr>* nodes, int level) {
-  if (level == 0) {
-    std::sort(nodes->begin(), nodes->end(),
-              [](const NodePtr& a, const NodePtr& b) {
-                return a->node_id < b->node_id;
-              });
-  } else {
-    std::sort(nodes->begin(), nodes->end(),
-              [](const NodePtr& a, const NodePtr& b) {
-                return a->range_lo < b->range_lo;
-              });
-  }
-}
-
-}  // namespace
-
-LeveledEngine::LeveledEngine(DBImpl* db) : db_(db) {
-  current_.Store(std::make_shared<const TreeVersion>(
-      std::vector<std::vector<NodePtr>>(kNumLevels), kOverlappingLevels));
-}
+LeveledEngine::LeveledEngine(DBImpl* db)
+    : TreeEngine(db, kNumLevels, kOverlappingLevels) {}
 
 Status LeveledEngine::Recover(const RecoveredState& state) {
-  std::vector<std::vector<NodePtr>> levels(kNumLevels);
-  for (int level = 0; level < static_cast<int>(state.nodes.size()); level++) {
-    if (level >= kNumLevels) {
-      return Status::Corruption("leveled manifest has too many levels");
-    }
-    for (const NodeEdit& e : state.nodes[level]) {
-      levels[level].push_back(NodeFromEdit(e, db_->env(), db_->dbname()));
-    }
-    SortLevel(&levels[level], level);
+  if (state.nodes.size() > static_cast<size_t>(kNumLevels)) {
+    return Status::Corruption("leveled manifest has too many levels");
   }
-  current_.Store(std::make_shared<const TreeVersion>(std::move(levels),
-                                                     kOverlappingLevels));
-  return Status::OK();
+  return TreeEngine::Recover(state);
 }
 
 uint64_t LeveledEngine::MaxBytesForLevel(int level) const {
@@ -73,7 +43,8 @@ uint64_t LeveledEngine::LevelDebtBytes(const TreeVersion& version,
   return bytes > limit ? bytes - limit : 0;
 }
 
-int LeveledEngine::PickCompactionLevel(const std::set<int>& busy) const {
+int LeveledEngine::PickCompactionLevel(
+    const std::set<uint64_t>& claimed) const {
   TreeVersionPtr version = current_version();
   // Greedy debt scheduling: take the level owing the most bytes, not the
   // first or best-ratio one.  A level is eligible exactly when its debt is
@@ -82,7 +53,7 @@ int LeveledEngine::PickCompactionLevel(const std::set<int>& busy) const {
   uint64_t best_debt = 0;
   int best_level = -1;
   for (int level = 0; level < kNumLevels - 1; level++) {
-    if (busy.count(level) || busy.count(level + 1)) continue;
+    if (claimed.count(level) || claimed.count(level + 1)) continue;
     uint64_t debt = LevelDebtBytes(*version, level);
     if (debt > best_debt) {
       best_debt = debt;
@@ -92,32 +63,32 @@ int LeveledEngine::PickCompactionLevel(const std::set<int>& busy) const {
   return best_level;
 }
 
-uint64_t LeveledEngine::PendingCompactionDebt() const {
-  TreeVersionPtr version = current_version();
+uint64_t LeveledEngine::PendingCompactionDebt(
+    const TreeVersion& version) const {
   uint64_t debt = 0;
   for (int level = 1; level < kNumLevels; level++) {
-    debt += LevelDebtBytes(*version, level);
+    debt += LevelDebtBytes(version, level);
   }
   return debt;
 }
 
-int LeveledEngine::RunnableJobs(WorkLane lane, int max) const {
-  if (max <= 0) return 0;
+bool LeveledEngine::PickJob(WorkLane lane, const std::set<uint64_t>& claimed,
+                            Job* job) const {
   if (lane == WorkLane::kFlush) {
-    return db_->imm() != nullptr && !imm_flush_running_ ? 1 : 0;
+    job->flushes_imm = true;
+    return true;
   }
-  // Simulate the scheduler: each pick occupies its input and output
-  // levels, so concurrent compactions operate on disjoint level pairs.
-  std::set<int> busy = busy_levels_;
-  int count = 0;
-  while (count < max) {
-    int level = PickCompactionLevel(busy);
-    if (level < 0) break;
-    busy.insert(level);
-    busy.insert(level + 1);
-    count++;
-  }
-  return count;
+  // Concurrent compactions operate on disjoint level pairs.
+  int level = PickCompactionLevel(claimed);
+  if (level < 0) return false;
+  job->level = level;
+  job->claims = {static_cast<uint64_t>(level),
+                 static_cast<uint64_t>(level + 1)};
+  return true;
+}
+
+Status LeveledEngine::RunJob(const Job& job, WorkLane /*lane*/) {
+  return job.flushes_imm ? FlushImm() : CompactLevel(job.level);
 }
 
 TreeEngine::WritePressure LeveledEngine::GetWritePressure() const {
@@ -128,7 +99,7 @@ TreeEngine::WritePressure LeveledEngine::GetWritePressure() const {
     return WritePressure::kStop;
   }
   if (opts.strict_level_limits) {
-    uint64_t debt = PendingCompactionDebt();
+    uint64_t debt = PendingCompactionDebt(*version);
     if (debt >= opts.hard_pending_bytes) return WritePressure::kStop;
     if (debt >= opts.soft_pending_bytes) return WritePressure::kSlowdown;
   }
@@ -136,52 +107,6 @@ TreeEngine::WritePressure LeveledEngine::GetWritePressure() const {
     return WritePressure::kSlowdown;
   }
   return WritePressure::kNone;
-}
-
-Status LeveledEngine::BackgroundWork(WorkLane lane, bool* did_work) {
-  *did_work = false;
-  if (lane == WorkLane::kFlush) {
-    if (db_->imm() == nullptr || imm_flush_running_) return Status::OK();
-    RateLimiter::ScopedPriority prio(RateLimiter::IoPriority::kHigh);
-    imm_flush_running_ = true;
-    Status s = FlushImm();
-    imm_flush_running_ = false;
-    *did_work = true;
-    return s;
-  }
-  int level = PickCompactionLevel(busy_levels_);
-  if (level < 0) return Status::OK();
-  *did_work = true;
-  RateLimiter::ScopedPriority prio(RateLimiter::IoPriority::kLow);
-  busy_levels_.insert(level);
-  busy_levels_.insert(level + 1);
-  Status s = CompactLevel(level);
-  busy_levels_.erase(level);
-  busy_levels_.erase(level + 1);
-  return s;
-}
-
-void LeveledEngine::ApplyToVersion(const std::vector<NodePtr>& removed,
-                                   const std::vector<NodePtr>& added,
-                                   int add_level) {
-  TreeVersionPtr base = current_version();
-  std::vector<std::vector<NodePtr>> levels = base->levels();
-  for (const auto& victim : removed) {
-    for (auto& level_nodes : levels) {
-      level_nodes.erase(
-          std::remove_if(level_nodes.begin(), level_nodes.end(),
-                         [&](const NodePtr& n) {
-                           return n->node_id == victim->node_id;
-                         }),
-          level_nodes.end());
-    }
-  }
-  for (const auto& node : added) {
-    levels[add_level].push_back(node);
-  }
-  SortLevel(&levels[add_level], add_level);
-  current_.Store(std::make_shared<const TreeVersion>(std::move(levels),
-                                                     kOverlappingLevels));
 }
 
 Status LeveledEngine::FlushImm() {
@@ -209,14 +134,10 @@ Status LeveledEngine::FlushImm() {
   db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kMetadata,
                                              out.meta_bytes());
 
-  VersionEdit edit;
-  for (const NodePtr& node : out.outputs()) edit.AddNode(ToEdit(*node, 0));
-  edit.SetLogNumber(db_->CurrentLogNumber());
-  s = db_->LogEdit(&edit);
-  if (!s.ok()) return s;
-  ApplyToVersion({}, out.outputs(), 0);
-  db_->ImmFlushed();
-  return Status::OK();
+  Delta delta;
+  for (const NodePtr& node : out.outputs()) delta.added.emplace_back(0, node);
+  delta.flushes_imm = true;
+  return Install(delta);
 }
 
 std::vector<NodePtr> LeveledEngine::OverlappingInputs(
@@ -337,13 +258,11 @@ Status LeveledEngine::CompactLevel(int level) {
 
   // Trivial move: single input, nothing to merge with.
   if (inputs1.empty() && inputs0.size() == 1) {
-    NodePtr moved = inputs0[0];
-    VersionEdit edit;
-    edit.RemoveNode(level, moved->node_id);
-    edit.AddNode(ToEdit(*moved, level + 1));
-    Status s = db_->LogEdit(&edit);
+    Delta move;
+    move.removed.emplace_back(level, inputs0[0]->node_id);
+    move.added.emplace_back(level + 1, inputs0[0]);
+    Status s = Install(move);
     if (!s.ok()) return s;
-    ApplyToVersion({moved}, {moved}, level + 1);
     db_->amp_stats_mutable()->RecordLevelWrite(level + 1, WriteReason::kMove,
                                                0);
     return Status::OK();
@@ -360,6 +279,9 @@ Status LeveledEngine::CompactLevel(int level) {
   }
 
   db_->mutex().unlock();
+  // Arg: the compacted level (const int*).  The job's claims are held and
+  // the DB mutex is not.
+  IAMDB_SYNC_POINT_ARG("LeveledEngine::CompactLevel:Unlocked", &level);
 
   // Partitioned subcompaction: with several next-level inputs the merge
   // splits into contiguous key-range shards along inputs1 node boundaries,
@@ -410,39 +332,18 @@ Status LeveledEngine::CompactLevel(int level) {
   db_->amp_stats_mutable()->RecordLevelWrite(level + 1, WriteReason::kMetadata,
                                              meta_bytes);
 
-  VersionEdit edit;
-  std::vector<NodePtr> removed;
-  for (const auto& node : inputs0) {
-    edit.RemoveNode(level, node->node_id);
-    removed.push_back(node);
-  }
-  for (const auto& node : inputs1) {
-    edit.RemoveNode(level + 1, node->node_id);
-    removed.push_back(node);
-  }
-  for (const auto& node : outputs) {
-    edit.AddNode(ToEdit(*node, level + 1));
-  }
-  s = db_->LogEdit(&edit);
-  if (!s.ok()) return s;
-  ApplyToVersion(removed, outputs, level + 1);
-  // Physical files die when the last version/iterator referencing them
-  // lets go.
-  for (const auto& node : removed) {
-    if (node->lifetime) node->lifetime->MarkObsolete();
-  }
-  return Status::OK();
+  Delta delta;
+  for (const auto& node : inputs0) delta.Retire(level, node);
+  for (const auto& node : inputs1) delta.Retire(level + 1, node);
+  for (const auto& node : outputs) delta.added.emplace_back(level + 1, node);
+  return Install(delta);
 }
 
 uint64_t LeveledEngine::CompactionDebtBytes() const {
+  // Every level's debt, priced as the picker prices it: a level is owed
+  // work exactly when a compaction of it is runnable.
   TreeVersionPtr version = current_version();
-  const LeveledOptions& opts = db_->options().leveled;
-  uint64_t debt = PendingCompactionDebt();
-  size_t l0 = version->level(0).size();
-  if (l0 > static_cast<size_t>(opts.l0_compaction_trigger)) {
-    debt += (l0 - opts.l0_compaction_trigger) * opts.target_file_size;
-  }
-  return debt;
+  return PendingCompactionDebt(*version) + LevelDebtBytes(*version, 0);
 }
 
 void LeveledEngine::FillStats(DbStats* stats) const {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/tree_engine.h"
-#include "util/published_ptr.h"
 
 namespace iamdb {
 
@@ -36,27 +35,28 @@ class LeveledEngine final : public TreeEngine {
   explicit LeveledEngine(DBImpl* db);
 
   Status Recover(const RecoveredState& state) override;
-  int RunnableJobs(WorkLane lane, int max) const override;
-  Status BackgroundWork(WorkLane lane, bool* did_work) override;
   WritePressure GetWritePressure() const override;
   uint64_t CompactionDebtBytes() const override;
   void FillStats(DbStats* stats) const override;
-  TreeVersionPtr current_version() const override {
-    return current_.Snapshot();
-  }
-  uint64_t version_stamp() const override { return current_.stamp(); }
   Status CheckInvariants(bool quiescent) const override;
 
  private:
+  // Flush lane: the imm flush, claiming nothing.  Compaction lane: the
+  // level owing the most debt, claiming its input and output levels.
+  bool PickJob(WorkLane lane, const std::set<uint64_t>& claimed,
+               Job* job) const override;
+  Status RunJob(const Job& job, WorkLane lane) override;
+
   uint64_t MaxBytesForLevel(int level) const;
   // Debt a compaction of `level` would retire: L0 excess files (in
   // target_file_size units), L1+ bytes over the level limit.  0 when the
   // level is within shape.
   uint64_t LevelDebtBytes(const TreeVersion& version, int level) const;
-  // Compactable level whose input+output levels are not in `busy`; -1 if
-  // none qualifies.  Picks the level owing the most debt bytes.
-  int PickCompactionLevel(const std::set<int>& busy) const;
-  uint64_t PendingCompactionDebt() const;
+  // Compactable level whose input+output levels are not in `claimed`; -1
+  // if none qualifies.  Picks the level owing the most debt bytes.
+  int PickCompactionLevel(const std::set<uint64_t>& claimed) const;
+  // L1+ debt: the strict profile's stall signal.
+  uint64_t PendingCompactionDebt(const TreeVersion& version) const;
 
   // I/O steps; called with the DB mutex held, unlock around file writes.
   Status FlushImm();
@@ -65,27 +65,16 @@ class LeveledEngine final : public TreeEngine {
   // One key-range shard of a partitioned compaction: merges all of
   // `inputs0` with `inputs1_group` over the user-key span
   // [*start, *stop) — null bounds mean open-ended — into `out` (the caller
-  // owns the VersionEdit).  Runs on pool helpers.  Mutex NOT held.
+  // installs its outputs).  Runs on pool helpers.  Mutex NOT held.
   Status CompactSubrange(const std::vector<NodePtr>& inputs0,
                          const std::vector<NodePtr>& inputs1_group,
                          const std::string* start, const std::string* stop,
                          SequenceNumber smallest_snapshot, bool bottommost,
                          CompactionOutput* out);
 
-  // Mutex held: apply removed/added to the current version and publish.
-  void ApplyToVersion(const std::vector<NodePtr>& removed,
-                      const std::vector<NodePtr>& added, int add_level);
-
   std::vector<NodePtr> OverlappingInputs(const TreeVersion& version, int level,
                                          const Slice& lo_user,
                                          const Slice& hi_user) const;
-
-  DBImpl* db_;
-  // Stores happen at open time or under the DB mutex (ApplyToVersion) —
-  // the serialization PublishedPtr requires.  Reads take an epoch guard.
-  PublishedPtr<const TreeVersion> current_;
-  std::set<int> busy_levels_;       // input+output levels of running jobs
-  bool imm_flush_running_ = false;
 };
 
 }  // namespace iamdb

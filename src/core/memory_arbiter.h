@@ -34,7 +34,7 @@
 // locks — and takes effect at the next rotation on the write side (the
 // quota is only consulted when a write checks for room).  After every
 // move the caller re-runs the engine's memory-dependent decisions
-// (TreeEngine::OnMemoryRetune: the AMT engine re-runs ChooseMixedLevel
+// (TreeEngine::Retune: the AMT engine re-runs ChooseMixedLevel
 // against the new cache capacity), so a grown read share deepens the
 // mixed level at the next flush/merge boundary.
 //
@@ -89,7 +89,7 @@ class MemoryArbiter {
   // EWMAs and moves the split one step if either side is starved,
   // applying the new read targets to the cache tiers (SetCapacity evicts
   // down).  No-op between intervals.  DB mutex held; returns true when
-  // the split moved (caller must re-run TreeEngine::OnMemoryRetune).
+  // the split moved (caller must re-run TreeEngine::Retune).
   bool MaybeRebalance(uint64_t stall_micros_total, uint64_t debt_bytes);
 
   // Applies one explicit step (ops/test hook; also what MaybeRebalance

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
 #include "core/db.h"
 #include "env/mem_env.h"
 #include "util/random.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 namespace {
@@ -95,6 +100,74 @@ TEST_F(LeveledTest, L0OverlapReadsNewestFirst) {
   std::string value;
   ASSERT_TRUE(db->Get(ReadOptions(), "hot", &value).ok());
   EXPECT_EQ("gen4", value) << "newest L0 file must win";
+}
+
+// With exactly l0_compaction_trigger files in L0 an L0 compaction is
+// runnable, so the tree owes debt: the reported debt prices L0 as the
+// picker does, at least one target file.  The compaction is parked where it
+// has dropped the DB mutex, so its inputs are still the published L0.
+TEST_F(LeveledTest, L0AtTriggerOwesDebt) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
+#else
+  Options options = BaseOptions();
+  const int trigger = options.leveled.l0_compaction_trigger;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false, released = false;
+  SyncPoint::Instance()->Reset();
+  SyncPoint::Instance()->SetCallback(
+      "LeveledEngine::CompactLevel:Unlocked", [&](void* arg) {
+        if (*static_cast<const int*>(arg) != 0) return;
+        std::unique_lock<std::mutex> l(mu);
+        if (parked) return;
+        parked = true;
+        cv.notify_all();
+        cv.wait(l, [&] { return released; });
+      });
+  SyncPoint::Instance()->EnableProcessing();
+
+  // Every memtable holds the same keys (well under one memtable), so each
+  // FlushAll lands one L0 file overlapping all the others.
+  const std::string value(100, 'v');
+  auto fill = [&] {
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), Key(i), value).ok());
+    }
+  };
+  for (int file = 0; file + 1 < trigger; file++) {
+    fill();
+    ASSERT_TRUE(db->FlushAll().ok());
+  }
+  // The trigger-th file starts the L0 compaction, which FlushAll then
+  // waits for.
+  fill();
+  Status flushed;
+  std::thread flusher([&] { flushed = db->FlushAll(); });
+  bool was_parked;
+  {
+    std::unique_lock<std::mutex> l(mu);
+    was_parked =
+        cv.wait_for(l, std::chrono::seconds(10), [&] { return parked; });
+  }
+  const DbStats stats = db->GetStats();
+  {
+    std::lock_guard<std::mutex> l(mu);
+    released = true;
+    cv.notify_all();
+  }
+  flusher.join();
+  SyncPoint::Instance()->Reset();
+
+  ASSERT_TRUE(was_parked) << "no L0 compaction reached its unlocked section";
+  ASSERT_EQ(trigger, stats.level_node_counts[0]);
+  EXPECT_GE(stats.pending_debt_bytes, options.leveled.target_file_size);
+  EXPECT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_TRUE(db->CheckInvariants(true).ok());
+#endif
 }
 
 TEST_F(LeveledTest, StrictModeLimitsOverflow) {
