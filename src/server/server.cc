@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <unordered_map>
 
 #include "core/snapshot.h"
@@ -38,50 +39,7 @@ class CountingHandler : public WriteBatch::Handler {
   int count = 0;
 };
 
-void RelaxedAdd(std::atomic<uint64_t>& counter, uint64_t n) {
-  counter.fetch_add(n, std::memory_order_relaxed);
-}
-
-void RelaxedMax(std::atomic<uint64_t>& counter, uint64_t v) {
-  uint64_t cur = counter.load(std::memory_order_relaxed);
-  while (v > cur && !counter.compare_exchange_weak(
-                        cur, v, std::memory_order_relaxed,
-                        std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
-
-// Request/response counters as relaxed atomics: requests complete on every
-// pool worker and flush on every shard, so a shared mutex here would be
-// per-request contention for numbers that only need to be individually
-// monotonic.
-struct Server::AtomicStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_active{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> puts{0};
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> deletes{0};
-  std::atomic<uint64_t> writes{0};
-  std::atomic<uint64_t> scans{0};
-  std::atomic<uint64_t> infos{0};
-  std::atomic<uint64_t> pings{0};
-  std::atomic<uint64_t> mgets{0};
-  std::atomic<uint64_t> mget_keys{0};
-  std::atomic<uint64_t> malformed_frames{0};
-  std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> accept_errors{0};
-  std::atomic<uint64_t> loop_iterations{0};
-  std::atomic<uint64_t> writev_calls{0};
-  std::atomic<uint64_t> responses_written{0};
-  std::atomic<uint64_t> output_buffer_hwm{0};
-  std::atomic<uint64_t> backpressure_stalls{0};
-  std::atomic<uint64_t> overflow_disconnects{0};
-  std::atomic<uint64_t> inline_reads{0};
-  std::atomic<uint64_t> deferred_reads{0};
-};
 
 // One accepted socket, owned by exactly one shard.  Everything here is
 // touched only from the owning shard's thread; pool workers hold a
@@ -161,7 +119,8 @@ struct Server::MultiGetBatch {
 Server::Server(DB* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
-      stats_(std::make_unique<AtomicStats>()) {}
+      counters_(
+          std::make_unique<std::atomic<uint64_t>[]>(kNumServerCounters)) {}
 
 Server::~Server() { Stop(); }
 
@@ -297,75 +256,46 @@ void Server::Stop() {
 }
 
 ServerStats Server::stats() const {
-  const AtomicStats& a = *stats_;
   ServerStats s;
-  s.connections_accepted = a.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_active = a.connections_active.load(std::memory_order_relaxed);
-  s.requests = a.requests.load(std::memory_order_relaxed);
-  s.puts = a.puts.load(std::memory_order_relaxed);
-  s.gets = a.gets.load(std::memory_order_relaxed);
-  s.deletes = a.deletes.load(std::memory_order_relaxed);
-  s.writes = a.writes.load(std::memory_order_relaxed);
-  s.scans = a.scans.load(std::memory_order_relaxed);
-  s.infos = a.infos.load(std::memory_order_relaxed);
-  s.pings = a.pings.load(std::memory_order_relaxed);
-  s.mgets = a.mgets.load(std::memory_order_relaxed);
-  s.mget_keys = a.mget_keys.load(std::memory_order_relaxed);
-  s.malformed_frames = a.malformed_frames.load(std::memory_order_relaxed);
-  s.bytes_received = a.bytes_received.load(std::memory_order_relaxed);
-  s.bytes_sent = a.bytes_sent.load(std::memory_order_relaxed);
-  s.accept_errors = a.accept_errors.load(std::memory_order_relaxed);
-  s.loop_iterations = a.loop_iterations.load(std::memory_order_relaxed);
-  s.writev_calls = a.writev_calls.load(std::memory_order_relaxed);
-  s.responses_written = a.responses_written.load(std::memory_order_relaxed);
-  s.output_buffer_hwm = a.output_buffer_hwm.load(std::memory_order_relaxed);
-  s.backpressure_stalls =
-      a.backpressure_stalls.load(std::memory_order_relaxed);
-  s.overflow_disconnects =
-      a.overflow_disconnects.load(std::memory_order_relaxed);
-  s.inline_reads = a.inline_reads.load(std::memory_order_relaxed);
-  s.deferred_reads = a.deferred_reads.load(std::memory_order_relaxed);
+  ForEachServerStatsField(
+      [&](const ServerStatsField& f, uint64_t& value) {
+        value = counters_[static_cast<size_t>(f.counter)].load(
+            std::memory_order_relaxed);
+      },
+      s);
   return s;
 }
 
 std::string Server::StatsString() const {
-  ServerStats s = stats();
-  char buf[1024];
-  const double per_writev =
-      s.writev_calls > 0
-          ? static_cast<double>(s.responses_written) / s.writev_calls
-          : 0.0;
-  std::snprintf(
-      buf, sizeof(buf),
-      "connections: accepted=%llu active=%llu accept_errors=%llu\n"
-      "requests=%llu put=%llu get=%llu delete=%llu write=%llu "
-      "scan=%llu info=%llu ping=%llu mget=%llu mget_keys=%llu\n"
-      "malformed_frames=%llu bytes_received=%llu bytes_sent=%llu\n"
-      "reactor: shards=%d loop_iterations=%llu writev_calls=%llu "
-      "responses_written=%llu responses_per_writev=%.2f\n"
-      "reactor: output_buffer_hwm=%llu backpressure_stalls=%llu "
-      "overflow_disconnects=%llu\n"
-      "reactor: inline_reads=%llu deferred_reads=%llu\n",
-      (unsigned long long)s.connections_accepted,
-      (unsigned long long)s.connections_active,
-      (unsigned long long)s.accept_errors, (unsigned long long)s.requests,
-      (unsigned long long)s.puts, (unsigned long long)s.gets,
-      (unsigned long long)s.deletes, (unsigned long long)s.writes,
-      (unsigned long long)s.scans, (unsigned long long)s.infos,
-      (unsigned long long)s.pings, (unsigned long long)s.mgets,
-      (unsigned long long)s.mget_keys,
-      (unsigned long long)s.malformed_frames,
-      (unsigned long long)s.bytes_received,
-      (unsigned long long)s.bytes_sent, num_shards(),
-      (unsigned long long)s.loop_iterations,
-      (unsigned long long)s.writev_calls,
-      (unsigned long long)s.responses_written, per_writev,
-      (unsigned long long)s.output_buffer_hwm,
-      (unsigned long long)s.backpressure_stalls,
-      (unsigned long long)s.overflow_disconnects,
-      (unsigned long long)s.inline_reads,
-      (unsigned long long)s.deferred_reads);
-  return buf;
+  const ServerStats s = stats();
+  std::string text;
+  for (size_t g = 0; g < std::size(kServerStatsGroupNames); g++) {
+    const auto group = static_cast<ServerStatsGroup>(g);
+    text += kServerStatsGroupNames[g];
+    text += ':';
+    if (group == ServerStatsGroup::kReactor) {
+      text.append(" shards=").append(std::to_string(num_shards()));
+    }
+    ForEachServerStatsField(
+        [&](const ServerStatsField& f, uint64_t value) {
+          if (f.group != group) return;
+          text.append(" ").append(f.name).append("=").append(
+              std::to_string(value));
+        },
+        s);
+    if (group == ServerStatsGroup::kReactor) {
+      const double per_writev =
+          s.writev_calls > 0
+              ? static_cast<double>(s.responses_written) / s.writev_calls
+              : 0.0;
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), " responses_per_writev=%.2f",
+                    per_writev);
+      text += buf;
+    }
+    text += '\n';
+  }
+  return text;
 }
 
 void Server::AcceptLoop() {
@@ -388,7 +318,7 @@ void Server::AcceptLoop() {
       // plain retry spins poll+accept at full speed.  Count it and back
       // off exponentially; a freed descriptor ends the wait early only in
       // the sense that the next round's accept succeeds and resets it.
-      RelaxedAdd(stats_->accept_errors, 1);
+      Bump(ServerCounter::accept_errors);
       backoff_ms = backoff_ms == 0 ? 10 : std::min(backoff_ms * 2, 1000);
       for (int waited = 0;
            waited < backoff_ms && !stopping_.load(std::memory_order_acquire);
@@ -404,8 +334,8 @@ void Server::AcceptLoop() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf_bytes,
                    sizeof(options_.sndbuf_bytes));
     }
-    RelaxedAdd(stats_->connections_accepted, 1);
-    RelaxedAdd(stats_->connections_active, 1);
+    Bump(ServerCounter::connections_accepted);
+    Bump(ServerCounter::connections_active);
 
     Shard* shard = shards_[next_shard++ % shards_.size()].get();
     bool wake = false;
@@ -440,7 +370,7 @@ void Server::ShardLoop(Shard* shard) {
       if (errno == EINTR) continue;
       break;  // EBADF etc.: unrecoverable, abandon the loop
     }
-    RelaxedAdd(stats_->loop_iterations, 1);
+    Bump(ServerCounter::loop_iterations);
     const bool stopping = stopping_.load(std::memory_order_acquire);
 
     for (int i = 0; i < n; i++) {
@@ -487,7 +417,7 @@ void Server::ShardLoop(Shard* shard) {
     for (int fd : accepts) {
       if (stopping) {
         ::close(fd);
-        RelaxedAdd(stats_->connections_active, static_cast<uint64_t>(-1));
+        Bump(ServerCounter::connections_active, static_cast<uint64_t>(-1));
         continue;
       }
       AddConnection(shard, fd);
@@ -557,7 +487,7 @@ void Server::AddConnection(Shard* shard, int fd) {
   ev.data.ptr = conn.get();
   if (::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
     ::close(fd);
-    RelaxedAdd(stats_->connections_active, static_cast<uint64_t>(-1));
+    Bump(ServerCounter::connections_active, static_cast<uint64_t>(-1));
     return;
   }
   shard->conns.emplace(fd, std::move(conn));
@@ -579,7 +509,7 @@ void Server::HandleReadable(Shard* shard,
       c->read_closed = true;  // peer closed (or Stop() half-closed)
       break;
     }
-    RelaxedAdd(stats_->bytes_received, static_cast<uint64_t>(n));
+    Bump(ServerCounter::bytes_received, static_cast<uint64_t>(n));
     c->in_buf.append(chunk, static_cast<size_t>(n));
     ProcessInput(shard, conn);
     // A short read drained the socket: skip the recv that would only say
@@ -614,7 +544,7 @@ void Server::ProcessInput(Shard* shard,
       if (!c->paused) {
         c->paused = true;
         if (c->out_bytes > options_.output_buffer_soft_limit) {
-          RelaxedAdd(stats_->backpressure_stalls, 1);
+          Bump(ServerCounter::backpressure_stalls);
         }
       }
       break;
@@ -640,7 +570,7 @@ void Server::ProcessInput(Shard* shard,
     if (r != wire::FrameResult::kOk) {
       // Bad CRC or insane length: the stream cannot be resynchronized.
       // Report once (request_id 0: the header is untrusted), flush, close.
-      RelaxedAdd(stats_->malformed_frames, 1);
+      Bump(ServerCounter::malformed_frames);
       std::string msg;
       wire::EncodeStatus(
           Status::Corruption(r == wire::FrameResult::kBadCrc
@@ -663,7 +593,7 @@ void Server::ProcessInput(Shard* shard,
     wire::Opcode opcode;
     Slice payload;
     if (!wire::ParseBody(body, &request_id, &opcode, &payload)) {
-      RelaxedAdd(stats_->malformed_frames, 1);
+      Bump(ServerCounter::malformed_frames);
       // The frame checksummed fine, so framing is still intact: answer
       // with an error and keep the connection.
       std::string msg;
@@ -691,7 +621,7 @@ void Server::ProcessInput(Shard* shard,
                                 : DoMultiGet(payload, &out, &deferred);
       if (answered) {
         CountRequest(opcode);
-        RelaxedAdd(stats_->inline_reads, 1);
+        Bump(ServerCounter::inline_reads);
         answered_inline++;
         std::string frame;
         wire::BuildFrame(request_id, opcode, out, &frame);
@@ -699,7 +629,7 @@ void Server::ProcessInput(Shard* shard,
         queued_inline = true;
         continue;
       }
-      RelaxedAdd(stats_->deferred_reads, 1);
+      Bump(ServerCounter::deferred_reads);
       if (deferred != nullptr) {
         task = [this, conn, request_id, deferred = std::move(deferred)] {
           CountRequest(wire::Opcode::kMultiGet);
@@ -735,12 +665,12 @@ void Server::QueueResponse(Shard* shard, Connection* c, std::string frame) {
   if (c->dead) return;
   c->out_bytes += frame.size();
   c->out_frames.push_back(std::move(frame));
-  RelaxedMax(stats_->output_buffer_hwm, c->out_bytes);
+  BumpMax(ServerCounter::output_buffer_hwm, c->out_bytes);
   if (c->out_bytes > options_.output_buffer_hard_limit) {
     // Reading was paused at the soft limit, but responses already
     // dispatched keep arriving; a peer that never drains past the hard
     // limit is disconnected instead of buffering without bound.
-    RelaxedAdd(stats_->overflow_disconnects, 1);
+    Bump(ServerCounter::overflow_disconnects);
     CloseConnection(shard, c);
   }
 }
@@ -776,8 +706,8 @@ void Server::FlushOutput(Shard* shard, Connection* c) {
       CloseConnection(shard, c);  // peer gone: buffered responses are moot
       return;
     }
-    RelaxedAdd(stats_->writev_calls, 1);
-    RelaxedAdd(stats_->bytes_sent, static_cast<uint64_t>(n));
+    Bump(ServerCounter::writev_calls);
+    Bump(ServerCounter::bytes_sent, static_cast<uint64_t>(n));
     c->out_bytes -= static_cast<size_t>(n);
     size_t left = static_cast<size_t>(n);
     uint64_t retired = 0;
@@ -794,7 +724,7 @@ void Server::FlushOutput(Shard* shard, Connection* c) {
         left = 0;
       }
     }
-    if (retired > 0) RelaxedAdd(stats_->responses_written, retired);
+    if (retired > 0) Bump(ServerCounter::responses_written, retired);
   }
   if (c->want_write) {
     c->want_write = false;
@@ -849,7 +779,7 @@ void Server::CloseConnection(Shard* shard, Connection* c) {
     shard->graveyard.push_back(it->second);
     shard->conns.erase(it);
   }
-  RelaxedAdd(stats_->connections_active, static_cast<uint64_t>(-1));
+  Bump(ServerCounter::connections_active, static_cast<uint64_t>(-1));
 }
 
 void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
@@ -881,20 +811,32 @@ void Server::PostResponse(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::CountRequest(wire::Opcode opcode) {
-  std::atomic<uint64_t>* counter = nullptr;
+  Bump(ServerCounter::requests);
   switch (opcode) {
-    case wire::Opcode::kPing: counter = &stats_->pings; break;
-    case wire::Opcode::kPut: counter = &stats_->puts; break;
-    case wire::Opcode::kGet: counter = &stats_->gets; break;
-    case wire::Opcode::kMultiGet: counter = &stats_->mgets; break;
-    case wire::Opcode::kDelete: counter = &stats_->deletes; break;
-    case wire::Opcode::kWrite: counter = &stats_->writes; break;
-    case wire::Opcode::kScan: counter = &stats_->scans; break;
-    case wire::Opcode::kInfo: counter = &stats_->infos; break;
+    case wire::Opcode::kPing: Bump(ServerCounter::pings); break;
+    case wire::Opcode::kPut: Bump(ServerCounter::puts); break;
+    case wire::Opcode::kGet: Bump(ServerCounter::gets); break;
+    case wire::Opcode::kMultiGet: Bump(ServerCounter::mgets); break;
+    case wire::Opcode::kDelete: Bump(ServerCounter::deletes); break;
+    case wire::Opcode::kWrite: Bump(ServerCounter::writes); break;
+    case wire::Opcode::kScan: Bump(ServerCounter::scans); break;
+    case wire::Opcode::kInfo: Bump(ServerCounter::infos); break;
     default: break;
   }
-  RelaxedAdd(stats_->requests, 1);
-  if (counter != nullptr) RelaxedAdd(*counter, 1);
+}
+
+void Server::Bump(ServerCounter counter, uint64_t n) {
+  counters_[static_cast<size_t>(counter)].fetch_add(
+      n, std::memory_order_relaxed);
+}
+
+void Server::BumpMax(ServerCounter counter, uint64_t v) {
+  std::atomic<uint64_t>& c = counters_[static_cast<size_t>(counter)];
+  uint64_t cur = c.load(std::memory_order_relaxed);
+  while (v > cur && !c.compare_exchange_weak(cur, v,
+                                             std::memory_order_relaxed,
+                                             std::memory_order_relaxed)) {
+  }
 }
 
 void Server::Execute(wire::Opcode opcode, const Slice& payload,
@@ -1015,7 +957,7 @@ void Server::FinishMultiGet(MultiGetBatch* batch, std::string* out) {
 }
 
 void Server::EncodeMultiGet(MultiGetBatch* batch, std::string* out) {
-  RelaxedAdd(stats_->mget_keys, batch->statuses.size());
+  Bump(ServerCounter::mget_keys, batch->statuses.size());
   std::vector<wire::MultiGetEntry> entries;
   entries.reserve(batch->statuses.size());
   size_t bytes = 0;
@@ -1121,13 +1063,12 @@ void Server::DoInfo(const Slice& payload, std::string* out) {
     // grafted on (tags 23-28) so remote consumers see both in one frame.
     wire::EncodeStatus(Status::OK(), out);
     DbStats db_stats = db_->GetStats();
-    ServerStats s = stats();
-    db_stats.server_loop_iterations = s.loop_iterations;
-    db_stats.server_writev_calls = s.writev_calls;
-    db_stats.server_responses_written = s.responses_written;
-    db_stats.server_output_buffer_hwm = s.output_buffer_hwm;
-    db_stats.server_backpressure_stalls = s.backpressure_stalls;
-    db_stats.server_accept_errors = s.accept_errors;
+    const ServerStats s = stats();
+    ForEachServerStatsField(
+        [&](const ServerStatsField& f, uint64_t value) {
+          if (f.db_stats_member != nullptr) db_stats.*f.db_stats_member = value;
+        },
+        s);
     std::string encoded;
     wire::EncodeDbStats(db_stats, &encoded);
     PutLengthPrefixedSlice(out, encoded);

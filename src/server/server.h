@@ -41,6 +41,10 @@
 // Inline responses never pass the soft limit by more than one frame:
 // decoding stops as soon as they reach it.
 //
+// Counters: every serving-layer counter is one row of the table in
+// server/server_stats_fields.h, which generates ServerStats, the atomics
+// behind stats(), the `server.stats` text and the INFO graft.
+//
 // Shutdown is graceful: Stop() stops accepting, half-closes every
 // connection's read side, waits for in-flight requests to finish and
 // their responses to flush, then joins all threads.  Stop() is
@@ -58,6 +62,7 @@
 #include <vector>
 
 #include "core/db.h"
+#include "server/server_stats_fields.h"
 #include "server/wire_protocol.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -96,35 +101,14 @@ struct ServerOptions {
   size_t max_scan_bytes = 4u << 20;
 };
 
-// Monotonic counters; sampled via GetProperty("server.stats") or the
-// INFO opcode's property passthrough.  Snapshot of the server-internal
-// relaxed atomics — counters are individually, not mutually, consistent.
+// Snapshot of the server's counters, one member per table row.  Sampled
+// via Server::stats(), GetProperty("server.stats") or the INFO opcode; the
+// counters are relaxed atomics, individually but not mutually consistent.
 struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t requests = 0;
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t deletes = 0;
-  uint64_t writes = 0;
-  uint64_t scans = 0;
-  uint64_t infos = 0;
-  uint64_t pings = 0;
-  uint64_t mgets = 0;
-  uint64_t mget_keys = 0;
-  uint64_t malformed_frames = 0;
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
-  // Reactor observability.
-  uint64_t accept_errors = 0;        // accept() failures (EMFILE backoff &c)
-  uint64_t loop_iterations = 0;      // epoll_wait returns, summed over shards
-  uint64_t writev_calls = 0;
-  uint64_t responses_written = 0;    // frames fully flushed to a socket
-  uint64_t output_buffer_hwm = 0;    // max buffered response bytes seen
-  uint64_t backpressure_stalls = 0;  // reads paused on the soft limit
-  uint64_t overflow_disconnects = 0; // connections dropped at the hard limit
-  uint64_t inline_reads = 0;         // GET/MGET answered on the reactor
-  uint64_t deferred_reads = 0;       // GET/MGET that needed a worker
+#define IAMDB_SERVER_STATS_MEMBER(member, group, db_stats_member, help) \
+  uint64_t member = 0;
+  IAMDB_SERVER_STATS_FIELDS(IAMDB_SERVER_STATS_MEMBER)
+#undef IAMDB_SERVER_STATS_MEMBER
 };
 
 class Server {
@@ -154,7 +138,9 @@ class Server {
 
   ServerStats stats() const;
 
-  // Textual counters summary (the "server.stats" property body).
+  // The "server.stats" property body: one line per table group,
+  // `group: name=value ...` in row order; the reactor line also carries
+  // `shards=N` and the derived `responses_per_writev=R`.
   std::string StatsString() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -162,7 +148,6 @@ class Server {
  private:
   struct Connection;
   struct Shard;
-  struct AtomicStats;
 
   enum class State { kIdle, kRunning, kStopping, kStopped };
 
@@ -184,6 +169,11 @@ class Server {
   // Bumps `requests` and the opcode's counter: once per request, when it
   // starts on a worker or when the reactor has answered it inline.
   void CountRequest(wire::Opcode op);
+  // One relaxed fetch_add; a shared mutex would be per-request contention
+  // for numbers that only need to be individually monotonic.
+  void Bump(ServerCounter counter, uint64_t n = 1);
+  // Raises the counter to at least `v` (a relaxed CAS loop).
+  void BumpMax(ServerCounter counter, uint64_t v);
 
   // Executes one worker request and encodes its response payload into
   // *out.  Every opcode but MGET, which starts on the reactor (DoMultiGet)
@@ -233,7 +223,8 @@ class Server {
   std::condition_variable lifecycle_cv_;
   State state_ = State::kIdle;
 
-  std::unique_ptr<AtomicStats> stats_;
+  // Indexed by ServerCounter.  Bumped from every shard and pool worker.
+  std::unique_ptr<std::atomic<uint64_t>[]> counters_;
 };
 
 }  // namespace iamdb

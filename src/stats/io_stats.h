@@ -56,14 +56,6 @@ class IoStats {
     return s;
   }
 
-  void Reset() {
-    bytes_written_.store(0, std::memory_order_relaxed);
-    bytes_read_.store(0, std::memory_order_relaxed);
-    write_ops_.store(0, std::memory_order_relaxed);
-    read_ops_.store(0, std::memory_order_relaxed);
-    fsyncs_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> bytes_read_{0};

@@ -20,6 +20,8 @@ class Block {
   Block& operator=(const Block&) = delete;
 
   size_t size() const { return data_.size(); }
+  // The block's bytes as constructed (restart array included).
+  Slice contents() const { return data_; }
 
   // Iterator keys are internal keys; comparison uses InternalKeyComparator.
   Iterator* NewIterator(const InternalKeyComparator* cmp) const;

@@ -23,7 +23,6 @@ SequenceReader::SequenceReader(const TableOptions& options,
       file_number_(file_number),
       format_version_(format_version),
       meta_(std::move(meta)),
-      index_contents_raw_(index_contents),  // keep a copy for appends
       bloom_contents_(std::move(bloom_contents)),
       index_block_(std::move(index_contents)) {}
 

@@ -34,7 +34,7 @@ class SequenceReader {
   SequenceReader& operator=(const SequenceReader&) = delete;
 
   const SequenceMeta& meta() const { return meta_; }
-  Slice index_contents() const { return index_contents_raw_; }
+  Slice index_contents() const { return index_block_.contents(); }
   Slice bloom_contents() const { return bloom_contents_; }
 
   // Bloom check on the user key; false means definitely absent.
@@ -89,7 +89,6 @@ class SequenceReader {
   uint64_t file_number_;
   uint32_t format_version_;
   SequenceMeta meta_;
-  std::string index_contents_raw_;
   std::string bloom_contents_;
   Block index_block_;
 };

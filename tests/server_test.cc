@@ -562,6 +562,58 @@ TEST_F(ServerTest, ServerStatsCountOpcodes) {
   EXPECT_GT(stats.bytes_sent, 0u);
 }
 
+// The counter table drives both outputs: every row prints as ` name=` in
+// server.stats, and every grafted DbStats server_* row INFO returns lies
+// between snapshots taken before and after the INFO call.
+TEST_F(ServerTest, StatsTableDrivesTextAndInfoGraft) {
+  Client client(MakeClientOptions());
+  ASSERT_TRUE(client.Ping().ok());
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(client.Put("t" + std::to_string(i), "v").ok());
+  }
+  std::string value;
+  ASSERT_TRUE(client.Get("t3", &value).ok());
+  ASSERT_TRUE(client.Delete("t4").ok());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(client.MultiGet({"t1", "t2", "absent"}, &values, &statuses).ok());
+  WriteBatch batch;
+  batch.Put("t5", "w");
+  ASSERT_TRUE(client.Write(batch).ok());
+  std::vector<wire::KeyValue> entries;
+  ASSERT_TRUE(client.Scan("t", "u", 100, &entries).ok());
+
+  const ServerStats before = server_->stats();
+  DbStats remote;
+  ASSERT_TRUE(client.GetStats(&remote).ok());
+  const ServerStats after = server_->stats();
+
+  int grafted = 0;
+  ForEachServerStatsField(
+      [&](const ServerStatsField& f, uint64_t lo, uint64_t hi) {
+        if (f.db_stats_member == nullptr) return;
+        grafted++;
+        EXPECT_LE(lo, remote.*f.db_stats_member) << f.name;
+        EXPECT_GE(hi, remote.*f.db_stats_member) << f.name;
+      },
+      before, after);
+  EXPECT_EQ(6, grafted);
+  EXPECT_GT(remote.server_loop_iterations, 0u);
+  EXPECT_GT(remote.server_responses_written, 0u);
+
+  const std::string text = server_->StatsString();
+  size_t rows = 0;
+  ForEachServerStatsField(
+      [&](const ServerStatsField& f, uint64_t) {
+        rows++;
+        EXPECT_NE(std::string::npos,
+                  text.find(std::string(" ") + f.name + "="))
+            << f.name << " missing from:\n" << text;
+      },
+      after);
+  EXPECT_EQ(kNumServerCounters, rows);
+}
+
 TEST_F(ServerTest, MultiGetRoundTrip) {
   Client client(MakeClientOptions());
   ASSERT_TRUE(client.Put("mg-a", "A").ok());
