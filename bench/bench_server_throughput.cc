@@ -15,10 +15,10 @@
 //
 // --db_shards=N serves a hash-partitioned ShardedDB instead of a single
 // instance; --shard_sweep replaces the standard suite with a PUT/GET/MGET
-// sweep over db_shards in {1,2,4,8} ("bench":"sharding" JSON lines, MGET
-// through the client-side shard-routing path); --mget_sweep replaces it
-// with a looped-GET vs batched-MGET comparison, cold and warm cache, per
-// engine ("bench":"mget_sweep" JSON lines).
+// sweep over db_shards in {1,2,4,8} ("bench":"sharding" JSON lines; each
+// MGET is one frame that the server routes to the shards); --mget_sweep
+// replaces it with a looped-GET vs batched-MGET comparison, cold and warm
+// cache, per engine ("bench":"mget_sweep" JSON lines).
 //
 // "failed" counts operations (MGET: keys) that returned an error other than
 // NotFound; they are left out of ops and latency.  The program exits 1 if
@@ -179,11 +179,8 @@ CellResult RunPipelinedGetCell(int port, int connections,
 
 // Each op is one MGET of `batch` random keys; latency is per batch but
 // ops/ops_per_sec count keys, so cells compare directly against GET.
-// client_routed = true goes through MultiGetSharded (per-shard fan-out on
-// the client) instead of one server-side MGET frame.
 CellResult RunMgetCell(int port, int connections, uint64_t keys_per_conn,
-                       uint64_t key_space, int batch,
-                       bool client_routed = false) {
+                       uint64_t key_space, int batch) {
   std::vector<Histogram> histograms(connections);
   std::vector<uint64_t> key_counts(connections, 0);  // joined before read
   std::vector<uint64_t> failed(connections, 0);
@@ -203,9 +200,7 @@ CellResult RunMgetCell(int port, int connections, uint64_t keys_per_conn,
         const double op_start = NowMicros();
         std::vector<std::string> values;
         std::vector<Status> statuses;
-        Status s = client_routed
-                       ? client.MultiGetSharded(keys, &values, &statuses)
-                       : client.MultiGet(keys, &values, &statuses);
+        Status s = client.MultiGet(keys, &values, &statuses);
         done += keys.size();
         if (!s.ok()) {
           failed[c] += keys.size();
@@ -231,7 +226,7 @@ CellResult RunMgetCell(int port, int connections, uint64_t keys_per_conn,
   return result;
 }
 
-// PUT / GET / client-routed MGET against a fresh ShardedDB(N) per point:
+// PUT / GET / MGET against a fresh ShardedDB(N) per point:
 // the scaling story of hash partitioning through the full wire path.
 int RunShardSweep(uint64_t ops_per_cell, uint64_t key_space) {
   const int cpus = static_cast<int>(std::thread::hardware_concurrency());
@@ -300,7 +295,7 @@ int RunShardSweep(uint64_t ops_per_cell, uint64_t key_space) {
     emit("get", RunCell(server.port(), kConnections, per_conn, key_space,
                         /*do_put=*/false));
     emit("mget", RunMgetCell(server.port(), kConnections, per_conn, key_space,
-                             kMgetBatch, /*client_routed=*/true));
+                             kMgetBatch));
     server.Stop();
   }
   return ExitCode();

@@ -110,28 +110,18 @@ class DB {
   // Human-readable introspection (LevelDB-style).  Supported properties:
   //   "iamdb.stats"   — amplification summary (per level / per reason)
   //   "iamdb.levels"  — node count, bytes and sequences per level
+  //   "iamdb.tree-digest" — content digest of the tree, independent of
+  //                     node ids, file numbers and file layout
   //   "iamdb.approximate-memory-usage" — memtable + cache bytes
-  // Returns false for unknown properties.
+  // A ShardedDB answers "iamdb.shardmap" (the SHARDMAP manifest body) and
+  // "iamdb.shard-stats" (per-shard DbStats), sums the memory usage and
+  // concatenates the other properties per shard.  Returns false for
+  // unknown properties.
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
 
   // Validates the engine's structural invariants (testing hook).  Pass
   // quiescent=true only after WaitForQuiescence.
   virtual Status CheckInvariants(bool quiescent) = 0;
-
-  // ---- sharding surface (ShardedDB overrides; docs/SHARDING.md) ----
-  // Hash-partition fan-out of this instance: 1 for a plain DBImpl, N for a
-  // ShardedDB.  Shard-scoped SCAN requests on the wire use these so a
-  // cluster-aware client can stream one shard at a time and merge
-  // client-side.
-  virtual int NumShards() const { return 1; }
-  // Iterator over just one shard's keys (shard in [0, NumShards())).
-  // For an unsharded DB, shard 0 is the whole keyspace.
-  virtual Iterator* NewShardIterator(const ReadOptions& options, int shard) {
-    if (shard != 0) {
-      return NewErrorIterator(Status::InvalidArgument("shard out of range"));
-    }
-    return NewIterator(options);
-  }
 };
 
 // Deletes all files of the named database.

@@ -207,7 +207,6 @@ struct MultiGetContext {
 };
 
 struct ReadOptions {
-  bool verify_checksums = false;
   bool fill_cache = true;
   // nullptr means "read the latest committed state".
   const Snapshot* snapshot = nullptr;

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -16,7 +15,6 @@
 #include <thread>
 
 #include "memtable/write_batch.h"
-#include "shard/shard_map.h"
 #include "util/coding.h"
 
 namespace iamdb {
@@ -82,6 +80,35 @@ int ConnectWithTimeout(const std::string& host, int port, int timeout_ms) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
+}
+
+// Response decoders shared by the blocking calls and the typed waits: `s`
+// is the response's decoded status, `resp` the payload bytes after it.
+Status DecodeString(const Status& s, const std::string& resp,
+                    const char* malformed, std::string* value) {
+  if (!s.ok()) return s;
+  Slice p(resp), v;
+  if (!GetLengthPrefixedSlice(&p, &v)) return Status::Corruption(malformed);
+  value->assign(v.data(), v.size());
+  return Status::OK();
+}
+
+Status DecodeMultiGet(const Status& s, const std::string& resp,
+                      std::vector<wire::MultiGetEntry>* entries) {
+  if (!s.ok()) return s;
+  if (!wire::DecodeMultiGetResponse(resp, entries)) {
+    return Status::Corruption("malformed MGET response");
+  }
+  return Status::OK();
+}
+
+Status DecodeScan(const Status& s, const std::string& resp,
+                  wire::ScanResponse* decoded) {
+  if (!s.ok()) return s;
+  if (!wire::DecodeScanResponse(resp, decoded)) {
+    return Status::Corruption("malformed SCAN response");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -208,13 +235,7 @@ Status Client::Get(const Slice& key, std::string* value) {
   std::string payload, resp;
   wire::EncodeKey(key, &payload);
   Status s = Call(wire::Opcode::kGet, payload, /*idempotent=*/true, &resp);
-  if (!s.ok()) return s;
-  Slice p(resp), v;
-  if (!GetLengthPrefixedSlice(&p, &v)) {
-    return Status::Corruption("malformed GET response");
-  }
-  value->assign(v.data(), v.size());
-  return Status::OK();
+  return DecodeString(s, resp, "malformed GET response", value);
 }
 
 Status Client::MultiGet(const std::vector<std::string>& keys,
@@ -224,10 +245,10 @@ Status Client::MultiGet(const std::vector<std::string>& keys,
   wire::EncodeMultiGet(keys, &payload);
   Status s =
       Call(wire::Opcode::kMultiGet, payload, /*idempotent=*/true, &resp);
-  if (!s.ok()) return s;
   std::vector<wire::MultiGetEntry> entries;
-  if (!wire::DecodeMultiGetResponse(resp, &entries) ||
-      entries.size() != keys.size()) {
+  s = DecodeMultiGet(s, resp, &entries);
+  if (!s.ok()) return s;
+  if (entries.size() != keys.size()) {
     return Status::Corruption("malformed MGET response");
   }
   values->clear();
@@ -263,11 +284,9 @@ Status Client::Scan(const Slice& start_key, const Slice& end_key,
   std::string payload, resp;
   wire::EncodeScan(req, &payload);
   Status s = Call(wire::Opcode::kScan, payload, /*idempotent=*/true, &resp);
-  if (!s.ok()) return s;
   wire::ScanResponse decoded;
-  if (!wire::DecodeScanResponse(resp, &decoded)) {
-    return Status::Corruption("malformed SCAN response");
-  }
+  s = DecodeScan(s, resp, &decoded);
+  if (!s.ok()) return s;
   *entries = std::move(decoded.entries);
   if (truncated != nullptr) *truncated = decoded.truncated;
   return Status::OK();
@@ -290,13 +309,7 @@ Status Client::GetProperty(const Slice& property, std::string* value) {
   std::string payload, resp;
   wire::EncodeInfo(property, &payload);
   Status s = Call(wire::Opcode::kInfo, payload, /*idempotent=*/true, &resp);
-  if (!s.ok()) return s;
-  Slice p(resp), v;
-  if (!GetLengthPrefixedSlice(&p, &v)) {
-    return Status::Corruption("malformed INFO response");
-  }
-  value->assign(v.data(), v.size());
-  return Status::OK();
+  return DecodeString(s, resp, "malformed INFO response", value);
 }
 
 // --- pipelined API --------------------------------------------------------
@@ -434,215 +447,20 @@ Status Client::Wait(uint64_t id, std::string* response_payload) {
 Status Client::WaitGet(uint64_t id, std::string* value) {
   std::string resp;
   Status s = Wait(id, &resp);
-  if (!s.ok()) return s;
-  Slice p(resp), v;
-  if (!GetLengthPrefixedSlice(&p, &v)) {
-    return Status::Corruption("malformed GET response");
-  }
-  value->assign(v.data(), v.size());
-  return Status::OK();
+  return DecodeString(s, resp, "malformed GET response", value);
 }
 
 Status Client::WaitMultiGet(uint64_t id,
                             std::vector<wire::MultiGetEntry>* entries) {
   std::string resp;
   Status s = Wait(id, &resp);
-  if (!s.ok()) return s;
-  if (!wire::DecodeMultiGetResponse(resp, entries)) {
-    return Status::Corruption("malformed MGET response");
-  }
-  return Status::OK();
+  return DecodeMultiGet(s, resp, entries);
 }
 
 Status Client::WaitScan(uint64_t id, wire::ScanResponse* resp) {
   std::string payload;
   Status s = Wait(id, &payload);
-  if (!s.ok()) return s;
-  if (!wire::DecodeScanResponse(payload, resp)) {
-    return Status::Corruption("malformed SCAN response");
-  }
-  return Status::OK();
-}
-
-// --- cluster-aware API ----------------------------------------------------
-
-Status Client::GetShardMap(int* num_shards) {
-  std::string text;
-  Status s = GetProperty("iamdb.shardmap", &text);
-  if (s.IsNotFound()) {
-    *num_shards = 1;  // pre-shard server: the whole keyspace is one shard
-    return Status::OK();
-  }
-  if (!s.ok()) return s;
-  ShardMap map;
-  if (!ParseShardMap(text, &map) || map.num_shards == 0) {
-    return Status::Corruption("malformed shard map", text);
-  }
-  *num_shards = static_cast<int>(map.num_shards);
-  return Status::OK();
-}
-
-Status Client::EnsureShardMap(int* num_shards) {
-  int cached = shard_count_.load(std::memory_order_acquire);
-  if (cached == 0) {
-    Status s = GetShardMap(&cached);
-    if (!s.ok()) return s;
-    shard_count_.store(cached, std::memory_order_release);
-  }
-  *num_shards = cached;
-  return Status::OK();
-}
-
-Status Client::MultiGetSharded(const std::vector<std::string>& keys,
-                               std::vector<std::string>* values,
-                               std::vector<Status>* statuses) {
-  values->clear();
-  statuses->clear();
-  if (keys.empty()) return Status::OK();
-
-  int num_shards = 1;
-  Status s = EnsureShardMap(&num_shards);
-  if (!s.ok()) return s;
-  if (num_shards <= 1) return MultiGet(keys, values, statuses);
-
-  // Group key positions by owning shard, preserving input order within
-  // each group so responses scatter back by position.
-  std::vector<std::vector<size_t>> groups(num_shards);
-  for (size_t i = 0; i < keys.size(); i++) {
-    groups[ShardOf(keys[i], static_cast<uint32_t>(num_shards))].push_back(i);
-  }
-
-  struct Fanout {
-    uint64_t id;
-    const std::vector<size_t>* positions;
-  };
-  std::vector<Fanout> fanout;
-  std::vector<std::string> sub_keys;
-  Status submit_error;
-  for (const auto& group : groups) {
-    if (group.empty()) continue;
-    sub_keys.clear();
-    sub_keys.reserve(group.size());
-    for (size_t pos : group) sub_keys.push_back(keys[pos]);
-    uint64_t id = SubmitMultiGet(sub_keys);
-    if (id == 0) {
-      submit_error = Status::IOError("send failed during MGET fan-out");
-      break;
-    }
-    fanout.push_back({id, &group});
-  }
-
-  values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::OK());
-  // Drain every submitted sub-request even after a failure so the
-  // connection state stays coherent; first error wins.
-  Status first_error = submit_error;
-  for (const Fanout& f : fanout) {
-    std::vector<wire::MultiGetEntry> entries;
-    Status ws = WaitMultiGet(f.id, &entries);
-    if (ws.ok() && entries.size() != f.positions->size()) {
-      ws = Status::Corruption("MGET fan-out arity mismatch");
-    }
-    if (!ws.ok()) {
-      if (first_error.ok()) first_error = ws;
-      continue;
-    }
-    for (size_t j = 0; j < entries.size(); j++) {
-      const size_t pos = (*f.positions)[j];
-      (*statuses)[pos] = wire::MakeStatus(entries[j].code, Slice());
-      (*values)[pos] = std::move(entries[j].value);
-    }
-  }
-  if (!first_error.ok()) {
-    values->clear();
-    statuses->clear();
-    return first_error;
-  }
-  return Status::OK();
-}
-
-Status Client::ScanSharded(const Slice& start_key, const Slice& end_key,
-                           uint32_t limit, std::vector<wire::KeyValue>* entries,
-                           bool* truncated) {
-  entries->clear();
-  if (truncated != nullptr) *truncated = false;
-
-  int num_shards = 1;
-  Status s = EnsureShardMap(&num_shards);
-  if (!s.ok()) return s;
-  if (num_shards <= 1) return Scan(start_key, end_key, limit, entries, truncated);
-
-  // Every shard scans the same bounds with the same limit: to produce a
-  // correct global prefix of L entries, each shard may need to contribute
-  // up to all L of them.
-  std::vector<uint64_t> ids;
-  ids.reserve(num_shards);
-  Status submit_error;
-  for (int i = 0; i < num_shards; i++) {
-    wire::ScanRequest req;
-    req.start_key = start_key.ToString();
-    req.end_key = end_key.ToString();
-    req.limit = limit;
-    req.shard = i;
-    uint64_t id = SubmitScan(req);
-    if (id == 0) {
-      submit_error = Status::IOError("send failed during SCAN fan-out");
-      break;
-    }
-    ids.push_back(id);
-  }
-
-  std::vector<wire::ScanResponse> responses(ids.size());
-  Status first_error = submit_error;
-  for (size_t i = 0; i < ids.size(); i++) {
-    Status ws = WaitScan(ids[i], &responses[i]);
-    if (!ws.ok() && first_error.ok()) first_error = ws;
-  }
-  if (!first_error.ok()) return first_error;
-
-  // A truncated shard covers the range only up to its last returned key;
-  // the merged result must stop at the lowest such frontier or it would
-  // skip that shard's unseen keys.  A truncated shard with no entries
-  // covers nothing.
-  bool any_truncated = false;
-  bool empty_frontier = false;
-  std::string frontier;
-  for (const auto& resp : responses) {
-    if (!resp.truncated) continue;
-    any_truncated = true;
-    if (resp.entries.empty()) {
-      empty_frontier = true;
-    } else if (frontier.empty() || resp.entries.back().first < frontier) {
-      frontier = resp.entries.back().first;
-    }
-  }
-  if (empty_frontier) {
-    if (truncated != nullptr) *truncated = true;
-    return Status::OK();
-  }
-
-  // K-way merge by key.  Shards partition the keyspace, so keys never tie.
-  std::vector<size_t> cursor(responses.size(), 0);
-  while (true) {
-    int best = -1;
-    for (size_t i = 0; i < responses.size(); i++) {
-      if (cursor[i] >= responses[i].entries.size()) continue;
-      if (best < 0 || responses[i].entries[cursor[i]].first <
-                          responses[best].entries[cursor[best]].first) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    wire::KeyValue& kv = responses[best].entries[cursor[best]++];
-    if (any_truncated && kv.first > frontier) break;
-    if (limit > 0 && entries->size() >= limit) {
-      any_truncated = true;
-      break;
-    }
-    entries->push_back(std::move(kv));
-  }
-  if (truncated != nullptr) *truncated = any_truncated;
-  return Status::OK();
+  return DecodeScan(s, payload, resp);
 }
 
 }  // namespace iamdb

@@ -18,7 +18,6 @@
 // once.  Mutations are never auto-retried: the original may have applied.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -63,7 +62,9 @@ class Client {
   Status Get(const Slice& key, std::string* value);
   // Batched point reads in one round trip.  On OK, *values and *statuses
   // have one entry per key: statuses[i] is OK (values[i] holds the value)
-  // or NotFound (values[i] empty).  All keys are read at one snapshot.
+  // or NotFound (values[i] empty).  All keys are read at one snapshot; a
+  // sharded server routes the keys and takes one snapshot per shard
+  // (docs/SHARDING.md).
   Status MultiGet(const std::vector<std::string>& keys,
                   std::vector<std::string>* values,
                   std::vector<Status>* statuses);
@@ -72,7 +73,8 @@ class Client {
   Status Write(const WriteBatch& batch);
   // Forward scan of [start_key, end_key) capped at `limit` entries
   // (0 = server default).  *truncated (optional) reports whether the
-  // server stopped early with more data remaining.
+  // server stopped early with more data remaining.  A sharded server
+  // merges its shards, so the entries are a sorted prefix of the range.
   Status Scan(const Slice& start_key, const Slice& end_key, uint32_t limit,
               std::vector<wire::KeyValue>* entries,
               bool* truncated = nullptr);
@@ -80,33 +82,6 @@ class Client {
   Status GetStats(DbStats* stats);
   // Remote GetProperty; also accepts the server-side "server.stats" key.
   Status GetProperty(const Slice& property, std::string* value);
-
-  // --- cluster-aware API --------------------------------------------------
-  // The server exposes its shard layout as the "iamdb.shardmap" property;
-  // a non-sharded server reports NotFound, which maps to 1 shard here.
-  // The count is cached after the first fetch (it is fixed for the life of
-  // a database, so one round trip suffices).
-  Status GetShardMap(int* num_shards);
-
-  // MGET with client-side routing: keys are grouped by owning shard
-  // (shard_map.h's ShardOf — the same function the server partitions by),
-  // one pipelined MGET per shard, results scattered back into key order.
-  // Falls back to plain MultiGet against a 1-shard server.  Each shard's
-  // sub-MGET runs at that shard's snapshot; there is no cross-shard
-  // snapshot (docs/SHARDING.md).  Empty key set returns OK with empty
-  // outputs without touching the network.
-  Status MultiGetSharded(const std::vector<std::string>& keys,
-                         std::vector<std::string>* values,
-                         std::vector<Status>* statuses);
-
-  // SCAN with client-side fan-out: one shard-scoped scan per shard,
-  // pipelined, merged by key client-side.  If any shard truncated, the
-  // merged result is cut at the lowest last-returned key among truncated
-  // shards so it stays a correct prefix of the global range, and
-  // *truncated is set.
-  Status ScanSharded(const Slice& start_key, const Slice& end_key,
-                     uint32_t limit, std::vector<wire::KeyValue>* entries,
-                     bool* truncated = nullptr);
 
   // --- pipelined API ------------------------------------------------------
   // Submit* sends the request and returns its correlation id immediately
@@ -148,9 +123,6 @@ class Client {
   // *response_payload with the bytes after the status.
   Status WaitLocked(uint64_t id, std::string* response_payload);
 
-  // Fetches the shard count on first use; later calls are lock-free.
-  Status EnsureShardMap(int* num_shards);
-
   const ClientOptions options_;
   mutable std::mutex mu_;
   int fd_ = -1;
@@ -167,8 +139,6 @@ class Client {
   // outstanding ids all learn their requests are gone instead of hanging
   // on a dead socket.
   std::set<uint64_t> lost_;
-  // Shard count learned from the server; 0 = not fetched yet.
-  std::atomic<int> shard_count_{0};
 };
 
 }  // namespace iamdb

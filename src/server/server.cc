@@ -197,6 +197,7 @@ Status Server::Start() {
     ::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->wake_fd, &ev);
     shards_.push_back(std::move(shard));
   }
+  num_shards_ = num_shards;
 
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.num_workers));
   running_.store(true, std::memory_order_release);
@@ -1015,22 +1016,12 @@ void Server::DoScan(const Slice& payload, std::string* out) {
   }
   uint32_t limit = req.limit == 0 ? options_.default_scan_limit : req.limit;
   if (limit > options_.max_scan_limit) limit = options_.max_scan_limit;
-  if (req.shard >= db_->NumShards()) {
-    wire::EncodeStatus(
-        Status::InvalidArgument("shard out of range: server has " +
-                                std::to_string(db_->NumShards()) + " shards"),
-        out);
-    return;
-  }
 
   wire::ScanResponse resp;
   size_t bytes = 0;
-  // shard >= 0 scopes the scan to one shard so cluster-aware clients can
-  // fan out and merge client-side; -1 scans the whole database (merged
-  // server-side when the DB is a ShardedDB).
-  std::unique_ptr<Iterator> iter(
-      req.shard >= 0 ? db_->NewShardIterator(ReadOptions(), req.shard)
-                     : db_->NewIterator(ReadOptions()));
+  // A ShardedDB merges its shards' iterators here, so a sharded scan
+  // returns one sorted prefix like any other.
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
   if (req.start_key.empty()) {
     iter->SeekToFirst();
   } else {

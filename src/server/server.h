@@ -143,7 +143,8 @@ class Server {
   // `shards=N` and the derived `responses_per_writev=R`.
   std::string StatsString() const;
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  // Reactor count resolved by Start(); still reported after Stop().
+  int num_shards() const { return num_shards_; }
 
  private:
   struct Connection;
@@ -216,6 +217,7 @@ class Server {
   std::thread acceptor_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  int num_shards_ = 0;  // written by Start() before any thread runs
 
   // Start/Stop lifecycle; guards `state_` only (the serving hot path
   // never touches it).

@@ -119,11 +119,6 @@ void EncodeScan(const ScanRequest& req, std::string* dst) {
   PutLengthPrefixedSlice(dst, req.start_key);
   PutLengthPrefixedSlice(dst, req.end_key);
   PutVarint32(dst, req.limit);
-  // Biased by one so "whole database" (-1) encodes as 0; omitted entirely
-  // when -1 to stay byte-identical with pre-shard encoders.
-  if (req.shard >= 0) {
-    PutVarint32(dst, static_cast<uint32_t>(req.shard) + 1);
-  }
 }
 
 bool DecodeScan(Slice payload, ScanRequest* req) {
@@ -131,14 +126,8 @@ bool DecodeScan(Slice payload, ScanRequest* req) {
   uint32_t limit;
   if (!GetLengthPrefixedSlice(&payload, &start) ||
       !GetLengthPrefixedSlice(&payload, &end) ||
-      !GetVarint32(&payload, &limit)) {
+      !GetVarint32(&payload, &limit) || !payload.empty()) {
     return false;
-  }
-  req->shard = -1;
-  if (!payload.empty()) {
-    uint32_t biased;
-    if (!GetVarint32(&payload, &biased) || !payload.empty()) return false;
-    req->shard = static_cast<int32_t>(biased) - 1;
   }
   req->start_key = start.ToString();
   req->end_key = end.ToString();

@@ -68,12 +68,6 @@ struct ScanRequest {
   std::string start_key;  // inclusive; empty = first key
   std::string end_key;    // exclusive; empty = unbounded
   uint32_t limit = 0;     // max entries; 0 = server default
-  // Restrict the scan to one shard of a sharded server (-1 = whole
-  // database, merged server-side).  Cluster-aware clients fetch the shard
-  // map via INFO "iamdb.shardmap" and fan scans out per shard, merging
-  // client-side.  Encoded as varint32(shard + 1); absent = -1 so frames
-  // from pre-shard clients still parse.
-  int32_t shard = -1;
 };
 
 struct ScanResponse {

@@ -59,8 +59,7 @@ std::string ShardMapFileName(const std::string& dbname);
 std::string ShardDirName(const std::string& dbname, uint32_t shard);
 
 // Single-line textual form, e.g. "v=1 shards=4 hash=splitmix64".  Also the
-// value of the "iamdb.shardmap" property, which is how a cluster-aware
-// client learns the routing function over the wire (docs/PROTOCOL.md).
+// value of the "iamdb.shardmap" property (docs/PROTOCOL.md).
 std::string FormatShardMap(const ShardMap& map);
 bool ParseShardMap(const Slice& text, ShardMap* map);
 

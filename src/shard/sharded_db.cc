@@ -1,137 +1,17 @@
 #include "shard/sharded_db.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
 #include "core/memory_arbiter.h"
 #include "env/env.h"
 #include "memtable/write_batch.h"
+#include "table/merging_iterator.h"
 
 namespace iamdb {
 
 namespace {
-
-// K-way merge over per-shard user-key iterators.  Shards partition the
-// keyspace, so no two children can ever stand on the same key — the merge
-// is a pure interleave with no tie-breaking or version resolution (that
-// already happened inside each shard's DBIter).  Bidirectional with the
-// usual direction-switch resync: when reversing, every non-current child
-// is repositioned relative to the current key before stepping.
-class ShardMergingIterator final : public Iterator {
- public:
-  explicit ShardMergingIterator(std::vector<std::unique_ptr<Iterator>> kids)
-      : children_(std::move(kids)) {}
-
-  bool Valid() const override { return current_ != nullptr; }
-
-  void SeekToFirst() override {
-    for (auto& child : children_) child->SeekToFirst();
-    direction_ = kForward;
-    FindSmallest();
-  }
-
-  void SeekToLast() override {
-    for (auto& child : children_) child->SeekToLast();
-    direction_ = kReverse;
-    FindLargest();
-  }
-
-  void Seek(const Slice& target) override {
-    for (auto& child : children_) child->Seek(target);
-    direction_ = kForward;
-    FindSmallest();
-  }
-
-  void Next() override {
-    assert(Valid());
-    if (direction_ != kForward) {
-      // Children other than current_ sit at the entry *before* key() (or
-      // are exhausted on its left); put them at the first entry after it.
-      // Keys are disjoint across shards, so Seek(key()) alone would land
-      // a child exactly on key() only if it IS current_ — every other
-      // child lands strictly past it, no extra advance needed.
-      const std::string saved = key().ToString();
-      for (auto& child : children_) {
-        if (child.get() == current_) continue;
-        child->Seek(saved);
-      }
-      direction_ = kForward;
-    }
-    current_->Next();
-    FindSmallest();
-  }
-
-  void Prev() override {
-    assert(Valid());
-    if (direction_ != kReverse) {
-      // Children other than current_ sit at the first entry >= key() (or
-      // are exhausted on its right); put them at the last entry before it.
-      const std::string saved = key().ToString();
-      for (auto& child : children_) {
-        if (child.get() == current_) continue;
-        child->Seek(saved);
-        if (child->Valid()) {
-          // Landed at the first entry >= saved (never == saved: shards
-          // are disjoint); step back to the last entry < saved.
-          child->Prev();
-        } else {
-          // Every entry in this child is < saved: its last one qualifies.
-          child->SeekToLast();
-        }
-      }
-      direction_ = kReverse;
-    }
-    current_->Prev();
-    FindLargest();
-  }
-
-  Slice key() const override {
-    assert(Valid());
-    return current_->key();
-  }
-
-  Slice value() const override {
-    assert(Valid());
-    return current_->value();
-  }
-
-  Status status() const override {
-    for (const auto& child : children_) {
-      Status s = child->status();
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-
- private:
-  enum Direction { kForward, kReverse };
-
-  void FindSmallest() {
-    current_ = nullptr;
-    for (auto& child : children_) {
-      if (!child->Valid()) continue;
-      if (current_ == nullptr || child->key().compare(current_->key()) < 0) {
-        current_ = child.get();
-      }
-    }
-  }
-
-  void FindLargest() {
-    current_ = nullptr;
-    for (auto& child : children_) {
-      if (!child->Valid()) continue;
-      if (current_ == nullptr || child->key().compare(current_->key()) > 0) {
-        current_ = child.get();
-      }
-    }
-  }
-
-  std::vector<std::unique_ptr<Iterator>> children_;
-  Iterator* current_ = nullptr;
-  Direction direction_ = kForward;
-};
 
 // Routes each record of a batch into its owning shard's sub-batch,
 // preserving the batch's internal order within every shard.
@@ -336,25 +216,18 @@ Iterator* ShardedDB::NewIterator(const ReadOptions& options) {
   ReadOptions ro = options;
   if (own_snapshot != nullptr) ro.snapshot = own_snapshot;
 
-  std::vector<std::unique_ptr<Iterator>> children;
+  std::vector<Iterator*> children;
   children.reserve(shards_.size());
   for (uint32_t i = 0; i < shards_.size(); i++) {
-    children.emplace_back(shards_[i]->NewIterator(RouteRead(ro, i)));
+    children.push_back(shards_[i]->NewIterator(RouteRead(ro, i)));
   }
-  Iterator* merged = new ShardMergingIterator(std::move(children));
+  Iterator* merged = NewBytewiseMergingIterator(
+      children.data(), static_cast<int>(children.size()));
   if (own_snapshot != nullptr) {
     merged->RegisterCleanup(
         [this, own_snapshot] { ReleaseSnapshot(own_snapshot); });
   }
   return merged;
-}
-
-Iterator* ShardedDB::NewShardIterator(const ReadOptions& options, int shard) {
-  if (shard < 0 || shard >= NumShards()) {
-    return NewErrorIterator(Status::InvalidArgument("shard out of range"));
-  }
-  return shards_[shard]->NewIterator(
-      RouteRead(options, static_cast<uint32_t>(shard)));
 }
 
 const Snapshot* ShardedDB::GetSnapshot() {

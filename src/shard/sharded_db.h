@@ -86,11 +86,6 @@ class ShardedDB final : public DB {
   bool GetProperty(const Slice& property, std::string* value) override;
   Status CheckInvariants(bool quiescent) override;
 
-  int NumShards() const override {
-    return static_cast<int>(shards_.size());
-  }
-  Iterator* NewShardIterator(const ReadOptions& options, int shard) override;
-
   const ShardMap& shard_map() const { return map_; }
   DB* shard(int i) { return shards_[i].get(); }
 

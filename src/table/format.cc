@@ -61,20 +61,15 @@ Status MSTableTrailer::DecodeFrom(const Slice& input) {
 }
 
 Status CheckBlockTrailer(const char* data, uint64_t payload_size,
-                         bool verify_checksums, uint32_t format_version,
-                         CompressionType* type) {
+                         uint32_t format_version, CompressionType* type) {
   const size_t n = static_cast<size_t>(payload_size);
   const size_t trailer = static_cast<size_t>(BlockTrailerSize(format_version));
   *type = CompressionType::kNone;
   // The CRC covers payload + type tag (v2) or bare contents (v1).
   const size_t crc_covered = n + trailer - 4;
-  if (verify_checksums) {
-    const uint32_t expected =
-        crc32c::Unmask(DecodeFixed32(data + crc_covered));
-    const uint32_t actual = crc32c::Value(data, crc_covered);
-    if (expected != actual) {
-      return Status::Corruption("block checksum mismatch");
-    }
+  const uint32_t expected = crc32c::Unmask(DecodeFixed32(data + crc_covered));
+  if (crc32c::Value(data, crc_covered) != expected) {
+    return Status::Corruption("block checksum mismatch");
   }
   if (format_version >= kFormatVersion2) {
     const uint8_t tag = static_cast<uint8_t>(data[n]);
@@ -87,8 +82,8 @@ Status CheckBlockTrailer(const char* data, uint64_t payload_size,
 }
 
 Status ReadBlockContents(RandomAccessFile* file, const BlockHandle& handle,
-                         bool verify_checksums, uint32_t format_version,
-                         std::string* contents, CompressionType* type) {
+                         uint32_t format_version, std::string* contents,
+                         CompressionType* type) {
   const size_t n = static_cast<size_t>(handle.size());
   const size_t trailer = static_cast<size_t>(BlockTrailerSize(format_version));
   *type = CompressionType::kNone;
@@ -101,8 +96,7 @@ Status ReadBlockContents(RandomAccessFile* file, const BlockHandle& handle,
   if (result.size() != n + trailer) {
     return Status::Corruption("truncated block read");
   }
-  s = CheckBlockTrailer(result.data(), n, verify_checksums, format_version,
-                        type);
+  s = CheckBlockTrailer(result.data(), n, format_version, type);
   if (!s.ok()) return s;
   // The read may have landed elsewhere (mmap-style envs return internal
   // pointers); normalize into *contents.

@@ -114,15 +114,14 @@ struct MSTableTrailer {
 // exactly as read from the device.  Fills *type from the v2 tag (kNone on
 // v1).  Shared by ReadBlockContents and the vectored MultiGet read path.
 Status CheckBlockTrailer(const char* data, uint64_t payload_size,
-                         bool verify_checksums, uint32_t format_version,
-                         CompressionType* type);
+                         uint32_t format_version, CompressionType* type);
 
 // Reads the block named by `handle`, verifying its CRC, and reports the
 // stored payload (still compressed when *type != kNone — the caller
 // decompresses via DecompressBlock).  On success, *contents owns the bytes.
 Status ReadBlockContents(RandomAccessFile* file, const BlockHandle& handle,
-                         bool verify_checksums, uint32_t format_version,
-                         std::string* contents, CompressionType* type);
+                         uint32_t format_version, std::string* contents,
+                         CompressionType* type);
 
 // Appends `contents | [type] | crc` to file and fills *handle (offset must
 // be the current end of file, tracked by the caller).  v1 files require

@@ -8,10 +8,17 @@ namespace iamdb {
 
 namespace {
 
+// Plain byte order over user keys.
+struct BytewiseOrder {
+  int Compare(const Slice& a, const Slice& b) const { return a.compare(b); }
+};
+
+// The order is a template parameter so the merge loop compactions and
+// scans run compiles to direct comparator calls.
+template <typename Comparator>
 class MergingIterator final : public Iterator {
  public:
-  MergingIterator(const InternalKeyComparator* comparator, Iterator** children,
-                  int n)
+  MergingIterator(Comparator comparator, Iterator** children, int n)
       : comparator_(comparator), current_(nullptr) {
     children_.reserve(n);
     for (int i = 0; i < n; i++) children_.emplace_back(children[i]);
@@ -45,7 +52,7 @@ class MergingIterator final : public Iterator {
         if (child.get() == current_) continue;
         child->Seek(key());
         if (child->Valid() &&
-            comparator_->Compare(key(), child->key()) == 0) {
+            comparator_.Compare(key(), child->key()) == 0) {
           child->Next();
         }
       }
@@ -101,7 +108,7 @@ class MergingIterator final : public Iterator {
     for (auto& child : children_) {
       if (!child->Valid()) continue;
       if (smallest == nullptr ||
-          comparator_->Compare(child->key(), smallest->key()) < 0) {
+          comparator_.Compare(child->key(), smallest->key()) < 0) {
         smallest = child.get();
       }
     }
@@ -114,27 +121,36 @@ class MergingIterator final : public Iterator {
       auto& child = *it;
       if (!child->Valid()) continue;
       if (largest == nullptr ||
-          comparator_->Compare(child->key(), largest->key()) > 0) {
+          comparator_.Compare(child->key(), largest->key()) > 0) {
         largest = child.get();
       }
     }
     current_ = largest;
   }
 
-  const InternalKeyComparator* comparator_;
+  const Comparator comparator_;
   std::vector<std::unique_ptr<Iterator>> children_;
   Iterator* current_;
   Direction direction_ = kForward;
 };
 
+template <typename Comparator>
+Iterator* NewMerging(Comparator comparator, Iterator** children, int n) {
+  assert(n >= 0);
+  if (n == 0) return NewEmptyIterator();
+  if (n == 1) return children[0];
+  return new MergingIterator<Comparator>(comparator, children, n);
+}
+
 }  // namespace
 
 Iterator* NewMergingIterator(const InternalKeyComparator* comparator,
                              Iterator** children, int n) {
-  assert(n >= 0);
-  if (n == 0) return NewEmptyIterator();
-  if (n == 1) return children[0];
-  return new MergingIterator(comparator, children, n);
+  return NewMerging(*comparator, children, n);
+}
+
+Iterator* NewBytewiseMergingIterator(Iterator** children, int n) {
+  return NewMerging(BytewiseOrder(), children, n);
 }
 
 }  // namespace iamdb

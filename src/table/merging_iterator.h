@@ -1,7 +1,8 @@
 // MergingIterator: k-way merge over child iterators, yielding their union
-// in internal-key order.  This is how multi-sequence MSTable nodes, levels
-// and the whole tree are presented as one sorted stream (paper Sec 4.1:
-// "a scan ... merges them to get the sorted result").
+// in key order.  This is how multi-sequence MSTable nodes, levels and the
+// whole tree are presented as one sorted stream (paper Sec 4.1: "a scan
+// ... merges them to get the sorted result"), and how a ShardedDB
+// presents its shards' user-key iterators as one.
 #pragma once
 
 #include "core/dbformat.h"
@@ -16,5 +17,9 @@ namespace iamdb {
 // cannot occur across valid inputs).
 Iterator* NewMergingIterator(const InternalKeyComparator* comparator,
                              Iterator** children, int n);
+
+// The same merge in bytewise (user-key) order, for children whose keys
+// are disjoint, such as one DB iterator per shard.
+Iterator* NewBytewiseMergingIterator(Iterator** children, int n);
 
 }  // namespace iamdb

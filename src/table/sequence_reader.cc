@@ -116,9 +116,7 @@ std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
   }
   std::string contents;
   CompressionType type = CompressionType::kNone;
-  *s = ReadBlockContents(
-      file_, handle, options.verify_checksums || options_.verify_checksums,
-      format_version_, &contents, &type);
+  *s = ReadBlockContents(file_, handle, format_version_, &contents, &type);
   if (!s->ok()) return nullptr;
   return FinishBlock(options, key, std::move(contents), type,
                      /*from_compressed_tier=*/false, s);
@@ -276,8 +274,6 @@ void SequenceReader::MultiGet(const ReadOptions& options,
       }
     }
 
-    const bool verify =
-        options.verify_checksums || options_.verify_checksums;
     for (size_t i = 0; i < rr.size(); ++i) {
       Group& grp = groups[missing[i]];
       const size_t payload = static_cast<size_t>(grp.handle.size());
@@ -287,8 +283,8 @@ void SequenceReader::MultiGet(const ReadOptions& options,
       }
       CompressionType type = CompressionType::kNone;
       if (s.ok()) {
-        s = CheckBlockTrailer(rr[i].result.data(), payload, verify,
-                              format_version_, &type);
+        s = CheckBlockTrailer(rr[i].result.data(), payload, format_version_,
+                              &type);
       }
       if (s.ok()) {
         // The read may have landed elsewhere (mmap-style envs return

@@ -29,9 +29,6 @@ struct TableOptions {
   // Bloom bits per key; paper Sec 6.1 uses 14 (=> ~0.2% false positives).
   int bloom_bits_per_key = 14;
 
-  // Verify block CRCs on read.
-  bool verify_checksums = true;
-
   // Per-block codec for newly written data blocks.  Blocks that do not
   // shrink to 7/8 of their size or less are stored raw; metadata blocks
   // are always raw.  Appends to a format-v1 file stay raw regardless, so

@@ -314,8 +314,8 @@ class BlockFramingTest : public testing::Test {
     std::unique_ptr<RandomAccessFile> file;
     Status s = env_.NewRandomAccessFile(fname, &file);
     if (!s.ok()) return s;
-    return ReadBlockContents(file.get(), handle, /*verify_checksums=*/true,
-                             kFormatVersion2, contents, type);
+    return ReadBlockContents(file.get(), handle, kFormatVersion2, contents,
+                             type);
   }
 
   // Rewrites the file with one byte XORed.

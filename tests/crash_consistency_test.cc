@@ -500,7 +500,9 @@ void VerifyShardedRecovered(const Options& options,
   std::unique_ptr<DB> db;
   Status s = ShardedDB::Open(options, "/db", 0, &db);
   ASSERT_TRUE(s.ok()) << "sharded recovery failed: " << s.ToString();
-  ASSERT_EQ(db->NumShards(), kCrashShards);
+  auto* sharded = static_cast<ShardedDB*>(db.get());
+  ASSERT_EQ(sharded->shard_map().num_shards,
+            static_cast<uint32_t>(kCrashShards));
 
   // A sync ack only fsyncs the WALs of the shards the op wrote to, so each
   // shard's guaranteed prefix ends at the latest acked sync op touching it.
@@ -518,7 +520,7 @@ void VerifyShardedRecovered(const Options& options,
     SCOPED_TRACE("shard " + std::to_string(shard));
     Model dump;
     std::unique_ptr<Iterator> iter(
-        db->NewShardIterator(ReadOptions(), shard));
+        sharded->shard(shard)->NewIterator(ReadOptions()));
     for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
       ASSERT_EQ(ShardOf(iter->key(), kCrashShards),
                 static_cast<uint32_t>(shard));

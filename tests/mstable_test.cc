@@ -475,7 +475,6 @@ TEST_F(MSTableTest, CorruptDataBlockDetectedWithChecksums) {
   ASSERT_TRUE(WriteStringToFile(&env_, contents, "/t10", false).ok());
 
   TableOptions strict = options_;
-  strict.verify_checksums = true;
   strict.block_cache = nullptr;
   std::shared_ptr<MSTableReader> reader;
   ASSERT_TRUE(MSTableReader::Open(&env_, strict, &cmp_, "/t10", 1,

@@ -834,6 +834,19 @@ TEST(ServerLifecycleTest, StopBeforeStartDoesNotBreakLifecycle) {
   EXPECT_FALSE(server.Start().ok());
 }
 
+// The shutdown summary is printed after Stop(): it still names the reactor
+// count that Start() resolved.
+TEST(ServerLifecycleTest, StatsKeepReactorCountAfterStop) {
+  ServerOptions server_options;
+  server_options.num_shards = 2;
+  OwnedServer owned = StartOwnedServer(server_options);
+  EXPECT_EQ(owned.server->num_shards(), 2);
+  owned.server->Stop();
+  EXPECT_EQ(owned.server->num_shards(), 2);
+  const std::string text = owned.server->StatsString();
+  EXPECT_NE(text.find(" shards=2"), std::string::npos) << text;
+}
+
 // A peer that stops reading while pipelining requests must pause the
 // server's reads at the soft output limit (counted as a stall) — and the
 // stream must fully recover once the peer drains.

@@ -1,11 +1,15 @@
 // ShardedDB: partition function pinning, SHARDMAP manifest durability,
 // open/create semantics, seeded equivalence against a single instance
 // across all three engines, snapshot semantics, stats aggregation, and the
-// cluster-aware client (MGET routing + SCAN fan-out) against a sharded
-// server.
+// plain client against a sharded server (server-routed MGET and SCAN).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <random>
@@ -21,6 +25,7 @@
 #include "shard/sharded_db.h"
 #include "table/iterator.h"
 #include "test_seed.h"
+#include "util/coding.h"
 
 namespace iamdb {
 namespace {
@@ -156,13 +161,13 @@ TEST(ShardedOpenTest, CreateReopenAndCountMismatch) {
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(ShardedDB::Open(options, "/sdb", 4, &db).ok());
-  EXPECT_EQ(db->NumShards(), 4);
+  EXPECT_EQ(static_cast<ShardedDB*>(db.get())->shard_map().num_shards, 4u);
   ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
   db.reset();
 
   // num_shards == 0 adopts the persisted count.
   ASSERT_TRUE(ShardedDB::Open(options, "/sdb", 0, &db).ok());
-  EXPECT_EQ(db->NumShards(), 4);
+  EXPECT_EQ(static_cast<ShardedDB*>(db.get())->shard_map().num_shards, 4u);
   std::string value;
   EXPECT_TRUE(db->Get(ReadOptions(), "k", &value).ok());
   EXPECT_EQ(value, "v");
@@ -473,9 +478,11 @@ TEST(ShardedStatsTest, ShardIteratorsPartitionTheKeyspace) {
   for (int i = 0; i < 100; i++) {
     ASSERT_TRUE(db->Put(WriteOptions(), Key(i), "v").ok());
   }
+  auto* sharded = static_cast<ShardedDB*>(db.get());
   std::map<std::string, int> seen;
   for (int s = 0; s < 4; s++) {
-    std::unique_ptr<Iterator> it(db->NewShardIterator(ReadOptions(), s));
+    std::unique_ptr<Iterator> it(
+        sharded->shard(s)->NewIterator(ReadOptions()));
     for (it->SeekToFirst(); it->Valid(); it->Next()) {
       seen[it->key().ToString()]++;
       EXPECT_EQ(ShardOf(it->key(), 4), static_cast<uint32_t>(s));
@@ -484,14 +491,9 @@ TEST(ShardedStatsTest, ShardIteratorsPartitionTheKeyspace) {
   }
   EXPECT_EQ(seen.size(), 100u);  // every key in exactly one shard
   for (const auto& [key, count] : seen) EXPECT_EQ(count, 1) << key;
-
-  std::unique_ptr<Iterator> bad(db->NewShardIterator(ReadOptions(), 4));
-  EXPECT_TRUE(bad->status().IsInvalidArgument());
-  bad.reset(db->NewShardIterator(ReadOptions(), -1));
-  EXPECT_TRUE(bad->status().IsInvalidArgument());
 }
 
-// --- cluster-aware client against a sharded server ------------------------
+// --- the plain client against a sharded server ----------------------------
 
 class ShardedServerTest : public testing::Test {
  protected:
@@ -528,15 +530,17 @@ class ShardedServerTest : public testing::Test {
 
 TEST_F(ShardedServerTest, ShardMapDiscovery) {
   auto client = MakeClient();
-  int num_shards = 0;
-  ASSERT_TRUE(client->GetShardMap(&num_shards).ok());
-  EXPECT_EQ(num_shards, kDbShards);
+  std::string text;
+  ASSERT_TRUE(client->GetProperty("iamdb.shardmap", &text).ok());
+  ShardMap map;
+  ASSERT_TRUE(ParseShardMap(text, &map)) << text;
+  EXPECT_EQ(map.num_shards, static_cast<uint32_t>(kDbShards));
 }
 
-TEST_F(ShardedServerTest, MultiGetShardedEdgeCases) {
+TEST_F(ShardedServerTest, MultiGetEdgeCases) {
   auto client = MakeClient();
   // Keys pinned to one shard of 4 (see ShardHashTest::PinnedVectors
-  // tooling); the all-one-shard case must not fan out incorrectly.
+  // tooling); the all-one-shard case must not be routed incorrectly.
   const std::vector<std::string> one_shard = {"one001", "one003", "one012",
                                               "one018", "one022"};
   for (const std::string& k : one_shard) {
@@ -558,13 +562,13 @@ TEST_F(ShardedServerTest, MultiGetShardedEdgeCases) {
   std::vector<std::string> values;
   std::vector<Status> statuses;
 
-  // Empty key set: OK, empty outputs, no network dependency.
-  ASSERT_TRUE(client->MultiGetSharded({}, &values, &statuses).ok());
+  // Empty key set: OK, empty outputs.
+  ASSERT_TRUE(client->MultiGet({}, &values, &statuses).ok());
   EXPECT_TRUE(values.empty());
   EXPECT_TRUE(statuses.empty());
 
   // All keys on one shard.
-  ASSERT_TRUE(client->MultiGetSharded(one_shard, &values, &statuses).ok());
+  ASSERT_TRUE(client->MultiGet(one_shard, &values, &statuses).ok());
   ASSERT_EQ(values.size(), one_shard.size());
   for (size_t i = 0; i < one_shard.size(); i++) {
     ASSERT_TRUE(statuses[i].ok()) << one_shard[i];
@@ -575,7 +579,7 @@ TEST_F(ShardedServerTest, MultiGetShardedEdgeCases) {
   // come back in input order.
   std::vector<std::string> mixed = spanning;
   mixed.insert(mixed.begin() + 3, "absent-key");
-  ASSERT_TRUE(client->MultiGetSharded(mixed, &values, &statuses).ok());
+  ASSERT_TRUE(client->MultiGet(mixed, &values, &statuses).ok());
   ASSERT_EQ(values.size(), mixed.size());
   for (size_t i = 0; i < mixed.size(); i++) {
     if (mixed[i] == "absent-key") {
@@ -587,7 +591,7 @@ TEST_F(ShardedServerTest, MultiGetShardedEdgeCases) {
   }
 }
 
-TEST_F(ShardedServerTest, ScanShardedMergesAndBounds) {
+TEST_F(ShardedServerTest, ScanMergesAndBounds) {
   auto client = MakeClient();
   std::vector<std::string> keys;
   for (int i = 0; i < 60; i++) {
@@ -600,7 +604,7 @@ TEST_F(ShardedServerTest, ScanShardedMergesAndBounds) {
   // Full range: globally sorted despite per-shard storage.
   std::vector<wire::KeyValue> entries;
   bool truncated = true;
-  ASSERT_TRUE(client->ScanSharded("", "", 0, &entries, &truncated).ok());
+  ASSERT_TRUE(client->Scan("", "", 0, &entries, &truncated).ok());
   ASSERT_EQ(entries.size(), keys.size());
   EXPECT_FALSE(truncated);
   for (size_t i = 0; i < keys.size(); i++) {
@@ -609,58 +613,95 @@ TEST_F(ShardedServerTest, ScanShardedMergesAndBounds) {
 
   // Bounded range.
   ASSERT_TRUE(
-      client->ScanSharded(Key(10), Key(20), 0, &entries, &truncated).ok());
+      client->Scan(Key(10), Key(20), 0, &entries, &truncated).ok());
   ASSERT_EQ(entries.size(), 10u);
   EXPECT_EQ(entries.front().first, Key(10));
   EXPECT_EQ(entries.back().first, Key(19));
 
   // Bounds so narrow that most shards contribute nothing.
   ASSERT_TRUE(
-      client->ScanSharded(Key(7), Key(8), 0, &entries, &truncated).ok());
+      client->Scan(Key(7), Key(8), 0, &entries, &truncated).ok());
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].first, Key(7));
   EXPECT_FALSE(truncated);
 
   // Empty range.
   ASSERT_TRUE(
-      client->ScanSharded("zz", "", 0, &entries, &truncated).ok());
+      client->Scan("zz", "", 0, &entries, &truncated).ok());
   EXPECT_TRUE(entries.empty());
   EXPECT_FALSE(truncated);
 
-  // Client-side limit: a correct global prefix, flagged truncated.
-  ASSERT_TRUE(client->ScanSharded("", "", 25, &entries, &truncated).ok());
+  // Limit: a correct global prefix, flagged truncated.
+  ASSERT_TRUE(client->Scan("", "", 25, &entries, &truncated).ok());
   ASSERT_EQ(entries.size(), 25u);
   EXPECT_TRUE(truncated);
   for (size_t i = 0; i < entries.size(); i++) {
     EXPECT_EQ(entries[i].first, keys[i]);
   }
 
-  // The server-side merged path (no shard field) returns the same bytes.
-  std::vector<wire::KeyValue> merged;
-  ASSERT_TRUE(client->Scan("", "", 0, &merged, &truncated).ok());
-  ASSERT_TRUE(client->ScanSharded("", "", 0, &entries, &truncated).ok());
-  EXPECT_EQ(merged, entries);
 }
 
-TEST_F(ShardedServerTest, ShardScopedScanValidation) {
+TEST_F(ShardedServerTest, TrailingScanFieldIsRefused) {
   auto client = MakeClient();
   ASSERT_TRUE(client->Put("k", "v").ok());
 
+  // A raw connection: Client only encodes well-formed requests.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(0, ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                         sizeof(addr)));
+  // Sends one SCAN frame and returns its response status; *rest gets the
+  // payload after the status.
+  std::string buffer;
+  auto scan = [&](uint64_t id, const std::string& payload, std::string* rest) {
+    std::string frame;
+    wire::BuildFrame(id, wire::Opcode::kScan, payload, &frame);
+    EXPECT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    Slice body;
+    size_t consumed = 0;
+    while (wire::DecodeFrame(buffer.data(), buffer.size(), &body,
+                             &consumed) != wire::FrameResult::kOk) {
+      char chunk[4096];
+      ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (got <= 0) return Status::IOError("connection closed");
+      buffer.append(chunk, static_cast<size_t>(got));
+    }
+    uint64_t resp_id;
+    wire::Opcode op;
+    Slice p;
+    Status s = Status::Corruption("malformed response");
+    if (wire::ParseBody(body, &resp_id, &op, &p) && resp_id == id &&
+        wire::DecodeStatus(&p, &s)) {
+      rest->assign(p.data(), p.size());
+    }
+    buffer.erase(0, consumed);
+    return s;
+  };
+
+  // A SCAN payload is start, end and limit; one more varint after the
+  // limit is malformed.
   wire::ScanRequest req;
-  req.shard = kDbShards;  // out of range
-  uint64_t id = client->SubmitScan(req);
-  ASSERT_NE(id, 0u);
-  wire::ScanResponse resp;
-  Status s = client->WaitScan(id, &resp);
+  std::string payload;
+  wire::EncodeScan(req, &payload);
+  std::string trailing = payload;
+  PutVarint32(&trailing, 1);
+  std::string rest;
+  Status s = scan(1, trailing, &rest);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 
-  // A valid shard-scoped scan returns only that shard's keys.
-  req.shard = static_cast<int32_t>(ShardOf(Slice("k"), kDbShards));
-  id = client->SubmitScan(req);
-  ASSERT_NE(id, 0u);
-  ASSERT_TRUE(client->WaitScan(id, &resp).ok());
+  // The connection stays up: the next request on it succeeds.
+  ASSERT_TRUE(scan(2, payload, &rest).ok());
+  wire::ScanResponse resp;
+  ASSERT_TRUE(wire::DecodeScanResponse(rest, &resp));
   ASSERT_EQ(resp.entries.size(), 1u);
   EXPECT_EQ(resp.entries[0].first, "k");
+  ::close(fd);
 }
 
 TEST_F(ShardedServerTest, ShardStatsOverTheWire) {

@@ -4,17 +4,16 @@
 //   iamdb_cli [--host=H] [--port=N] ping
 //   iamdb_cli put <key> <value>
 //   iamdb_cli get <key>
-//   iamdb_cli mget <key> [key...]      (shard-routed batched reads)
+//   iamdb_cli mget <key> [key...]      (batched reads, one round trip)
 //   iamdb_cli del <key>
-//   iamdb_cli scan [start [end [limit]]]   (shard fan-out, merged locally)
+//   iamdb_cli scan [start [end [limit]]]   (sorted range, one round trip)
 //   iamdb_cli info [property]          (e.g. iamdb.stats, server.stats)
 //   iamdb_cli stats                    (decoded DbStats snapshot)
 //   iamdb_cli shardmap                 (server's shard layout)
 //   iamdb_cli shard-stats              (per-shard stats breakdown)
 //
-// mget and scan are cluster-aware: against a sharded server they route
-// per shard client-side (MultiGetSharded / ScanSharded); against a plain
-// server they degrade to the single-request forms.
+// Against a sharded server, mget and scan send the same single request:
+// the server routes the keys to their shards and merges the shards' scans.
 //
 // With no command, drops into a REPL speaking the same verbs plus
 // `batch` (lines of put/del until `commit`, applied atomically) and
@@ -52,7 +51,7 @@ int RunCommand(Client* client, const std::vector<std::string>& args) {
     std::vector<std::string> keys(args.begin() + 1, args.end());
     std::vector<std::string> values;
     std::vector<Status> statuses;
-    s = client->MultiGetSharded(keys, &values, &statuses);
+    s = client->MultiGet(keys, &values, &statuses);
     if (s.ok()) {
       int found = 0;
       for (size_t i = 0; i < keys.size(); i++) {
@@ -76,7 +75,7 @@ int RunCommand(Client* client, const std::vector<std::string>& args) {
                          : 0;
     std::vector<wire::KeyValue> entries;
     bool truncated = false;
-    s = client->ScanSharded(start, end, limit, &entries, &truncated);
+    s = client->Scan(start, end, limit, &entries, &truncated);
     if (s.ok()) {
       for (const auto& [key, value] : entries) {
         std::printf("%s => %s\n", key.c_str(), value.c_str());
@@ -99,15 +98,13 @@ int RunCommand(Client* client, const std::vector<std::string>& args) {
     s = client->GetStats(&stats);
     if (s.ok()) std::fputs(FormatDbStats(stats).c_str(), stdout);
   } else if (cmd == "shardmap") {
-    int num_shards = 1;
-    s = client->GetShardMap(&num_shards);
-    if (s.ok()) {
-      std::string text;
-      if (client->GetProperty("iamdb.shardmap", &text).ok()) {
-        std::printf("%s\n", text.c_str());
-      } else {
-        std::printf("unsharded (1 shard)\n");
-      }
+    std::string text;
+    s = client->GetProperty("iamdb.shardmap", &text);
+    if (s.IsNotFound()) {
+      std::printf("unsharded (1 shard)\n");
+      s = Status::OK();
+    } else if (s.ok()) {
+      std::printf("%s\n", text.c_str());
     }
   } else if (cmd == "shard-stats") {
     std::string text;

@@ -82,7 +82,6 @@ int DumpTable(const std::string& fname, uint64_t meta_end, bool verify_only,
               uint64_t* entries_out) {
   InternalKeyComparator cmp;
   TableOptions options;
-  options.verify_checksums = true;
   std::shared_ptr<MSTableReader> reader;
   Status s = MSTableReader::Open(Env::Default(), options, &cmp, fname, 1,
                                  meta_end, &reader);
@@ -106,7 +105,6 @@ int DumpTable(const std::string& fname, uint64_t meta_end, bool verify_only,
   }
   // Touch every block of every sequence with checksums on.
   ReadOptions read_options;
-  read_options.verify_checksums = true;
   read_options.fill_cache = false;
   uint64_t entries = 0;
   std::unique_ptr<Iterator> iter(reader->NewIterator(read_options));

@@ -176,8 +176,10 @@ int main(int argc, char** argv) {
                  s.ToString().c_str());
     return 1;
   }
-  if (db->NumShards() > 1) {
-    std::printf("database partitioned into %d shards\n", db->NumShards());
+  if (auto* sharded = dynamic_cast<ShardedDB*>(db.get());
+      sharded != nullptr && sharded->shard_map().num_shards > 1) {
+    std::printf("database partitioned into %u shards\n",
+                sharded->shard_map().num_shards);
   }
 
   Server server(db.get(), server_options);
