@@ -1,35 +1,21 @@
 // Stability: fixed-duration write-heavy ingest bucketed into 1-second
-// windows, for the leveled baseline and both AMT policies, under three
-// pacing regimes:
-//
-//   unpaced  - no compaction rate limit (merges burst at full speed)
-//   static   - fixed 32MB/s budget, pacing{32MB, 32MB}
-//              (BENCH_compaction_scaling's knee: smooth but ~10x slower)
-//   adaptive - debt/ingest feedback controller (core/compaction_pacer.h)
-//              between 8MB/s and 1GB/s
+// windows, for the leveled baseline and both AMT policies.
 //
 // Each cell first loads the whole key space and waits for compactions to
 // settle (warm-up), then runs a fixed-duration random-overwrite phase;
 // each window records its put count and p99 latency, and cross-window
 // throughput variance (stddev and coefficient of variation over the
-// complete windows) is the stability observable: a paced run should trade
-// a little peak throughput for materially flatter windows.  Runs are
-// fixed-duration rather than fixed-ops so every cell yields the same
-// number of comparable windows regardless of how fast its mode is.
+// complete windows) is the stability observable.  Runs are fixed-duration
+// rather than fixed-ops so every cell yields the same number of
+// comparable windows regardless of how fast its engine is.
 //
-// One JSON line per (engine, mode) cell:
-//   {"bench":"stability","engine":"iam","mode":"adaptive","bg_threads":2,
+// One JSON line per engine:
+//   {"bench":"stability","engine":"iam","bg_threads":2,
 //    "cpus":1,"duration_s":8.0,"window_s":1,"ops":123456,
 //    "ops_per_sec":15432.0,"p99_us":210.0,"p999_us":1800.0,
 //    "windows":[{"ops":15000,"p99_us":200.0},...],
 //    "window_ops_mean":15000.0,"window_ops_stddev":300.0,"window_cv":0.02,
-//    "stall_s":0.35,"rate_limit_wait_thread_s":0.12,
-//    "rate_limit_wait_wall_s":0.08,"pacer_rate_mb_s":80.0,
-//    "pacer_ingest_mb_s":60.1,"pacer_retunes":74,"final_debt_bytes":0}
-//
-// rate_limit_wait_thread_s is summed across background threads and can
-// exceed wall-clock; rate_limit_wait_wall_s is the wall-clock union of
-// paced intervals (see DbStats).  Both are reported, labelled.
+//    "stall_s":0.35,"final_debt_bytes":0}
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -71,20 +57,12 @@ struct EngineSpec {
   AmtPolicy policy;
 };
 
-struct ModeSpec {
-  const char* name;
-  // PacingOptions range; max 0 = unpaced, min == max = fixed rate.
-  uint64_t min_mb;
-  uint64_t max_mb;
-};
-
 struct WindowStat {
   uint64_t ops = 0;
   double p99_us = 0;
 };
 
-Options MakeCellOptions(const EngineSpec& spec, const ModeSpec& mode,
-                        int bg_threads, Env* env) {
+Options MakeCellOptions(const EngineSpec& spec, int bg_threads, Env* env) {
   Options options;
   options.env = env;
   options.engine = spec.engine;
@@ -96,17 +74,14 @@ Options MakeCellOptions(const EngineSpec& spec, const ModeSpec& mode,
   options.leveled.max_bytes_level1 = 5 * (256 << 10);
   options.background_threads = bg_threads;
   options.max_subcompactions = 4;
-  options.pacing.min_bytes_per_sec = mode.min_mb << 20;
-  options.pacing.max_bytes_per_sec = mode.max_mb << 20;
   return options;
 }
 
-void RunCell(const EngineSpec& spec, const ModeSpec& mode, int bg_threads,
-             double duration_s, uint64_t key_space) {
+void RunCell(const EngineSpec& spec, int bg_threads, double duration_s,
+             uint64_t key_space) {
   MemEnv env;
   std::unique_ptr<DB> db;
-  Status s =
-      DB::Open(MakeCellOptions(spec, mode, bg_threads, &env), "/bench", &db);
+  Status s = DB::Open(MakeCellOptions(spec, bg_threads, &env), "/bench", &db);
   if (!s.ok()) {
     std::fprintf(stderr, "open failed: %s\n", s.ToString().c_str());
     return;
@@ -117,7 +92,7 @@ void RunCell(const EngineSpec& spec, const ModeSpec& mode, int bg_threads,
 
   // Warm-up: load the whole key space and let compactions settle, so the
   // timed windows measure steady-state overwrite behaviour rather than
-  // the empty-tree transient (fast for every mode, and a monotone trend
+  // the empty-tree transient (fast for every engine, and a monotone trend
   // that would swamp the cross-window variance this bench compares).
   // Cumulative counters are reported as deltas past this point.
   for (uint64_t i = 0; i < key_space; i++) {
@@ -129,9 +104,8 @@ void RunCell(const EngineSpec& spec, const ModeSpec& mode, int bg_threads,
   }
   db->FlushAll();
   db->WaitForQuiescence();
-  // One second of untimed overwrites so every mode (and the adaptive
-  // controller in particular) is already in its steady overwrite regime
-  // when the first window opens.
+  // One second of untimed overwrites so every engine is already in its
+  // steady overwrite regime when the first window opens.
   const double lead_deadline = NowMicros() + 1e6;
   while (NowMicros() < lead_deadline) {
     s = db->Put(WriteOptions(), Key(rnd.Uniform(key_space)), value);
@@ -182,8 +156,6 @@ void RunCell(const EngineSpec& spec, const ModeSpec& mode, int bg_threads,
   db->WaitForQuiescence();
   DbStats stats = db->GetStats();
   stats.stall_micros -= warm.stall_micros;
-  stats.rate_limiter_wait_micros -= warm.rate_limiter_wait_micros;
-  stats.rate_limiter_paced_wall_micros -= warm.rate_limiter_paced_wall_micros;
 
   double mean = 0, stddev = 0;
   if (!windows.empty()) {
@@ -197,8 +169,8 @@ void RunCell(const EngineSpec& spec, const ModeSpec& mode, int bg_threads,
   }
   const double cv = mean > 0 ? stddev / mean : 0;
 
-  std::printf("%-8s %-8s %10.0f %10.2f %10.2f %8zu %10.0f %8.3f %8.3f\n",
-              spec.name, mode.name, total_ops / ingest_seconds,
+  std::printf("%-8s %10.0f %10.2f %10.2f %8zu %10.0f %8.3f %8.3f\n",
+              spec.name, total_ops / ingest_seconds,
               overall_us.Percentile(99), overall_us.Percentile(99.9),
               windows.size(), mean, cv, stats.stall_micros / 1e6);
 
@@ -211,24 +183,17 @@ void RunCell(const EngineSpec& spec, const ModeSpec& mode, int bg_threads,
     window_json += buf;
   }
   std::printf(
-      "{\"bench\":\"stability\",\"engine\":\"%s\",\"mode\":\"%s\","
-      "\"bg_threads\":%d,\"cpus\":%u,\"duration_s\":%.1f,\"window_s\":1,"
+      "{\"bench\":\"stability\",\"engine\":\"%s\",\"bg_threads\":%d,"
+      "\"cpus\":%u,\"duration_s\":%.1f,\"window_s\":1,"
       "\"key_space\":%llu,\"ops\":%llu,\"ops_per_sec\":%.1f,\"p99_us\":%.2f,\"p999_us\":%.2f,"
       "\"windows\":[%s],\"window_ops_mean\":%.1f,\"window_ops_stddev\":%.1f,"
-      "\"window_cv\":%.4f,\"stall_s\":%.3f,"
-      "\"rate_limit_wait_thread_s\":%.3f,\"rate_limit_wait_wall_s\":%.3f,"
-      "\"pacer_rate_mb_s\":%.1f,\"pacer_ingest_mb_s\":%.1f,"
-      "\"pacer_retunes\":%llu,\"final_debt_bytes\":%llu}\n",
-      spec.name, mode.name, bg_threads, std::thread::hardware_concurrency(),
+      "\"window_cv\":%.4f,\"stall_s\":%.3f,\"final_debt_bytes\":%llu}\n",
+      spec.name, bg_threads, std::thread::hardware_concurrency(),
       duration_s, static_cast<unsigned long long>(key_space),
       static_cast<unsigned long long>(total_ops),
       total_ops / ingest_seconds, overall_us.Percentile(99),
       overall_us.Percentile(99.9), window_json.c_str(), mean, stddev, cv,
-      stats.stall_micros / 1e6, stats.rate_limiter_wait_micros / 1e6,
-      stats.rate_limiter_paced_wall_micros / 1e6,
-      stats.pacer_rate_bytes_per_sec / 1048576.0,
-      stats.pacer_ingest_bytes_per_sec / 1048576.0,
-      static_cast<unsigned long long>(stats.pacer_retunes),
+      stats.stall_micros / 1e6,
       static_cast<unsigned long long>(stats.pending_debt_bytes));
   std::fflush(stdout);
 }
@@ -253,23 +218,16 @@ int main(int argc, char** argv) {
       {"lsa", EngineType::kAmt, AmtPolicy::kLsa},
       {"iam", EngineType::kAmt, AmtPolicy::kIam},
   };
-  const ModeSpec modes[] = {
-      {"unpaced", 0, 0},
-      {"static", 32, 32},
-      {"adaptive", 8, 1024},
-  };
 
   std::printf(
       "=== stability (%.1fs of 1KB random overwrites/cell over %llu keys, "
       "%d bg) ===\n",
       duration_s, static_cast<unsigned long long>(key_space), bg_threads);
-  std::printf("%-8s %-8s %10s %10s %10s %8s %10s %8s %8s\n", "engine", "mode",
-              "ops/sec", "p99(us)", "p99.9(us)", "windows", "win_mean",
-              "win_cv", "stall(s)");
+  std::printf("%-8s %10s %10s %10s %8s %10s %8s %8s\n", "engine", "ops/sec",
+              "p99(us)", "p99.9(us)", "windows", "win_mean", "win_cv",
+              "stall(s)");
   for (const EngineSpec& spec : engines) {
-    for (const ModeSpec& mode : modes) {
-      RunCell(spec, mode, bg_threads, duration_s, key_space);
-    }
+    RunCell(spec, bg_threads, duration_s, key_space);
   }
   return 0;
 }

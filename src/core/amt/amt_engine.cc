@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <utility>
 
 #include "core/compaction_output.h"
 #include "core/db_impl.h"
@@ -429,7 +430,7 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     const PartitionIterator* partition = records.get();
     std::vector<Iterator*> iters;
     iters.push_back(records.release());
-    reader->AddSequenceIterators(CompactionReadOptions(db_), &iters);
+    reader->AddSequenceIterators(CompactionReadOptions(), &iters);
     Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
                                           static_cast<int>(iters.size()));
     CompactionStream stream(merged, smallest_snapshot,
@@ -629,18 +630,15 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
     Delta move;
     move.removed.emplace_back(level, node->node_id);
     move.added.emplace_back(level + 1, node);
-    Status s = Install(move);
-    if (!s.ok()) return s;
-    db_->amp_stats_mutable()->RecordLevelWrite(level + 2, WriteReason::kMove,
-                                               0);
-    return Status::OK();
+    return Install(move);
   }
 
   db_->mutex().unlock();
-  // Arg: the flushed node's version index (const int*).  The job's claims
-  // are held and the DB mutex is not.
-  IAMDB_SYNC_POINT_ARG("AmtEngine::RunFlushNode:Unlocked",
-                       const_cast<int*>(&level));
+  // Arg: {the flushed node's version index, the job's lane}
+  // (std::pair<int, WorkLane>*).  The job's claims are held and the DB
+  // mutex is not.
+  [[maybe_unused]] std::pair<int, WorkLane> sync_arg{level, lane};
+  IAMDB_SYNC_POINT_ARG("AmtEngine::RunFlushNode:Unlocked", &sync_arg);
 
   Status s;
   Delta delta;
@@ -653,7 +651,7 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
       db_->mutex().lock();
       return s;
     }
-    const ReadOptions merge_read = CompactionReadOptions(db_);
+    const ReadOptions merge_read = CompactionReadOptions();
     auto open_node = [&] { return reader->NewIterator(merge_read); };
 
     if (job.targets.empty()) {
@@ -720,7 +718,7 @@ Status AmtEngine::RunSplit(const Job& job) {
   CompactionOutput out(db_);
   size_t left_count = 0;
   if (s.ok()) {
-    CompactionStream stream(reader->NewIterator(CompactionReadOptions(db_)),
+    CompactionStream stream(reader->NewIterator(CompactionReadOptions()),
                             smallest_snapshot, /*bottommost=*/false);
     out.AddStream(&stream, &boundary);
     out.Cut();

@@ -5,7 +5,6 @@
 
 #include "core/db_impl.h"
 #include "core/filename.h"
-#include "util/rate_limiter.h"
 #include "util/task_group.h"
 
 namespace iamdb {
@@ -70,10 +69,9 @@ Status CompactionOutput::Finish() {
   return status_;
 }
 
-ReadOptions CompactionReadOptions(DBImpl* db) {
+ReadOptions CompactionReadOptions() {
   ReadOptions options;
   options.fill_cache = false;
-  options.rate_limiter = db->rate_limiter();
   return options;
 }
 
@@ -102,23 +100,20 @@ Status RunSubcompactions(
   }
   group_begin.push_back(cost.size());
 
-  const bool flush = lane == TreeEngine::WorkLane::kFlush;
-  const RateLimiter::IoPriority prio =
-      flush ? RateLimiter::IoPriority::kHigh : RateLimiter::IoPriority::kLow;
   std::vector<std::function<Status()>> tasks;
   tasks.reserve(group_begin.size() - 1);
   for (size_t g = 0; g + 1 < group_begin.size(); g++) {
     tasks.push_back([&run_group, begin = group_begin[g],
-                     end = group_begin[g + 1], prio]() -> Status {
-      // Pool helpers carry no priority scope of their own.
-      RateLimiter::ScopedPriority p(prio);
+                     end = group_begin[g + 1]]() -> Status {
       return run_group(begin, end);
     });
   }
   db->RecordSubcompactions(tasks.size());
-  return TaskGroup::RunAll(
-      db->pool(), flush ? ThreadPool::Lane::kHigh : ThreadPool::Lane::kLow,
-      std::move(tasks));
+  return TaskGroup::RunAll(db->pool(),
+                           lane == TreeEngine::WorkLane::kFlush
+                               ? ThreadPool::Lane::kHigh
+                               : ThreadPool::Lane::kLow,
+                           std::move(tasks));
 }
 
 }  // namespace iamdb

@@ -72,17 +72,16 @@ class CompactionOutput {
   uint64_t meta_bytes_ = 0;
 };
 
-// Compaction inputs are read once: they skip the block cache and share the
-// background I/O budget.
-ReadOptions CompactionReadOptions(DBImpl* db);
+// Compaction inputs are read once: they skip the block cache.
+ReadOptions CompactionReadOptions();
 
 // Splits units [0, cost.size()) into at most F contiguous groups of about
 // equal total cost, F = max_subcompactions (0: background_threads) capped
 // at the unit count, and calls run_group(begin, end) once per group.  With
 // F <= 1 the one group runs on the calling thread; otherwise each group is
-// a pool task on `lane`'s pool lane under `lane`'s I/O priority.  Every
-// group runs even after one fails (cleanup needs them finished); returns
-// the first failure in group order.
+// a pool task on `lane`'s pool lane.  Every group runs even after one
+// fails (cleanup needs them finished); returns the first failure in group
+// order.
 Status RunSubcompactions(
     DBImpl* db, const std::vector<uint64_t>& cost, TreeEngine::WorkLane lane,
     const std::function<Status(size_t begin, size_t end)>& run_group);

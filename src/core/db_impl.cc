@@ -65,17 +65,6 @@ DBImpl::DBImpl(const Options& options, const std::string& dbname)
   }
   options_.table.compression_stats = &compression_stats_;
   pool_ = std::make_unique<ThreadPool>(std::max(1, options.background_threads));
-  if (options.pacing.max_bytes_per_sec > 0) {
-    // The pacer owns the budget and starts it open, at max (see
-    // core/compaction_pacer.h).  Table builds during flush/merge pace
-    // their block writes; user writes go through the WAL + memtable and
-    // are never paced.
-    rate_limiter_ =
-        std::make_unique<RateLimiter>(options.pacing.max_bytes_per_sec);
-    pacer_ = std::make_unique<CompactionPacer>(options.pacing,
-                                               rate_limiter_.get());
-    options_.table.rate_limiter = rate_limiter_.get();
-  }
 }
 
 DBImpl::~DBImpl() {
@@ -114,24 +103,6 @@ Status ValidateOptions(const Options& options) {
   }
   if (options.max_subcompactions < 0 || options.max_subcompactions > 64) {
     return Status::InvalidArgument("max_subcompactions must be in [0, 64]");
-  }
-  if (options.pacing.max_bytes_per_sec > 0) {
-    const PacingOptions& p = options.pacing;
-    if (p.min_bytes_per_sec == 0 || p.max_bytes_per_sec < p.min_bytes_per_sec) {
-      return Status::InvalidArgument(
-          "pacing requires 0 < min_bytes_per_sec <= max_bytes_per_sec");
-    }
-    if (p.debt_low_bytes >= p.debt_high_bytes) {
-      return Status::InvalidArgument(
-          "pacing.debt_low_bytes must be below debt_high_bytes");
-    }
-    if (p.retune_interval_micros == 0) {
-      return Status::InvalidArgument(
-          "pacing.retune_interval_micros must be positive");
-    }
-    if (p.headroom < 1.0) {
-      return Status::InvalidArgument("pacing.headroom must be at least 1");
-    }
   }
   if (options.memory_budget_bytes > 0) {
     const uint64_t floor = MemoryArbiter::MinBudgetBytes(options);
@@ -571,9 +542,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
         status = WriteBatchInternal::InsertInto(write_batch, mem_);
       }
       amp_stats_.RecordUserWrite(WriteBatchInternal::UserBytes(write_batch));
-      if (pacer_ != nullptr) {
-        pacer_->RecordIngest(WriteBatchInternal::UserBytes(write_batch));
-      }
       amp_stats_.RecordWal(contents.size());
       l.lock();
     }
@@ -797,16 +765,9 @@ void DBImpl::MaybeScheduleBackgroundWork() {
   if (shutting_down_.load(std::memory_order_acquire) || !bg_error_.ok()) {
     return;
   }
-  // Adaptive pacing: every scheduling pass is a chance to retune — this is
-  // where debt changes (rotations, job completions).  RetuneDue() keeps the
-  // off-interval cost to one clock read; MaybeRetune is non-blocking (the
-  // limiter mutex is a leaf lock), so holding mutex_ here is fine.
-  if (pacer_ != nullptr && pacer_->RetuneDue()) {
-    pacer_->MaybeRetune(engine_->CompactionDebtBytes());
-  }
-  // Memory arbiter rides the same piggyback: scheduling passes happen on
-  // every write-side event that could move its signals (rotations, stalls,
-  // job completions).  Cache SetCapacity only takes shard (leaf) locks.
+  // The memory arbiter piggybacks on scheduling: passes happen on every
+  // write-side event that could move its signals (rotations, stalls, job
+  // completions).  Cache SetCapacity only takes shard (leaf) locks.
   MaybeRebalanceMemory();
   // Flush lane: at most one high-lane worker, and only when the engine
   // could pick a flush job now.  Flushes serialize on the single imm slot,
@@ -1149,14 +1110,6 @@ DbStats DBImpl::GetStats() {
   stats.flush_queue_depth = pool_->QueueDepth(ThreadPool::Lane::kHigh);
   stats.compact_queue_depth = pool_->QueueDepth(ThreadPool::Lane::kLow);
   stats.subcompactions_run = subcompactions_.load(std::memory_order_relaxed);
-  if (pacer_ != nullptr) {
-    stats.rate_limiter_wait_micros = rate_limiter_->total_wait_micros();
-    stats.rate_limiter_paced_wall_micros =
-        rate_limiter_->total_paced_wall_micros();
-    stats.pacer_rate_bytes_per_sec = rate_limiter_->bytes_per_second();
-    stats.pacer_ingest_bytes_per_sec = pacer_->ingest_rate();
-    stats.pacer_retunes = pacer_->retunes();
-  }
   if (arbiter_ != nullptr) {
     stats.arbiter_budget_bytes = arbiter_->budget();
     stats.arbiter_write_bytes = arbiter_->write_quota();

@@ -11,7 +11,6 @@
 #include <set>
 #include <string>
 
-#include "core/compaction_pacer.h"
 #include "core/db.h"
 #include "core/memory_arbiter.h"
 #include "core/dbformat.h"
@@ -23,7 +22,6 @@
 #include "table/cache.h"
 #include "table/compressor.h"
 #include "util/published_ptr.h"
-#include "util/rate_limiter.h"
 #include "util/thread_pool.h"
 #include "wal/log_writer.h"
 
@@ -108,10 +106,8 @@ class DBImpl final : public DB {
   uint64_t CurrentLogNumber() const { return log_number_; }  // mutex held
 
   // Shared background pool (engines fan subcompaction shards out on it; see
-  // util/task_group.h for why that can't deadlock) and the background I/O
-  // budget (null when pacing.max_bytes_per_sec == 0).  No mutex needed.
+  // util/task_group.h for why that can't deadlock).  No mutex needed.
   ThreadPool* pool() { return pool_.get(); }
-  RateLimiter* rate_limiter() { return rate_limiter_.get(); }
 
   // Counts subcompaction shards fanned out by engines (no mutex).
   void RecordSubcompactions(uint64_t n) {
@@ -202,10 +198,6 @@ class DBImpl final : public DB {
   std::unique_ptr<ManifestWriter> manifest_;
   std::unique_ptr<TreeEngine> engine_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<RateLimiter> rate_limiter_;
-  // Non-null iff rate_limiter_ is: retunes it from the measured ingest
-  // rate and the engine's compaction debt (see core/compaction_pacer.h).
-  std::unique_ptr<CompactionPacer> pacer_;
   // Non-null iff options.memory_budget_bytes > 0: re-divides the pooled
   // budget between the memtable quota and the cache tiers (see
   // core/memory_arbiter.h).  Constructed before the caches, which are

@@ -31,6 +31,9 @@
 // Rows are in emission order, not tag order: tags 1-22, the pacer group
 // 29-32, the server group 23-28, then 33-52.  Tags run densely from 1 (a
 // static_assert below checks it); a tag is never renumbered or reused.
+// Tag 22 and the pacer group are retired: background I/O pacing is gone,
+// nothing fills them, so tag 22 always reads 0 and the pacer group is never
+// emitted.
 #pragma once
 
 #include <cstddef>
@@ -88,14 +91,15 @@ inline constexpr size_t kNumDbStatsGroups = 6;
   F(uint64_t, subcompactions_run, 21, kSum, kAlways,                          \
     "key-range shards run by partitioned subcompactions")                     \
   F(uint64_t, rate_limiter_wait_micros, 22, kSum, kAlways,                    \
-    "time blocked in the rate limiter, summed per thread")                    \
+    "retired (no rate limiter): always 0")                                    \
   F(uint64_t, pacer_rate_bytes_per_sec, 29, kSum, kPacer,                     \
-    "adaptive pacer's background I/O budget")                                 \
+    "retired (no pacer): always 0")                                           \
   F(uint64_t, pacer_ingest_bytes_per_sec, 30, kSum, kPacer,                   \
-    "adaptive pacer's ingest-rate estimate")                                  \
-  F(uint64_t, pacer_retunes, 31, kSum, kPacer, "adaptive pacer rate changes") \
+    "retired (no pacer): always 0")                                           \
+  F(uint64_t, pacer_retunes, 31, kSum, kPacer,                                \
+    "retired (no pacer): always 0")                                           \
   F(uint64_t, rate_limiter_paced_wall_micros, 32, kSum, kPacer,               \
-    "wall time with any thread blocked in the limiter")                       \
+    "retired (no rate limiter): always 0")                                    \
   F(uint64_t, server_loop_iterations, 23, kSum, kServer,                      \
     "reactor event-loop iterations")                                          \
   F(uint64_t, server_writev_calls, 24, kSum, kServer, "reactor writev calls") \

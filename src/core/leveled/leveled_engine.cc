@@ -159,7 +159,7 @@ Status LeveledEngine::CompactSubrange(
     CompactionOutput* out) {
   Status s;
   std::vector<Iterator*> input_iters;
-  const ReadOptions read_options = CompactionReadOptions(db_);
+  const ReadOptions read_options = CompactionReadOptions();
   for (const auto* inputs : {&inputs0, &inputs1_group}) {
     for (const auto& node : *inputs) {
       std::shared_ptr<MSTableReader> reader;
@@ -261,11 +261,7 @@ Status LeveledEngine::CompactLevel(int level) {
     Delta move;
     move.removed.emplace_back(level, inputs0[0]->node_id);
     move.added.emplace_back(level + 1, inputs0[0]);
-    Status s = Install(move);
-    if (!s.ok()) return s;
-    db_->amp_stats_mutable()->RecordLevelWrite(level + 1, WriteReason::kMove,
-                                               0);
-    return Status::OK();
+    return Install(move);
   }
 
   SequenceNumber smallest_snapshot = db_->SmallestSnapshot();

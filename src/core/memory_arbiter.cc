@@ -28,7 +28,7 @@ uint64_t Clamp(uint64_t v, uint64_t lo, uint64_t hi) {
 
 }  // namespace
 
-MemoryArbiter::MemoryArbiter(const Options& options, RateClock* clock)
+MemoryArbiter::MemoryArbiter(const Options& options, Clock* clock)
     : retune_interval_micros_(options.arbiter.retune_interval_micros),
       budget_(options.memory_budget_bytes),
       write_floor_(options.node_capacity),
@@ -37,7 +37,6 @@ MemoryArbiter::MemoryArbiter(const Options& options, RateClock* clock)
                          MinReadBytesPerTier()),
       step_bytes_(std::max<uint64_t>(
           1, static_cast<uint64_t>(budget_ * kStepFraction))),
-      debt_high_bytes_(options.pacing.debt_high_bytes),
       uncompressed_weight_(options.block_cache_capacity),
       compressed_weight_(options.compressed_cache_capacity),
       clock_(clock),
@@ -79,10 +78,10 @@ MemoryArbiter::Shift MemoryArbiter::Decide(uint64_t stall_per_mille,
                                            uint64_t debt_bytes) const {
   if (stall_per_mille >= kStallShiftPerMille) {
     // Writes are stalling on memtable rotation.  But if the tree owes more
-    // compaction than the pacing high watermark, the stall is downstream
-    // of merge bandwidth, not memtable capacity — growing the memtable
-    // would only delay the same stall and starve the caches meanwhile.
-    return debt_bytes >= debt_high_bytes_ ? Shift::kNone : Shift::kToWrite;
+    // compaction than kStallDebtBytes, the stall is downstream of merge
+    // bandwidth, not memtable capacity — growing the memtable would only
+    // delay the same stall and starve the caches meanwhile.
+    return debt_bytes >= kStallDebtBytes ? Shift::kNone : Shift::kToWrite;
   }
   if (miss_per_mille >= kMissShiftPerMille) {
     return Shift::kToRead;

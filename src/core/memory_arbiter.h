@@ -10,7 +10,7 @@
 // budget is the cache — drifts against a capacity that never moves
 // ("Breaking Down Memory Walls", PAPERS.md).  The arbiter closes the
 // loop: once per retune interval it folds two per-mille pressure signals
-// into EWMAs (alpha = 1/2, the pacer's convention)
+// into EWMAs (alpha = 1/2)
 //
 //   stall - memtable-full write-stall time as a share of the interval
 //           (DBImpl::stall_micros deltas), the write side starving, and
@@ -19,7 +19,7 @@
 //
 // and moves the split one step (1/16 of the pool) toward whichever side is
 // starved: stalls past 5% of the interval pull budget toward the memtable
-// — unless compaction debt is past pacing.debt_high_bytes, in which case
+// — unless compaction debt is past kStallDebtBytes, in which case
 // the stalls are compaction-bound and a bigger memtable would only defer
 // them — while a miss rate past 20% (with stalls quiet) pushes budget
 // toward the caches.  Intervals with no read traffic carry
@@ -39,7 +39,7 @@
 // mixed level at the next flush/merge boundary.
 //
 // Threading: MaybeRebalance/ForceStep are called with the DB mutex held
-// (piggybacked on MaybeScheduleBackgroundWork like the pacer, plus a
+// (piggybacked on MaybeScheduleBackgroundWork, plus a
 // try-lock path from the read side so read-only phases still retune); the
 // cache shard locks taken by SetCapacity are leaf locks.  write_quota()
 // and the gauges are atomics readable without the mutex (the write path
@@ -51,7 +51,7 @@
 
 #include "core/options.h"
 #include "table/cache.h"
-#include "util/rate_limiter.h"
+#include "util/clock.h"
 
 namespace iamdb {
 
@@ -59,6 +59,11 @@ class MemoryArbiter {
  public:
   // Which way a rebalance moved the split.
   enum class Shift { kNone, kToWrite, kToRead };
+
+  // Compaction debt at or above which memtable-full stalls count as
+  // compaction-bound: Decide then holds the split instead of growing the
+  // memtable.
+  static constexpr uint64_t kStallDebtBytes = 256ull << 20;
 
   // Smallest read-side allotment per cache tier (64KB per shard).
   static uint64_t MinReadBytesPerTier() { return 1ull << 20; }
@@ -73,7 +78,7 @@ class MemoryArbiter {
   // Computes the initial division; AttachCaches hands over the tier
   // pointers once DBImpl has constructed them from the initial targets.
   explicit MemoryArbiter(const Options& options,
-                         RateClock* clock = RateClock::Default());
+                         Clock* clock = Clock::Default());
 
   MemoryArbiter(const MemoryArbiter&) = delete;
   MemoryArbiter& operator=(const MemoryArbiter&) = delete;
@@ -129,13 +134,11 @@ class MemoryArbiter {
   const uint64_t write_floor_;      // one memtable (node_capacity)
   const uint64_t write_ceiling_;    // budget - min read allotment
   const uint64_t step_bytes_;
-  const uint64_t debt_high_bytes_;  // pacing watermark: stalls are
-                                    // compaction-bound above this
   // Read-share division between the tiers, in the ratio of the configured
   // capacities (0 compressed weight = tier off, everything uncompressed).
   const uint64_t uncompressed_weight_;
   const uint64_t compressed_weight_;
-  RateClock* const clock_;
+  Clock* const clock_;
 
   LruCache* block_cache_ = nullptr;
   LruCache* compressed_cache_ = nullptr;

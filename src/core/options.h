@@ -16,7 +16,6 @@ namespace iamdb {
 
 class Env;
 class LruCache;
-class RateLimiter;
 class Snapshot;
 
 // Background pool sized from the machine: single-core stays single-threaded,
@@ -107,38 +106,6 @@ struct ArbiterOptions {
   uint64_t retune_interval_micros = 50 * 1000;
 };
 
-// Background (flush + compaction) I/O pacing (core/compaction_pacer.h).
-// max_bytes_per_sec == 0, the default, leaves it unpaced.  Otherwise a
-// token bucket paces table writes and compaction reads (flush I/O first)
-// and a controller retunes it within [min, max] from the sustained
-// ingest/compaction load and the engine's compaction debt: at low debt
-// merges run just above the measured load; as debt climbs toward
-// debt_high_bytes the budget opens linearly up to max, so debt stays
-// bounded.  min == max is a fixed rate.  Open requires 0 < min <= max
-// when max > 0.
-struct PacingOptions {
-  // Clamp range for the budget.  The bucket starts at max (the unpaced
-  // behaviour) and is paced down as the controller learns.
-  uint64_t min_bytes_per_sec = 8ull << 20;
-  uint64_t max_bytes_per_sec = 0;
-
-  // Debt watermarks: at or below low the budget tracks the measured load;
-  // at or above high it is fully open; linear in between.  Sized so the
-  // budget is wide open well before the engines' own pending-debt write
-  // stalls (soft 256MB / hard 512MB) engage: transient debt from one big
-  // merge should ride on the smooth load-tracking budget, not slam it
-  // open.
-  uint64_t debt_low_bytes = 64ull << 20;
-  uint64_t debt_high_bytes = 256ull << 20;
-
-  // Controller cadence; retunes are rate-limited to one per interval.
-  uint64_t retune_interval_micros = 50 * 1000;
-
-  // Multiplier applied to the smoothed load for the low-debt budget, so
-  // merges run slightly hot and drain rather than track debt exactly.
-  double headroom = 1.25;
-};
-
 struct Options {
   // -- shared --
   Env* env = nullptr;  // required
@@ -161,9 +128,6 @@ struct Options {
   // sharding.  Sharding never changes results — the equivalence is asserted
   // by subcompaction_test across all three engines.
   int max_subcompactions = 0;
-
-  // Background I/O budget; unpaced by default (see PacingOptions).
-  PacingOptions pacing;
 
   // One pooled memory budget across the memtable and both block-cache
   // tiers (core/memory_arbiter.h).  When > 0, block_cache_capacity and
@@ -210,10 +174,6 @@ struct ReadOptions {
   bool fill_cache = true;
   // nullptr means "read the latest committed state".
   const Snapshot* snapshot = nullptr;
-  // Paces cache-miss block reads when non-null (engines set this on their
-  // compaction-input reads so merge reads share the background I/O budget).
-  // Not owned.
-  RateLimiter* rate_limiter = nullptr;
   // Cache-only tier: the read never does device I/O, never opens a table
   // reader and never waits on a lock held across I/O.  Where it would
   // have to, it returns Status::Incomplete instead — per key for point

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "core/db_impl.h"
-#include "util/rate_limiter.h"
 
 namespace iamdb {
 
@@ -68,13 +67,6 @@ Status TreeEngine::BackgroundWork(WorkLane lane, bool* did_work) {
   Job job;
   if (!Pick(lane, claimed_, &job)) return Status::OK();
   *did_work = true;
-
-  // Flush-lane I/O outranks merge I/O at the rate limiter for the whole
-  // job on this thread; subcompaction shards re-establish the scope on
-  // their own threads (RunSubcompactions).
-  RateLimiter::ScopedPriority prio(lane == WorkLane::kFlush
-                                       ? RateLimiter::IoPriority::kHigh
-                                       : RateLimiter::IoPriority::kLow);
   for (uint64_t key : job.claims) {
     const bool fresh = claimed_.insert(key).second;
     assert(fresh && "a job claimed a key a running job holds");

@@ -74,7 +74,7 @@ class TreeEngine {
 
   // Bytes of merge work the published version owes before the tree is back
   // within its shape thresholds (over-limit level bytes, full nodes).  The
-  // adaptive pacer's feedback signal, and DbStats.pending_debt_bytes.
+  // memory arbiter's stall test, and DbStats.pending_debt_bytes.
   // Lock-free: reads the published version, so callers may hold the DB
   // mutex or nothing at all.
   virtual uint64_t CompactionDebtBytes() const = 0;

@@ -227,7 +227,10 @@ void Server::Stop() {
   }
 
   stopping_.store(true, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();  // poll loop sees stopping_
+  // Shutting the listening socket down wakes the acceptor's poll (Linux
+  // reports the socket readable and hung up), which then sees stopping_.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -302,9 +305,10 @@ std::string Server::StatsString() const {
 void Server::AcceptLoop() {
   size_t next_shard = 0;
   int backoff_ms = 0;
-  while (!stopping_.load(std::memory_order_acquire)) {
+  while (true) {
     pollfd pfd{listen_fd_, POLLIN, 0};
-    int n = ::poll(&pfd, 1, /*timeout_ms=*/100);
+    int n = ::poll(&pfd, 1, /*timeout_ms=*/-1);  // Stop() wakes it
+    if (stopping_.load(std::memory_order_acquire)) break;
     if (n < 0 && errno != EINTR) break;
     if (n <= 0 || !(pfd.revents & POLLIN)) continue;
 

@@ -18,7 +18,7 @@ enum class WriteReason {
   kAppend,     // LSA/IAM append into a child node
   kMerge,      // merge-compaction rewrite
   kSplit,      // node split rewrite
-  kMove,       // metadata-only move (bytes not rewritten; recorded as 0)
+  kMove,       // metadata-only move (writes no bytes, so never recorded)
   kMetadata,   // MSTable footer rewrites on append
   kNumReasons
 };

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "util/rate_limiter.h"
 
 namespace iamdb {
 
@@ -90,11 +89,6 @@ Status SequenceBuilder::FlushDataBlock() {
     }
   }
 
-  // Pace before issuing the write; FlushDataBlock always runs in an
-  // unlocked I/O section (never under the DB mutex), which Request requires.
-  if (options_.rate_limiter != nullptr) {
-    options_.rate_limiter->Request(stored.size());
-  }
   Status s = WriteBlock(file_, offset_, stored, format_version_, stored_type,
                         &pending_handle_);
   if (!s.ok()) return s;

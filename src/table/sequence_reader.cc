@@ -6,7 +6,6 @@
 
 #include "table/compressor.h"
 #include "table/two_level_iterator.h"
-#include "util/rate_limiter.h"
 
 namespace iamdb {
 
@@ -108,12 +107,6 @@ std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
     return nullptr;
   }
 
-  // Device read: pace it if the caller (a compaction) carries the
-  // background I/O budget.  Foreground ReadOptions leave this null.
-  if (options.rate_limiter != nullptr) {
-    options.rate_limiter->Request(handle.size() +
-                                  BlockTrailerSize(format_version_));
-  }
   std::string contents;
   CompressionType type = CompressionType::kNone;
   *s = ReadBlockContents(file_, handle, format_version_, &contents, &type);
@@ -254,7 +247,6 @@ void SequenceReader::MultiGet(const ReadOptions& options,
   // One vectored read covers every device-missing block of this sequence;
   // adjacent blocks coalesce into single device operations underneath.
   if (!rr.empty()) {
-    if (options.rate_limiter != nullptr) options.rate_limiter->Request(total);
     file_->ReadV(rr.data(), rr.size());
 
     if (options.batch != nullptr) {

@@ -7,7 +7,6 @@
 namespace iamdb {
 
 class LruCache;
-class RateLimiter;
 struct CompressionStats;
 
 // Per-block codec recorded in the one-byte type tag of format-v2 block
@@ -48,12 +47,6 @@ struct TableOptions {
   // Compression/decompression counters, shared across all tables of a DB
   // (see stats in core/db.h).  Not owned; may be nullptr.
   CompressionStats* compression_stats = nullptr;
-
-  // Paces table-build writes (compaction/flush output) when non-null; the
-  // priority comes from the calling thread (RateLimiter::ScopedPriority).
-  // Not owned.  Foreground WAL writes never pass through the table layer,
-  // so user writes are never paced.
-  RateLimiter* rate_limiter = nullptr;
 };
 
 }  // namespace iamdb

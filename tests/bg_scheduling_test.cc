@@ -22,13 +22,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/db.h"
+#include "core/tree_engine.h"
 #include "env/fault_injection_env.h"
 #include "env/mem_env.h"
 #include "test_seed.h"
 #include "util/random.h"
-#include "util/rate_limiter.h"
 #include "util/sync_point.h"
 
 namespace iamdb {
@@ -141,17 +142,17 @@ INSTANTIATE_TEST_SUITE_P(Engines, NoSpinTest, testing::ValuesIn(kEngines),
 
 // Parks the first compaction-lane merge of an L1 node (version index 0) at
 // "AmtEngine::RunFlushNode:Unlocked" — busy marks held, DB mutex free —
-// until Release().  Flush-lane prerequisite jobs run at high I/O priority
-// and pass through, so the parked job is one the flush lane must wait for.
+// until Release().  Flush-lane prerequisite jobs pass through (the sync
+// point's argument carries the job's lane), so the parked job is one the
+// flush lane must wait for.
 class MergeParker {
  public:
   MergeParker() {
     SyncPoint::Instance()->SetCallback(
         "AmtEngine::RunFlushNode:Unlocked", [this](void* arg) {
-          if (*static_cast<const int*>(arg) != 0 ||
-              RateLimiter::ThreadPriority() != RateLimiter::IoPriority::kLow) {
-            return;
-          }
+          const auto& [level, lane] =
+              *static_cast<std::pair<int, TreeEngine::WorkLane>*>(arg);
+          if (level != 0 || lane != TreeEngine::WorkLane::kCompaction) return;
           std::unique_lock<std::mutex> l(mu_);
           if (parked_ || released_) return;
           parked_ = true;

@@ -6,9 +6,7 @@
 // for all three engines.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,20 +18,16 @@
 #include "shard/sharded_db.h"
 #include "table/cache.h"
 #include "test_seed.h"
+#include "util/clock.h"
 #include "util/random.h"
-#include "util/rate_limiter.h"
 
 namespace iamdb {
 namespace {
 
 // Deterministic clock: time moves only when the test advances it.
-class ManualClock : public RateClock {
+class ManualClock : public Clock {
  public:
   uint64_t NowMicros() override { return now_; }
-  void WaitFor(std::condition_variable&, std::unique_lock<std::mutex>&,
-               uint64_t micros) override {
-    now_ += micros;
-  }
   void Advance(uint64_t micros) { now_ += micros; }
 
  private:
@@ -68,14 +62,14 @@ TEST(MemoryArbiterTest, InitialDivisionRespectsFloorsAndRatio) {
 TEST(MemoryArbiterTest, DecideControlLaw) {
   Options options = ArbiterOnlyOptions();
   MemoryArbiter arbiter(options);
-  const uint64_t high_debt = options.pacing.debt_high_bytes;
+  const uint64_t high_debt = MemoryArbiter::kStallDebtBytes;
   using Shift = MemoryArbiter::Shift;
   // Stalls past the threshold pull budget to the write side...
   EXPECT_EQ(arbiter.Decide(60, 0, 0), Shift::kToWrite);
   // ...and win over a simultaneous read signal (a stalled writer is the
   // sharper starvation)...
   EXPECT_EQ(arbiter.Decide(60, 500, 0), Shift::kToWrite);
-  // ...unless compaction debt is past the pacing watermark: the stall is
+  // ...unless compaction debt is past the stall watermark: the stall is
   // merge-bound, growing the memtable would not help.
   EXPECT_EQ(arbiter.Decide(60, 0, high_debt), Shift::kNone);
   EXPECT_EQ(arbiter.Decide(60, 500, high_debt), Shift::kNone);

@@ -847,6 +847,25 @@ TEST(ServerLifecycleTest, StatsKeepReactorCountAfterStop) {
   EXPECT_NE(text.find(" shards=2"), std::string::npos) << text;
 }
 
+// Stop() wakes the acceptor rather than waiting out a poll timeout, so a
+// server stopped right after Start() stops at once.  One ping first: it
+// proves the acceptor thread is running and parked in poll again, where a
+// Stop() that raced ahead of the thread's start would find nothing to wake.
+TEST(ServerLifecycleTest, StopRightAfterStartIsPrompt) {
+  OwnedServer owned = StartOwnedServer(ServerOptions());
+  {
+    ClientOptions client_options;
+    client_options.port = owned.server->port();
+    Client client(client_options);
+    ASSERT_TRUE(client.Ping().ok());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  owned.server->Stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(owned.server->running());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+}
+
 // A peer that stops reading while pipelining requests must pause the
 // server's reads at the soft output limit (counted as a stall) — and the
 // stream must fully recover once the peer drains.

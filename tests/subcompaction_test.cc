@@ -2,11 +2,10 @@
 // must produce the same logical tree as the single-threaded one, for all
 // three engines), a TSAN-targeted stress test exercising parallel shards
 // plus the two-lane scheduler under concurrent readers, and unit tests for
-// the fan-out primitives (TaskGroup, RateLimiter).
+// the fan-out primitive (TaskGroup).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -18,7 +17,6 @@
 #include "env/mem_env.h"
 #include "test_seed.h"
 #include "util/random.h"
-#include "util/rate_limiter.h"
 #include "util/task_group.h"
 #include "util/thread_pool.h"
 
@@ -71,46 +69,6 @@ TEST(TaskGroupTest, FirstFailureInTaskOrderAfterAllTasksRan) {
   EXPECT_EQ(8, ran.load());
   ASSERT_TRUE(s.IsIOError()) << s.ToString();
   EXPECT_NE(s.ToString().find("shard-2"), std::string::npos);
-}
-
-TEST(RateLimiterTest, DisabledLimiterNeverBlocks) {
-  RateLimiter limiter(0);
-  auto start = std::chrono::steady_clock::now();
-  limiter.Request(1ull << 30);
-  auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  EXPECT_LT(micros, 1000000);
-  EXPECT_EQ(0u, limiter.total_wait_micros());
-}
-
-TEST(RateLimiterTest, PacesAndAccountsWaits) {
-  // 8MB/s budget, 2MB of requests: must take >= ~0.2s of accounted wait
-  // (first burst is free) but nowhere near unbounded.
-  RateLimiter limiter(8 << 20);
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 8; i++) limiter.Request(256 << 10);
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_EQ(2u << 20, limiter.total_bytes());
-  EXPECT_GT(limiter.total_wait_micros(), 0u);
-  EXPECT_LT(elapsed, 5000);
-}
-
-TEST(RateLimiterTest, ScopedPriorityNestsAndRestores) {
-  EXPECT_EQ(RateLimiter::IoPriority::kLow, RateLimiter::ThreadPriority());
-  {
-    RateLimiter::ScopedPriority high(RateLimiter::IoPriority::kHigh);
-    EXPECT_EQ(RateLimiter::IoPriority::kHigh, RateLimiter::ThreadPriority());
-    {
-      RateLimiter::ScopedPriority low(RateLimiter::IoPriority::kLow);
-      EXPECT_EQ(RateLimiter::IoPriority::kLow,
-                RateLimiter::ThreadPriority());
-    }
-    EXPECT_EQ(RateLimiter::IoPriority::kHigh, RateLimiter::ThreadPriority());
-  }
-  EXPECT_EQ(RateLimiter::IoPriority::kLow, RateLimiter::ThreadPriority());
 }
 
 // ---- engine-level tests ----
@@ -234,8 +192,8 @@ TEST_P(SubcompactionTest, ShardedMergeMatchesSingleThreaded) {
   }
 }
 
-// TSAN target: parallel shards + two-lane scheduler + rate limiter under
-// concurrent reads, verified against an in-memory model at the end.
+// TSAN target: parallel shards + two-lane scheduler under concurrent reads,
+// verified against an in-memory model at the end.
 TEST_P(SubcompactionTest, ConcurrentShardedCompactionStress) {
   const uint64_t seed = test::TestSeed(20260807);
   SCOPED_TRACE(test::SeedTrace(seed));
@@ -244,8 +202,6 @@ TEST_P(SubcompactionTest, ConcurrentShardedCompactionStress) {
   Options options = SmallTreeOptions(GetParam(), &env);
   options.background_threads = 4;
   options.max_subcompactions = 4;
-  options.pacing.min_bytes_per_sec = 256 << 20;  // paced, but not slow
-  options.pacing.max_bytes_per_sec = 256 << 20;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 

@@ -46,7 +46,7 @@ std::string Key(int i) {
   return buf;
 }
 
-// A move records WriteReason::kMove with 0 bytes, so moves show up as
+// A move rewrites nothing and records no bytes, so moves show up as
 // records in a level that no write reached.  AmpStats numbers levels from
 // L0 for the leveled engine and from L1 (the first on-disk level) for AMT.
 int MovedLevels(const std::string& digest, const Config& config,

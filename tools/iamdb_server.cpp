@@ -4,9 +4,9 @@
 //   iamdb_server --db=/path/to/db [--port=4490] [--host=127.0.0.1]
 //                [--engine=iam|lsa|leveled] [--threads=4] [--shards=N]
 //                [--db_shards=N] [--bg_threads=N] [--subcompactions=N]
-//                [--rate_limit_mb=N] [--adaptive_pacing] [--cache_mb=64]
-//                [--compression=none|columnar|lz] [--compressed_cache_mb=N]
-//                [--memory_budget_mb=N] [--sync_wal]
+//                [--cache_mb=64] [--compression=none|columnar|lz]
+//                [--compressed_cache_mb=N] [--memory_budget_mb=N]
+//                [--sync_wal]
 //
 // --compression selects the per-block codec newly written tables use
 // (existing tables keep their recorded codec); --compressed_cache_mb
@@ -16,10 +16,6 @@
 // budget re-divided online by the memory arbiter (core/memory_arbiter.h);
 // --cache_mb / --compressed_cache_mb then only set the tier ratio.  With
 // --db_shards the budget divides evenly across the shards.
-//
-// --rate_limit_mb=N paces background I/O at a fixed N MB/s; with
-// --adaptive_pacing the pacer (core/compaction_pacer.h) moves the budget
-// between 8 MB/s and N (1 GB/s without --rate_limit_mb).
 //
 // --shards controls the network reactor; --db_shards partitions the
 // database itself into N independent instances (ShardedDB).  A db dir
@@ -63,11 +59,9 @@ int Usage(const char* argv0) {
                "usage: %s --db=<dir> [--port=N] [--host=ADDR] "
                "[--engine=iam|lsa|leveled] [--threads=N] [--shards=N] "
                "[--db_shards=N] [--bg_threads=N] [--subcompactions=N] "
-               "[--rate_limit_mb=N] [--adaptive_pacing] [--cache_mb=N] "
-               "[--compression=none|columnar|lz] [--compressed_cache_mb=N] "
-               "[--memory_budget_mb=N] [--sync_wal]\n"
-               "--rate_limit_mb=N fixes background I/O at N MB/s; "
-               "--adaptive_pacing moves it within [8, N or 1024] MB/s\n",
+               "[--cache_mb=N] [--compression=none|columnar|lz] "
+               "[--compressed_cache_mb=N] [--memory_budget_mb=N] "
+               "[--sync_wal]\n",
                argv0);
   return 2;
 }
@@ -82,7 +76,6 @@ int main(int argc, char** argv) {
   db_options.env = Env::Default();
   int bg_threads = 0;   // 0 = derive from the machine / worker count
   int db_shards = 0;    // 0 = single instance unless a SHARDMAP exists
-  bool adaptive_pacing = false;
 
   for (int i = 1; i < argc; i++) {
     std::string v;
@@ -106,9 +99,6 @@ int main(int argc, char** argv) {
       bg_threads = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "subcompactions", &v)) {
       db_options.max_subcompactions = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "rate_limit_mb", &v)) {
-      db_options.pacing.max_bytes_per_sec =
-          static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
     } else if (ParseFlag(argv[i], "cache_mb", &v)) {
       db_options.block_cache_capacity =
           static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
@@ -136,8 +126,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown engine '%s'\n", v.c_str());
         return Usage(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--adaptive_pacing") == 0) {
-      adaptive_pacing = true;
     } else if (std::strcmp(argv[i], "--sync_wal") == 0) {
       db_options.sync_wal = true;
     } else {
@@ -146,14 +134,6 @@ int main(int argc, char** argv) {
     }
   }
   if (dbdir.empty()) return Usage(argv[0]);
-  PacingOptions& pacing = db_options.pacing;
-  if (adaptive_pacing && pacing.max_bytes_per_sec == 0) {
-    pacing.max_bytes_per_sec = 1ull << 30;
-  }
-  pacing.min_bytes_per_sec =
-      adaptive_pacing
-          ? std::min(pacing.min_bytes_per_sec, pacing.max_bytes_per_sec)
-          : pacing.max_bytes_per_sec;
   // --bg_threads wins; otherwise take the larger of the hardware-derived
   // default and half the request workers.
   db_options.background_threads =
