@@ -95,7 +95,6 @@ Options MakeOptions(SystemId id, const ScaleConfig& scale, Env* env) {
     options.background_threads = scale.background_threads;
   }
   options.table.compression = scale.compression;
-  options.compressed_cache_capacity = scale.compressed_cache_bytes;
   return options;
 }
 

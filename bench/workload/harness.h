@@ -44,8 +44,6 @@ struct ScaleConfig {
   // Logical accounting keeps tree shapes codec-invariant, so sweeping this
   // changes space_used_bytes and IO volume but not amplification structure.
   CompressionType compression = CompressionType::kNone;
-  // Compressed-block cache tier capacity; 0 = tier off.
-  uint64_t compressed_cache_bytes = 0;
 
   // "100GB data, 16GB memory" at 1/1000 scale.
   static ScaleConfig Gb100();

@@ -111,10 +111,8 @@ void AmtEngine::RecomputeMixedLevel() {
     std::vector<uint64_t> level_bytes;
     level_bytes.reserve(n);
     for (int i = 0; i < n; i++) level_bytes.push_back(version->LevelBytes(i));
-    // The tuner's M: an explicit override, else the live cache capacity —
-    // which the memory arbiter moves online, so a re-division here picks
-    // up the new read share (with fixed sizing it equals
-    // block_cache_capacity and this is the historical behaviour).
+    // The tuner's M: an explicit override, else the block-cache capacity
+    // (fixed at Open).
     uint64_t budget = amt.memory_budget_bytes != 0
                           ? amt.memory_budget_bytes
                           : db_->block_cache()->capacity();

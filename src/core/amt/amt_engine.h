@@ -152,9 +152,9 @@ class AmtEngine final : public TreeEngine {
 
   // Written under the DB mutex; read lock-free from reads/stats/flushes.
   std::atomic<MixedLevelChoice> mixed_{MixedLevelChoice{}};
-  // Times the stored (m,k) changed after open — tree growth or an arbiter
-  // re-division moving the tuner's budget.  Recover zeroes it so the
-  // initial computation over recovered state does not count.
+  // Times the stored (m,k) changed after open — tree growth moving the
+  // tuner's choice.  Recover zeroes it so the initial computation over
+  // recovered state does not count.
   std::atomic<uint64_t> mk_retunes_{0};
 };
 

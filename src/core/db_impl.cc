@@ -44,24 +44,12 @@ struct WriterItem {
 DBImpl::DBImpl(const Options& options, const std::string& dbname)
     : options_(options), dbname_(dbname) {
   counting_env_ = std::make_unique<CountingEnv>(options.env, &io_stats_);
-  // With a pooled budget the arbiter decides the initial cache sizes; the
-  // configured capacities only set the uncompressed:compressed ratio.
-  if (options.memory_budget_bytes > 0) {
-    arbiter_ = std::make_unique<MemoryArbiter>(options_);
-  }
-  uint64_t block_cache_bytes = arbiter_ != nullptr
-                                   ? arbiter_->uncompressed_target()
-                                   : options.block_cache_capacity;
-  block_cache_ = std::make_unique<LruCache>(block_cache_bytes);
+  block_cache_ = std::make_unique<LruCache>(options.block_cache_capacity);
   options_.table.block_cache = block_cache_.get();
   if (options.compressed_cache_capacity > 0) {
-    compressed_block_cache_ = std::make_unique<LruCache>(
-        arbiter_ != nullptr ? arbiter_->compressed_target()
-                            : options.compressed_cache_capacity);
+    compressed_block_cache_ =
+        std::make_unique<LruCache>(options.compressed_cache_capacity);
     options_.table.compressed_block_cache = compressed_block_cache_.get();
-  }
-  if (arbiter_ != nullptr) {
-    arbiter_->AttachCaches(block_cache_.get(), compressed_block_cache_.get());
   }
   options_.table.compression_stats = &compression_stats_;
   pool_ = std::make_unique<ThreadPool>(std::max(1, options.background_threads));
@@ -103,18 +91,6 @@ Status ValidateOptions(const Options& options) {
   }
   if (options.max_subcompactions < 0 || options.max_subcompactions > 64) {
     return Status::InvalidArgument("max_subcompactions must be in [0, 64]");
-  }
-  if (options.memory_budget_bytes > 0) {
-    const uint64_t floor = MemoryArbiter::MinBudgetBytes(options);
-    if (options.memory_budget_bytes < floor) {
-      return Status::InvalidArgument(
-          "memory_budget_bytes below minimum (one memtable at node_capacity "
-          "plus 1MB per cache tier)");
-    }
-    if (options.arbiter.retune_interval_micros == 0) {
-      return Status::InvalidArgument(
-          "arbiter.retune_interval_micros must be positive");
-    }
   }
   if (options.engine == EngineType::kAmt) {
     if (options.amt.fanout < 2) {
@@ -441,12 +417,7 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock) {
       continue;
     }
 
-    // Rotation threshold: the arbiter's write quota when a pooled budget is
-    // configured (re-read every iteration — a rebalance may move it while
-    // this writer stalls), otherwise the static node capacity.
-    const uint64_t write_quota =
-        arbiter_ != nullptr ? arbiter_->write_quota() : options_.node_capacity;
-    if (mem_->data_bytes() < write_quota) {
+    if (mem_->data_bytes() < options_.node_capacity) {
       return Status::OK();
     }
 
@@ -476,12 +447,6 @@ WriteBatch* DBImpl::BuildBatchGroup(WriterItem** last_writer) {
   // Cap group size; small writes get a smaller cap to bound their latency.
   size_t max_size = 1 << 20;
   if (size <= (128 << 10)) max_size = size + (128 << 10);
-  // Under a pooled budget, never build a group larger than the write quota:
-  // a group that overshoots a small quota would blow the memtable well past
-  // the arbiter's division before the next rotation check.
-  if (arbiter_ != nullptr) {
-    max_size = std::min<size_t>(max_size, arbiter_->write_quota());
-  }
 
   *last_writer = first;
   auto iter = writers_.begin();
@@ -696,12 +661,6 @@ void DBImpl::ReadBatch(const ReadOptions& options, size_t count,
       statuses[i] = Status::NotFound(Slice());  // tombstone or absent
     }
   }
-
-  // Arbiter heartbeat for read-dominated workloads (one clock read when
-  // due-check fails; try-lock when due, so the hot path never blocks).
-  if (arbiter_ != nullptr && arbiter_->RetuneDue()) {
-    MaybeRebalanceMemoryFromRead();
-  }
 }
 
 Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
@@ -765,10 +724,6 @@ void DBImpl::MaybeScheduleBackgroundWork() {
   if (shutting_down_.load(std::memory_order_acquire) || !bg_error_.ok()) {
     return;
   }
-  // The memory arbiter piggybacks on scheduling: passes happen on every
-  // write-side event that could move its signals (rotations, stalls, job
-  // completions).  Cache SetCapacity only takes shard (leaf) locks.
-  MaybeRebalanceMemory();
   // Flush lane: at most one high-lane worker, and only when the engine
   // could pick a flush job now.  Flushes serialize on the single imm slot,
   // so one worker is always enough — and the high lane guarantees it never
@@ -803,34 +758,6 @@ void DBImpl::MaybeScheduleBackgroundWork() {
       break;
     }
   }
-}
-
-void DBImpl::MaybeRebalanceMemory() {
-  // mutex_ held.  Retune only fires when the division actually
-  // moved — the AMT tuner re-run reads the new cache capacity.
-  if (arbiter_ == nullptr || !arbiter_->RetuneDue()) return;
-  if (arbiter_->MaybeRebalance(stall_micros_.load(std::memory_order_relaxed),
-                               engine_->CompactionDebtBytes())) {
-    engine_->Retune();
-  }
-}
-
-void DBImpl::MaybeRebalanceMemoryFromRead() {
-  // Read-only workloads never enter MaybeScheduleBackgroundWork, so the
-  // read path gives the arbiter a heartbeat.  Get stays lock-free: this is
-  // only called after a cheap RetuneDue clock check, and backs off rather
-  // than blocking when writers hold the mutex (they will retune anyway).
-  std::unique_lock<std::mutex> l(mutex_, std::try_to_lock);
-  if (!l.owns_lock()) return;
-  MaybeRebalanceMemory();
-}
-
-bool DBImpl::ForceMemoryStep(MemoryArbiter::Shift direction) {
-  if (arbiter_ == nullptr) return false;
-  std::lock_guard<std::mutex> l(mutex_);
-  bool moved = arbiter_->ForceStep(direction);
-  if (moved) engine_->Retune();
-  return moved;
 }
 
 void DBImpl::BackgroundCall(TreeEngine::WorkLane lane) {
@@ -942,17 +869,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
                                                 stats.cache_misses),
                   stats.stall_micros / 1e6);
     value->append(buf);
-    if (stats.arbiter_budget_bytes > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "arbiter budget=%.1fMB write=%.1fMB read=%.1fMB "
-                    "retunes=%llu shifts=%llu\n",
-                    stats.arbiter_budget_bytes / 1048576.0,
-                    stats.arbiter_write_bytes / 1048576.0,
-                    stats.arbiter_read_bytes / 1048576.0,
-                    static_cast<unsigned long long>(stats.arbiter_retunes),
-                    static_cast<unsigned long long>(stats.arbiter_shifts));
-      value->append(buf);
-    }
     if (stats.compress_input_bytes > 0) {
       std::snprintf(buf, sizeof(buf),
                     "compression=%s ratio=%.2fx stored=%.1fMB "
@@ -1110,13 +1026,6 @@ DbStats DBImpl::GetStats() {
   stats.flush_queue_depth = pool_->QueueDepth(ThreadPool::Lane::kHigh);
   stats.compact_queue_depth = pool_->QueueDepth(ThreadPool::Lane::kLow);
   stats.subcompactions_run = subcompactions_.load(std::memory_order_relaxed);
-  if (arbiter_ != nullptr) {
-    stats.arbiter_budget_bytes = arbiter_->budget();
-    stats.arbiter_write_bytes = arbiter_->write_quota();
-    stats.arbiter_read_bytes = arbiter_->read_target();
-    stats.arbiter_retunes = arbiter_->retunes();
-    stats.arbiter_shifts = arbiter_->shifts();
-  }
   stats.multiget_batches = multiget_batches_.load(std::memory_order_relaxed);
   stats.multiget_keys = multiget_keys_.load(std::memory_order_relaxed);
   stats.multiget_coalesced_reads =

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/db.h"
-#include "core/memory_arbiter.h"
 #include "core/dbformat.h"
 #include "core/manifest.h"
 #include "core/snapshot.h"
@@ -114,14 +113,6 @@ class DBImpl final : public DB {
     subcompactions_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  // Unified memory arbiter; nullptr when memory_budget_bytes == 0.
-  MemoryArbiter* memory_arbiter() { return arbiter_.get(); }
-
-  // Applies one arbiter step immediately (ops/test hook; takes the
-  // mutex and re-runs the engine's memory-dependent decisions).  Returns
-  // false when the arbiter is off or the step was already clamped.
-  bool ForceMemoryStep(MemoryArbiter::Shift direction);
-
  private:
   friend class DB;
 
@@ -137,8 +128,6 @@ class DBImpl final : public DB {
   // make work runnable: memtable rotation, a job completing, a stalled
   // writer waking, FlushAll/WaitForQuiescence (docs/CONCURRENCY.md).
   void MaybeScheduleBackgroundWork();
-  void MaybeRebalanceMemory();         // mutex held
-  void MaybeRebalanceMemoryFromRead();  // no mutex; try-locks
   void BackgroundCall(TreeEngine::WorkLane lane);
   void RemoveObsoleteFiles();  // mutex held (open/flush time)
   // Point reads of `count` keys at one snapshot; Get is a batch of one.
@@ -198,11 +187,6 @@ class DBImpl final : public DB {
   std::unique_ptr<ManifestWriter> manifest_;
   std::unique_ptr<TreeEngine> engine_;
   std::unique_ptr<ThreadPool> pool_;
-  // Non-null iff options.memory_budget_bytes > 0: re-divides the pooled
-  // budget between the memtable quota and the cache tiers (see
-  // core/memory_arbiter.h).  Constructed before the caches, which are
-  // sized from its initial division.
-  std::unique_ptr<MemoryArbiter> arbiter_;
   // Two-lane scheduling accounting (mutex_): at most one flush worker —
   // flushes serialize on the single imm anyway — plus one compaction
   // worker per job; both only for jobs the engine says are runnable now.

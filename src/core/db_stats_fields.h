@@ -33,7 +33,9 @@
 // static_assert below checks it); a tag is never renumbered or reused.
 // Tag 22 and the pacer group are retired: background I/O pacing is gone,
 // nothing fills them, so tag 22 always reads 0 and the pacer group is never
-// emitted.
+// emitted.  Tags 43-47 of the arbiter group are retired too (memory is
+// sized once at Open, nothing re-divides it) and always read 0; the group's
+// live member, tag 48, alone decides whether the group is emitted.
 #pragma once
 
 #include <cstddef>
@@ -131,15 +133,15 @@ inline constexpr size_t kNumDbStatsGroups = 6;
   F(uint64_t, compressed_cache_misses, 42, kSum, kCompression,                \
     "compressed-block cache misses")                                          \
   F(uint64_t, arbiter_budget_bytes, 43, kSum, kArbiter,                       \
-    "memory arbiter's pooled budget")                                         \
+    "retired (no memory arbiter): always 0")                                  \
   F(uint64_t, arbiter_write_bytes, 44, kSum, kArbiter,                        \
-    "budget share given to memtables")                                        \
+    "retired (no memory arbiter): always 0")                                  \
   F(uint64_t, arbiter_read_bytes, 45, kSum, kArbiter,                         \
-    "budget share given to the cache tiers")                                  \
+    "retired (no memory arbiter): always 0")                                  \
   F(uint64_t, arbiter_retunes, 46, kSum, kArbiter,                            \
-    "rebalance passes evaluated")                                             \
+    "retired (no memory arbiter): always 0")                                  \
   F(uint64_t, arbiter_shifts, 47, kSum, kArbiter,                             \
-    "rebalance passes that moved the split")                                  \
+    "retired (no memory arbiter): always 0")                                  \
   F(uint64_t, mixed_level_retunes, 48, kSum, kArbiter,                        \
     "AMT (m,k) changes after open")                                           \
   F(uint64_t, multiget_batches, 49, kSum, kMultiGet,                          \

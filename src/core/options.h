@@ -93,19 +93,6 @@ struct LeveledOptions {
   uint64_t hard_pending_bytes = 512ull << 20;
 };
 
-// Unified memory arbiter (see core/memory_arbiter.h) for the
-// Options::memory_budget_bytes pool: the arbiter starts the write side at a
-// quarter of the pool, then once per retune interval folds the observed
-// write-stall time and cache miss rate into EWMAs and moves the split one
-// step toward whichever side is starved.  The write share never drops
-// below one memtable (node_capacity) and the read share never drops below
-// the minimum cache allotment, so neither side can be starved out
-// entirely.
-struct ArbiterOptions {
-  // Controller cadence; rebalances are rate-limited to one per interval.
-  uint64_t retune_interval_micros = 50 * 1000;
-};
-
 struct Options {
   // -- shared --
   Env* env = nullptr;  // required
@@ -128,19 +115,6 @@ struct Options {
   // sharding.  Sharding never changes results — the equivalence is asserted
   // by subcompaction_test across all three engines.
   int max_subcompactions = 0;
-
-  // One pooled memory budget across the memtable and both block-cache
-  // tiers (core/memory_arbiter.h).  When > 0, block_cache_capacity and
-  // compressed_cache_capacity stop being absolute sizes — they only set
-  // the ratio in which the read share is divided between the tiers (and
-  // whether the compressed tier exists at all) — and the memtable
-  // rotation threshold becomes the arbiter's write quota instead of
-  // node_capacity.  Must be at least one memtable plus the minimum cache
-  // allotment (Open returns InvalidArgument otherwise).  0 = fixed sizing.
-  uint64_t memory_budget_bytes = 0;
-
-  // Arbiter cadence (used only when memory_budget_bytes > 0).
-  ArbiterOptions arbiter;
 
   // Block cache capacity; models the memory available for data blocks.
   // Entries are charged at uncompressed (resident) size.

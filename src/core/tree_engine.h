@@ -73,8 +73,8 @@ class TreeEngine {
   virtual WritePressure GetWritePressure() const = 0;
 
   // Bytes of merge work the published version owes before the tree is back
-  // within its shape thresholds (over-limit level bytes, full nodes).  The
-  // memory arbiter's stall test, and DbStats.pending_debt_bytes.
+  // within its shape thresholds (over-limit level bytes, full nodes),
+  // reported as DbStats.pending_debt_bytes.
   // Lock-free: reads the published version, so callers may hold the DB
   // mutex or nothing at all.
   virtual uint64_t CompactionDebtBytes() const = 0;
@@ -82,11 +82,10 @@ class TreeEngine {
   // Engine-specific statistics (no DB mutex; reads the published version).
   virtual void FillStats(DbStats* stats) const = 0;
 
-  // Re-derive cached policy decisions from the published version and the
-  // memory capacities (DB mutex held).  Runs after every install and after
-  // the memory arbiter re-divides the budget: the AMT engine re-runs its
-  // (m,k) tuner, whose changed mixed level takes effect at the next
-  // flush/merge boundary.  Default: nothing is cached.
+  // Re-derive cached policy decisions from the published version (DB
+  // mutex held).  Runs after every install and after recovery: the AMT
+  // engine re-runs its (m,k) tuner, whose changed mixed level takes effect
+  // at the next flush/merge boundary.  Default: nothing is cached.
   virtual void Retune() {}
 
   // Current published tree version (lock-free).

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/memory_arbiter.h"
 #include "env/env.h"
 #include "memtable/write_batch.h"
 #include "table/merging_iterator.h"
@@ -78,14 +77,6 @@ Status ShardedDB::Open(const Options& options, const std::string& name,
   }
   shard_options.background_threads = std::max(
       1, options.background_threads / static_cast<int>(map.num_shards));
-  if (options.memory_budget_bytes > 0) {
-    // The pooled budget divides like the caches, floored at the smallest
-    // workable per-shard pool so Open-time validation cannot fail for a
-    // budget that was valid cluster-wide.
-    shard_options.memory_budget_bytes =
-        std::max(options.memory_budget_bytes / map.num_shards,
-                 MemoryArbiter::MinBudgetBytes(shard_options));
-  }
 
   std::vector<std::unique_ptr<DB>> shards;
   shards.reserve(map.num_shards);

@@ -112,13 +112,4 @@ size_t LruCache::usage() const {
   return total;
 }
 
-void LruCache::SetCapacity(size_t capacity_bytes) {
-  capacity_.store(capacity_bytes, std::memory_order_relaxed);
-  for (int i = 0; i < kNumShards; i++) {
-    std::lock_guard<std::mutex> l(shards_[i].mu);
-    shards_[i].capacity = capacity_bytes / kNumShards;
-    shards_[i].EvictIfNeeded();
-  }
-}
-
 }  // namespace iamdb

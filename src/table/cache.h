@@ -68,10 +68,7 @@ class LruCache {
   void Erase(const BlockCacheKey& key);
 
   size_t usage() const;
-  size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-  void SetCapacity(size_t capacity_bytes);
+  size_t capacity() const { return capacity_; }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -82,10 +79,7 @@ class LruCache {
 
   Shard* GetShard(const BlockCacheKey& key);
 
-  // Atomic: SetCapacity may race with capacity() readers (the IAM tuner);
-  // the authoritative per-shard budgets live in the shards, under their
-  // locks.
-  std::atomic<size_t> capacity_;
+  const size_t capacity_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

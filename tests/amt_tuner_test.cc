@@ -67,8 +67,8 @@ TEST(AmtTunerTest, LargestMPreferredOverLargerK) {
 }
 
 TEST(AmtTunerTest, BudgetGrowthDeepensTheMixedLevel) {
-  // The arbiter's lever: growing the cache budget monotonically deepens
-  // (m, k).  Walk the same tree through increasing budgets.
+  // A larger memory budget M never yields a shallower (m, k): walk the
+  // same tree through increasing budgets.
   const std::vector<uint64_t> tree = {1000, 10000, 100000};
   int last_m = 0, last_k = 0;
   for (uint64_t budget : {0ull, 200ull, 1200ull, 13000ull, 111000ull}) {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 
 #include "core/db.h"
 #include "core/db_impl.h"
+#include "core/filename.h"
 #include "env/mem_env.h"
 #include "util/random.h"
 
@@ -26,6 +28,30 @@ std::string ConfigName(Config c) {
   }
   return "?";
 }
+
+// Counts the WAL files the DB creates.  Every memtable gets its own log, so
+// after Open each one is a rotation (iamdb_bench reports this count as
+// memtable.rotations).
+class WalCountingEnv final : public EnvWrapper {
+ public:
+  explicit WalCountingEnv(Env* target) : EnvWrapper(target) {}
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(fname.substr(fname.rfind('/') + 1), &number, &type) &&
+        type == FileType::kLogFile) {
+      wal_files_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return EnvWrapper::NewWritableFile(fname, result);
+  }
+
+  int wal_files() const { return wal_files_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<int> wal_files_{0};
+};
 
 class DbTest : public testing::TestWithParam<Config> {
  protected:
@@ -450,6 +476,23 @@ TEST_P(DbTest, GetPropertyReportsState) {
   EXPECT_GT(std::stoull(value), 0u);
 
   EXPECT_FALSE(db_->GetProperty("iamdb.unknown", &value));
+}
+
+TEST_P(DbTest, MemtableRotatesAtNodeCapacity) {
+  // A put adds its key and value bytes (9 + 1000) to the memtable, and a
+  // write that finds the memtable at node_capacity (32KB) or past it rotates
+  // first, so every memtable takes exactly 33 puts.
+  WalCountingEnv env(env_.get());
+  Options options = MakeOptions();
+  options.env = &env;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/rotation", &db).ok());
+  const int at_open = env.wal_files();
+  const std::string value(1000, 'v');
+  for (int i = 0; i < 330; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), Key(i), value).ok());
+    ASSERT_EQ(env.wal_files() - at_open, i / 33) << "after put " << i;
+  }
 }
 
 TEST_P(DbTest, OpenRejectsInvalidOptions) {

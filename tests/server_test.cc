@@ -569,7 +569,8 @@ TEST_F(ServerTest, StatsTableDrivesTextAndInfoGraft) {
   Client client(MakeClientOptions());
   ASSERT_TRUE(client.Ping().ok());
   for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(client.Put("t" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(
+        client.Put(std::string("t").append(std::to_string(i)), "v").ok());
   }
   std::string value;
   ASSERT_TRUE(client.Get("t3", &value).ok());

@@ -5,17 +5,15 @@
 //                [--engine=iam|lsa|leveled] [--threads=4] [--shards=N]
 //                [--db_shards=N] [--bg_threads=N] [--subcompactions=N]
 //                [--cache_mb=64] [--compression=none|columnar|lz]
-//                [--compressed_cache_mb=N] [--memory_budget_mb=N]
-//                [--sync_wal]
+//                [--compressed_cache_mb=N] [--sync_wal]
 //
 // --compression selects the per-block codec newly written tables use
 // (existing tables keep their recorded codec); --compressed_cache_mb
 // enables the compressed-block cache tier (0 = off).
 //
-// --memory_budget_mb pools the memtable quota and the cache tiers into one
-// budget re-divided online by the memory arbiter (core/memory_arbiter.h);
-// --cache_mb / --compressed_cache_mb then only set the tier ratio.  With
-// --db_shards the budget divides evenly across the shards.
+// Memory is sized once at open: the memtable rotates at the node capacity
+// and --cache_mb / --compressed_cache_mb fix the cache tiers (with
+// --db_shards each shard gets an even share).
 //
 // --shards controls the network reactor; --db_shards partitions the
 // database itself into N independent instances (ShardedDB).  A db dir
@@ -60,8 +58,7 @@ int Usage(const char* argv0) {
                "[--engine=iam|lsa|leveled] [--threads=N] [--shards=N] "
                "[--db_shards=N] [--bg_threads=N] [--subcompactions=N] "
                "[--cache_mb=N] [--compression=none|columnar|lz] "
-               "[--compressed_cache_mb=N] [--memory_budget_mb=N] "
-               "[--sync_wal]\n",
+               "[--compressed_cache_mb=N] [--sync_wal]\n",
                argv0);
   return 2;
 }
@@ -104,9 +101,6 @@ int main(int argc, char** argv) {
           static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
     } else if (ParseFlag(argv[i], "compressed_cache_mb", &v)) {
       db_options.compressed_cache_capacity =
-          static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
-    } else if (ParseFlag(argv[i], "memory_budget_mb", &v)) {
-      db_options.memory_budget_bytes =
           static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
     } else if (ParseFlag(argv[i], "compression", &v)) {
       if (!ParseCompressionType(v, &db_options.table.compression)) {
