@@ -66,7 +66,11 @@ int main(int argc, char** argv) {
             SystemName(id),
             std::make_pair(r.Throughput("SSD"), r.Throughput("HDD")));
       }
-      std::printf("  [%s/%s done]\n", dataset.name, SystemName(id));
+      // Device reads over the load and all seven workloads.
+      std::printf("  [%s/%s done: read_ops=%llu]\n", dataset.name,
+                  SystemName(id),
+                  static_cast<unsigned long long>(
+                      bench.db()->GetStats().io.read_ops));
     }
 
     auto print_device = [&](const char* device, bool ssd) {

@@ -145,6 +145,13 @@ struct MultiGetContext {
 };
 
 struct ReadOptions {
+  // Whether blocks read from the device fill the block cache.  When false,
+  // point reads still probe both cache tiers but fill neither, and an
+  // iterator (unless cache_only) neither probes nor fills them: it streams
+  // each sequence forward in chunks of SequenceReader::kReadaheadBytes
+  // (256 KB), one device read per chunk, through a buffer of its own, and
+  // a backward step reads only the block it lands on.  Compaction inputs,
+  // the tree digest and iamdb_dump read this way.
   bool fill_cache = true;
   // nullptr means "read the latest committed state".
   const Snapshot* snapshot = nullptr;

@@ -1,11 +1,14 @@
 #include "table/sequence_reader.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstring>
 #include <memory_resource>
 
 #include "table/compressor.h"
 #include "table/two_level_iterator.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 
@@ -115,14 +118,87 @@ std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
                      /*from_compressed_tier=*/false, s);
 }
 
+// The window of one streaming iterator: the bytes of its last forward
+// refill, file range [offset, offset + window.size()).  It belongs to the
+// iterator, not to the SequenceReader, which readers of the node share
+// across threads; the buffer is reused across refills.
+struct SequenceReader::Readahead {
+  uint64_t data_end = 0;  // just past the sequence's last data block
+  std::unique_ptr<char[]> buffer;
+  size_t capacity = 0;
+  uint64_t offset = 0;
+  Slice window;
+  bool served = false;       // whether any block was handed out yet
+  uint64_t last_offset = 0;  // offset of the last block handed out
+};
+
+Status SequenceReader::Refill(Readahead* ra, uint64_t offset,
+                              uint64_t n) const {
+  const uint64_t rest = ra->data_end > offset ? ra->data_end - offset : 0;
+  const size_t len =
+      static_cast<size_t>(std::max(n, std::min(kReadaheadBytes, rest)));
+  if (len > ra->capacity) {
+    ra->buffer.reset(new char[len]);
+    ra->capacity = len;
+  }
+  ra->window = Slice();
+  IAMDB_SYNC_POINT("SequenceReader::Refill:BeforeRead");
+  Slice result;
+  Status s = file_->Read(offset, len, &result, ra->buffer.get());
+  if (!s.ok()) return s;
+  // The read may have landed elsewhere (mmap-style envs return internal
+  // pointers); the window always lives in the buffer.
+  if (result.data() != ra->buffer.get()) {
+    std::memcpy(ra->buffer.get(), result.data(), result.size());
+  }
+  ra->offset = offset;
+  ra->window = Slice(ra->buffer.get(), result.size());
+  if (result.size() < n) return Status::Corruption("truncated block read");
+  return Status::OK();
+}
+
+std::shared_ptr<const Block> SequenceReader::ReadStreamedBlock(
+    const ReadOptions& options, Readahead* ra, const BlockHandle& handle,
+    Status* s) const {
+  const uint64_t offset = handle.offset();
+  const uint64_t n = handle.size() + BlockTrailerSize(format_version_);
+  const bool forward = !ra->served || offset > ra->last_offset;
+  ra->served = true;
+  ra->last_offset = offset;
+  const bool buffered = offset >= ra->offset &&
+                        offset + n <= ra->offset + ra->window.size();
+
+  std::string stored;
+  CompressionType type = CompressionType::kNone;
+  if (buffered || forward) {
+    *s = buffered ? Status::OK() : Refill(ra, offset, n);
+    if (s->ok()) {
+      const char* data = ra->window.data() + (offset - ra->offset);
+      *s = CheckBlockTrailer(data, handle.size(), format_version_, &type);
+      if (s->ok()) stored.assign(data, static_cast<size_t>(handle.size()));
+    }
+  } else {
+    // A backward step reads only the block it lands on.
+    *s = ReadBlockContents(file_, handle, format_version_, &stored, &type);
+  }
+  if (!s->ok()) return nullptr;
+  return FinishBlock(options, BlockCacheKey{file_number_, offset},
+                     std::move(stored), type, /*from_compressed_tier=*/false,
+                     s);
+}
+
 Iterator* SequenceReader::NewBlockIterator(const ReadOptions& options,
+                                           Readahead* readahead,
                                            const Slice& index_value) const {
   Slice input = index_value;
   BlockHandle handle;
   Status s = handle.DecodeFrom(&input);
   if (!s.ok()) return NewErrorIterator(s);
 
-  std::shared_ptr<const Block> block = ReadDataBlock(options, handle, &s);
+  std::shared_ptr<const Block> block =
+      readahead == nullptr
+          ? ReadDataBlock(options, handle, &s)
+          : ReadStreamedBlock(options, readahead, handle, &s);
   if (block == nullptr) return NewErrorIterator(s);
   Iterator* iter = block->NewIterator(cmp_);
   // Pin the block for the iterator's lifetime.
@@ -308,10 +384,22 @@ void SequenceReader::MultiGet(const ReadOptions& options,
 }
 
 Iterator* SequenceReader::NewIterator(const ReadOptions& options) const {
+  std::shared_ptr<Readahead> readahead;
+  if (!options.fill_cache && !options.cache_only) {
+    readahead = std::make_shared<Readahead>();
+    std::unique_ptr<Iterator> last(index_block_.NewIterator(cmp_));
+    last->SeekToLast();
+    Slice input = last->Valid() ? last->value() : Slice();
+    BlockHandle handle;
+    if (handle.DecodeFrom(&input).ok()) {
+      readahead->data_end = handle.offset() + handle.size() +
+                            BlockTrailerSize(format_version_);
+    }
+  }
   return NewTwoLevelIterator(
       index_block_.NewIterator(cmp_),
-      [this, options](const Slice& index_value) {
-        return NewBlockIterator(options, index_value);
+      [this, options, readahead](const Slice& index_value) {
+        return NewBlockIterator(options, readahead.get(), index_value);
       });
 }
 

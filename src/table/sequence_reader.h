@@ -1,6 +1,8 @@
 // SequenceReader: query interface over one sorted sequence of an MSTable.
 // Index and bloom contents live in memory (the paper assumes all table
-// metadata is cached); data blocks are fetched through the block cache.
+// metadata is cached); data blocks are fetched through the block cache,
+// except by iterators opened with ReadOptions::fill_cache == false, which
+// stream the sequence through a readahead window of their own.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +54,36 @@ class SequenceReader {
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 
-  // Iterator over the full sequence (internal keys).
+  // Iterator over the full sequence (internal keys).  Under
+  // options.fill_cache == false (and not cache_only) the iterator neither
+  // probes nor fills the block cache: moving forward to a block outside its
+  // window reads the next kReadaheadBytes of the sequence's data blocks in
+  // one Read, and the blocks after it are served from that window.  A
+  // backward step reads only the block it lands on.
   Iterator* NewIterator(const ReadOptions& options) const;
 
+  // Bytes one forward refill of a streaming iterator reads (fewer at the
+  // end of the sequence's data blocks, more for a larger block).
+  static constexpr uint64_t kReadaheadBytes = 256 << 10;
+
  private:
-  Iterator* NewBlockIterator(const ReadOptions& options,
+  // A streaming iterator's window; see the .cc.
+  struct Readahead;
+
+  // Iterator over the block named by `index_value`: read through
+  // `readahead` if it is non-null, else through ReadDataBlock.
+  Iterator* NewBlockIterator(const ReadOptions& options, Readahead* readahead,
                              const Slice& index_value) const;
+  // The block at `handle`, from the window of `readahead`, refilled first
+  // if the block lies outside it and ahead of the last block served; a
+  // block behind that is read alone.  Never touches the block cache.
+  std::shared_ptr<const Block> ReadStreamedBlock(const ReadOptions& options,
+                                                 Readahead* readahead,
+                                                 const BlockHandle& handle,
+                                                 Status* s) const;
+  // Reads the window of `readahead` anew from `offset`, the start of a
+  // block whose stored size plus trailer is `n`.
+  Status Refill(Readahead* readahead, uint64_t offset, uint64_t n) const;
   // Looks `key` up in the uncompressed tier, then the compressed tier
   // (decompressing and promoting a hit).  False on a miss in both; true
   // otherwise, with *block null and *s set if decompression failed.

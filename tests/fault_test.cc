@@ -4,6 +4,8 @@
 // fault clears and the store is reopened.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -14,6 +16,7 @@
 #include "env/mem_env.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 namespace {
@@ -143,6 +146,74 @@ TEST_P(FaultTest, RepeatedFaultCycles) {
     faulty_.Heal();
     db.reset();
   }
+}
+
+// A background merge whose input read fails: the first streaming refill
+// after the engine starts a merge (an AMT flush-down, a leveled level
+// compaction) gets an injected read error.  The job fails, the DB reports
+// the error, and every acknowledged write reads back after a reopen.
+TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
+#else
+  const uint64_t seed = test::TestSeed(19);
+  SCOPED_TRACE(test::SeedTrace(seed));
+  Options options = MakeOptions();
+  options.background_threads = 1;  // nothing else reads beside the merge
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+
+  SyncPoint* sp = SyncPoint::Instance();
+  sp->Reset();
+  std::atomic<bool> merging{false};
+  std::atomic<int> injected{0};
+  sp->SetCallback(GetParam() == EngineType::kAmt
+                      ? "AmtEngine::RunFlushNode:Unlocked"
+                      : "LeveledEngine::CompactLevel:Unlocked",
+                  [&](void*) { merging = true; });
+  sp->SetCallback("SequenceReader::Refill:BeforeRead", [&](void*) {
+    if (merging.exchange(false) && injected++ == 0) {
+      faulty_.SetErrorSchedule(kFaultRead, seed, /*one_in=*/1,
+                               /*max_failures=*/1);
+    }
+  });
+  sp->EnableProcessing();
+
+  Random64 rnd(seed);
+  const std::string value(100, 'v');
+  std::map<std::string, std::string> acked;
+  Status s;
+  for (int i = 0; i < 40000 && injected == 0; i++) {
+    const std::string k = Key(static_cast<int>(rnd.Next() % 8000));
+    const std::string v = value + std::to_string(i);
+    s = db->Put(WriteOptions(), k, v);
+    if (!s.ok()) break;  // a write stalled behind the failed job
+    acked[k] = v;
+  }
+  ASSERT_EQ(1, injected.load()) << s.ToString();
+  // The failed job is the DB's background error from here on.
+  s = db->FlushAll();
+  sp->Reset();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find("injected")) << s.ToString();
+  // Writes that raced the failure may or may not have been acknowledged;
+  // the ones that were must survive.
+  for (int i = 0; i < 100; i++) {
+    const std::string k = Key(100000 + i);
+    if (db->Put(WriteOptions(), k, value).ok()) acked[k] = value;
+  }
+  faulty_.ClearErrorSchedule();
+  db.reset();
+
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (const auto& [k, v] : acked) {
+    std::string got;
+    ASSERT_TRUE(db->Get(ReadOptions(), k, &got).ok()) << k;
+    ASSERT_EQ(v, got) << k;
+  }
+  ASSERT_TRUE(db->WaitForQuiescence().ok());
+  EXPECT_TRUE(db->CheckInvariants(true).ok());
+#endif  // IAMDB_SYNC_POINTS
 }
 
 // An empty placeholder node (an L1 node that flushed into its children)

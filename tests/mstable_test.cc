@@ -1,7 +1,7 @@
 // MSTable tests: build/read round trips, appended sequences, metadata
 // clustering, crash-tolerance of appends (stale meta_end still readable),
 // clean-up of abandoned and failed writes, point reads across sequences
-// with MVCC, merged iteration.
+// with MVCC, merged iteration, streaming (fill_cache = false) reads.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -81,11 +81,92 @@ class MSTableTest : public testing::Test {
     return value;
   }
 
+  // The data block handles of one sequence, in file order.
+  std::vector<BlockHandle> DataBlocks(const SequenceReader& seq) {
+    std::vector<BlockHandle> handles;
+    Block index(seq.index_contents().ToString());
+    std::unique_ptr<Iterator> iter(index.NewIterator(&cmp_));
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      Slice input = iter->value();
+      BlockHandle handle;
+      EXPECT_TRUE(handle.DecodeFrom(&input).ok());
+      handles.push_back(handle);
+    }
+    return handles;
+  }
+
+  // Builds a one-sequence table of `entries`, flips a byte inside the
+  // stored payload of its middle data block, then checks that reads under
+  // `read` surface Corruption and never a wrong record: a point read of
+  // every key either returns its value or Corruption, and a full scan
+  // yields only records of `entries` and ends in Corruption.
+  void ExpectCorruptMiddleBlockSurfaces(
+      const std::string& fname,
+      const std::vector<std::pair<std::string, std::string>>& entries,
+      const ReadOptions& read) {
+    auto result = BuildNew(fname, entries);
+    TableOptions no_cache = options_;
+    no_cache.block_cache = nullptr;  // force the device read
+    std::shared_ptr<MSTableReader> reader;
+    ASSERT_TRUE(MSTableReader::Open(&env_, no_cache, &cmp_, fname, 1,
+                                    result.meta_end, &reader)
+                    .ok());
+    const std::vector<BlockHandle> blocks = DataBlocks(reader->sequence(0));
+    ASSERT_GE(blocks.size(), 3u);
+    const BlockHandle& middle = blocks[blocks.size() / 2];
+
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(&env_, fname, &contents).ok());
+    contents[middle.offset() + middle.size() / 2] ^= 0x10;
+    ASSERT_TRUE(WriteStringToFile(&env_, contents, fname, false).ok());
+    ASSERT_TRUE(MSTableReader::Open(&env_, no_cache, &cmp_, fname, 2,
+                                    result.meta_end, &reader)
+                    .ok());
+
+    int corrupt_gets = 0;
+    for (const auto& [ikey, value] : entries) {
+      MultiGetRequest::State state;
+      std::string got;
+      Status s = TableGet(*reader, ExtractUserKey(ikey), 100, &got, &state,
+                          read);
+      if (s.IsCorruption()) {
+        corrupt_gets++;
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_EQ(MultiGetRequest::State::kFound, state);
+      ASSERT_EQ(value, got);
+    }
+    EXPECT_GT(corrupt_gets, 0);
+
+    // The scan steps over the bad block (its status keeps the error), so it
+    // yields an ordered subset of `entries`, each with its own value.
+    std::unique_ptr<Iterator> iter(reader->NewIterator(read));
+    size_t next = 0, yielded = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
+      while (next < entries.size() &&
+             entries[next].first != iter->key().ToString()) {
+        next++;
+      }
+      ASSERT_LT(next, entries.size()) << "unexpected record";
+      ASSERT_EQ(entries[next].second, iter->value().ToString());
+      next++;
+    }
+    EXPECT_LT(yielded, entries.size());
+    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  }
+
   MemEnv env_;
   InternalKeyComparator cmp_;
   std::unique_ptr<LruCache> cache_;
   TableOptions options_;
 };
+
+ReadOptions StreamingRead() {
+  ReadOptions read;
+  read.fill_cache = false;
+  return read;
+}
 
 TEST_F(MSTableTest, BuildAndReadSingleSequence) {
   std::vector<std::pair<std::string, std::string>> entries;
@@ -460,30 +541,120 @@ TEST_F(MSTableTest, CorruptTrailerRejected) {
   EXPECT_TRUE(s.IsCorruption());
 }
 
-TEST_F(MSTableTest, CorruptDataBlockDetectedWithChecksums) {
+// Parameter: ReadOptions::fill_cache.  Without it the scan streams the
+// sequence through a readahead window, and the flipped block sits in the
+// middle of the window's one read.
+class MSTableChecksumTest : public MSTableTest,
+                            public testing::WithParamInterface<bool> {};
+
+TEST_P(MSTableChecksumTest, CorruptDataBlockDetectedWithChecksums) {
   std::vector<std::pair<std::string, std::string>> entries;
   for (int i = 0; i < 100; i++) {
     char buf[16];
     snprintf(buf, sizeof(buf), "key%03d", i);
     entries.emplace_back(IKey(buf, 1), std::string(64, 'v'));
   }
-  auto result = BuildNew("/t10", entries);
+  ReadOptions read;
+  read.fill_cache = GetParam();
+  ExpectCorruptMiddleBlockSurfaces("/t10", entries, read);
+}
 
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(&env_, "/t10", &contents).ok());
-  contents[10] ^= 0x1;  // flip a bit in the first data block
-  ASSERT_TRUE(WriteStringToFile(&env_, contents, "/t10", false).ok());
+INSTANTIATE_TEST_SUITE_P(FillCache, MSTableChecksumTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& i) {
+                           return i.param ? "Cached" : "Streaming";
+                         });
 
-  TableOptions strict = options_;
-  strict.block_cache = nullptr;
+// A non-filling merged scan reads each sequence in kReadaheadBytes chunks,
+// however the merge interleaves the sequences; a cached scan still reads
+// one block at a time, and a backward streaming scan reads no more than a
+// backward cached one.
+TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
+  // Three sequences with interleaved keys, each over one chunk wide.
+  const int kPerSequence = 1500;
+  uint64_t meta_end = 0;
+  size_t total_entries = 0;
+  for (int seq = 0; seq < 3; seq++) {
+    std::vector<std::pair<std::string, std::string>> entries;
+    for (int i = 0; i < kPerSequence; i++) {
+      char buf[16];
+      snprintf(buf, sizeof(buf), "key%05d", i * 3 + seq);
+      entries.emplace_back(IKey(buf, 10 + seq), std::string(200, 'a' + seq));
+    }
+    total_entries += entries.size();
+    if (seq == 0) {
+      meta_end = BuildNew("/ts", entries).meta_end;
+    } else {
+      meta_end = Append("/ts", *OpenReader("/ts", meta_end, seq), entries)
+                     .meta_end;
+    }
+  }
+
+  IoStats stats;
+  CountingEnv counting_env(&env_, &stats);
+  TableOptions no_cache = options_;
+  no_cache.block_cache = nullptr;  // every cached-path block hits the device
   std::shared_ptr<MSTableReader> reader;
-  ASSERT_TRUE(MSTableReader::Open(&env_, strict, &cmp_, "/t10", 1,
-                                  result.meta_end, &reader)
+  ASSERT_TRUE(MSTableReader::Open(&counting_env, no_cache, &cmp_, "/ts", 9,
+                                  meta_end, &reader)
                   .ok());
-  MultiGetRequest::State state;
-  std::string value;
-  Status s = TableGet(*reader, "key001", 100, &value, &state);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_EQ(3, reader->seq_count());
+
+  const uint64_t chunk = SequenceReader::kReadaheadBytes;
+  uint64_t blocks = 0;
+  uint64_t chunk_bound = 0;
+  for (int i = 0; i < reader->seq_count(); i++) {
+    const SequenceReader& seq = reader->sequence(i);
+    const std::vector<BlockHandle> handles = DataBlocks(seq);
+    const uint64_t span = handles.back().offset() + handles.back().size() +
+                          BlockTrailerSize(kCurrentFormatVersion) -
+                          handles.front().offset();
+    ASSERT_GT(span, chunk);  // at least one refill past the first
+    const uint64_t bound = (span + chunk - 1) / chunk + 1;
+    blocks += handles.size();
+    chunk_bound += bound;
+
+    IoStatsSnapshot before = stats.Snapshot();
+    std::unique_ptr<Iterator> iter(seq.NewIterator(StreamingRead()));
+    size_t n = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
+    ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+    EXPECT_EQ(static_cast<size_t>(kPerSequence), n);
+    EXPECT_LE((stats.Snapshot() - before).read_ops, bound) << "sequence " << i;
+  }
+
+  auto scan = [&](const ReadOptions& read, bool backward,
+                  std::vector<std::string>* keys) {
+    IoStatsSnapshot before = stats.Snapshot();
+    std::unique_ptr<Iterator> iter(reader->NewIterator(read));
+    if (backward) {
+      for (iter->SeekToLast(); iter->Valid(); iter->Prev()) {
+        keys->push_back(iter->key().ToString());
+      }
+    } else {
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+        keys->push_back(iter->key().ToString());
+      }
+    }
+    EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+    return stats.Snapshot() - before;
+  };
+
+  std::vector<std::string> streamed, cached;
+  const IoStatsSnapshot streaming_io = scan(StreamingRead(), false, &streamed);
+  const IoStatsSnapshot cached_io = scan(ReadOptions(), false, &cached);
+  EXPECT_EQ(total_entries, streamed.size());
+  EXPECT_EQ(cached, streamed);
+  EXPECT_LE(streaming_io.read_ops, chunk_bound);
+  EXPECT_EQ(blocks, cached_io.read_ops);
+
+  std::vector<std::string> streamed_back, cached_back;
+  const IoStatsSnapshot streaming_back_io =
+      scan(StreamingRead(), true, &streamed_back);
+  const IoStatsSnapshot cached_back_io =
+      scan(ReadOptions(), true, &cached_back);
+  EXPECT_EQ(total_entries, streamed_back.size());
+  EXPECT_EQ(cached_back, streamed_back);
+  EXPECT_LE(streaming_back_io.bytes_read, cached_back_io.bytes_read);
 }
 
 TEST_F(MSTableTest, RandomizedMultiSequenceAgainstModel) {
@@ -698,37 +869,38 @@ TEST_P(MSTableCompressionTest, CompressedCacheTierServesRereads) {
   EXPECT_GT(cstats.decompressed_blocks.load(), decompressed_before);
 }
 
-TEST_P(MSTableCompressionTest, CorruptCompressedBlockSurfacesCorruption) {
-  options_.compression = GetParam();
-  auto result = BuildNew("/tcx", FixedRecordEntries(500));
-
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(&env_, "/tcx", &contents).ok());
-  // Flip a byte inside the first data block's compressed payload: the CRC
-  // (which covers payload + type tag) must reject it before the codec runs.
-  contents[10] ^= 0x10;
-  ASSERT_TRUE(WriteStringToFile(&env_, contents, "/tcx", false).ok());
-
-  TableOptions no_cache = options_;
-  no_cache.block_cache = nullptr;  // force the device read
-  std::shared_ptr<MSTableReader> reader;
-  ASSERT_TRUE(MSTableReader::Open(&env_, no_cache, &cmp_, "/tcx", 1,
-                                  result.meta_end, &reader)
-                  .ok());
-  std::unique_ptr<Iterator> iter(reader->NewIterator(ReadOptions()));
-  iter->SeekToFirst();
-  // Either invalid immediately or an error status; never garbage entries
-  // from a torn block.
-  EXPECT_TRUE(!iter->Valid() || !iter->status().ok());
-  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
-}
-
 INSTANTIATE_TEST_SUITE_P(Codecs, MSTableCompressionTest,
                          testing::Values(CompressionType::kColumnar,
                                          CompressionType::kLz),
                          [](const testing::TestParamInfo<CompressionType>& i) {
                            return std::string(CompressionTypeName(i.param));
                          });
+
+// Parameters: the codec, and ReadOptions::fill_cache (see
+// MSTableChecksumTest).
+class MSTableCompressedCorruptionTest
+    : public MSTableTest,
+      public testing::WithParamInterface<std::tuple<CompressionType, bool>> {};
+
+TEST_P(MSTableCompressedCorruptionTest,
+       CorruptCompressedBlockSurfacesCorruption) {
+  options_.compression = std::get<0>(GetParam());
+  ReadOptions read;
+  read.fill_cache = std::get<1>(GetParam());
+  // The flipped byte lies inside a compressed payload: the CRC (which
+  // covers payload + type tag) must reject it before the codec runs.
+  ExpectCorruptMiddleBlockSurfaces("/tcx", FixedRecordEntries(500), read);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, MSTableCompressedCorruptionTest,
+    testing::Combine(testing::Values(CompressionType::kColumnar,
+                                     CompressionType::kLz),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<CompressionType, bool>>& i) {
+      return std::string(CompressionTypeName(std::get<0>(i.param))) +
+             (std::get<1>(i.param) ? "Cached" : "Streaming");
+    });
 
 }  // namespace
 }  // namespace iamdb

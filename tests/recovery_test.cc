@@ -97,6 +97,42 @@ TEST_P(RecoveryTest, TornWalTailLosesOnlyTail) {
   EXPECT_EQ("rewritten", Get("late"));
 }
 
+// One WAL record corrupted mid-log.  By default recovery drops it (with
+// whatever follows it in its log block) and keeps the records before it;
+// under Options::paranoid_checks, Open refuses with Corruption.
+TEST_P(RecoveryTest, CorruptWalRecordHonoursParanoidChecks) {
+  Open();
+  const std::string value(100, 'w');
+  const int kRecords = 100;  // one Put per record, all in one log block
+  for (int i = 0; i < kRecords; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), value).ok());
+  }
+  Close();
+
+  auto logs = LiveFiles(FileType::kLogFile);
+  ASSERT_EQ(1u, logs.size());
+  const std::string wal = "/db/" + logs.back();
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(&env_, wal, &contents).ok());
+  // Equal-sized records: flip a byte in the middle of the 50th's payload.
+  ASSERT_EQ(0u, contents.size() % kRecords);
+  const size_t record_size = contents.size() / kRecords;
+  contents[(kRecords / 2) * record_size + record_size / 2] ^= 0x40;
+  ASSERT_TRUE(WriteStringToFile(&env_, contents, wal, false).ok());
+
+  Options options = MakeOptions();
+  options.paranoid_checks = true;
+  Status s = DB::Open(options, "/db", &db_);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  db_.reset();
+
+  Open();
+  for (int i = 0; i < kRecords / 2; i++) {
+    EXPECT_EQ(value, Get(Key(i))) << Key(i);
+  }
+  EXPECT_EQ("NOT_FOUND", Get(Key(kRecords / 2)));
+}
+
 TEST_P(RecoveryTest, StateSurvivesCompactionsAndReopen) {
   Open();
   Random64 rnd(5);

@@ -16,13 +16,14 @@ namespace iamdb {
 // no sequence holds the key.  Returns the request's status.
 inline Status TableGet(const MSTableReader& reader, const Slice& user_key,
                        SequenceNumber snapshot, std::string* value,
-                       MultiGetRequest::State* state) {
+                       MultiGetRequest::State* state,
+                       const ReadOptions& options = ReadOptions()) {
   LookupKey lkey(user_key, snapshot);
   MultiGetRequest req;
   req.lkey = &lkey;
   req.value = value;
   MultiGetRequest* reqs = &req;
-  reader.MultiGet(ReadOptions(), &reqs, 1);
+  reader.MultiGet(options, &reqs, 1);
   *state = req.state;
   return req.status;
 }
