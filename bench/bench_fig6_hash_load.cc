@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
        {Dataset{"100G", gb100}, Dataset{"1T", tb1}}) {
     std::vector<std::pair<std::string, double>> ssd_rows, hdd_rows;
     std::vector<std::pair<std::string, double>> wamp_rows;
+    std::vector<double> wall;
     for (SystemId id : systems) {
       BenchDb bench(id, dataset.config);
       // Device-paced load: outstanding debt stays bounded as on a real
@@ -44,6 +45,7 @@ int main(int argc, char** argv) {
                          /*pace_debt_bytes=*/3 << 20);
       ssd_rows.emplace_back(SystemName(id), r.Throughput("SSD"));
       hdd_rows.emplace_back(SystemName(id), r.Throughput("HDD"));
+      wall.push_back(r.WallThroughput());
       // Write amp counts everything, including the settled debt.
       double wamp = bench.db()->GetStats().total_write_amp;
       wamp_rows.emplace_back(SystemName(id), wamp);
@@ -52,10 +54,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.stats_after.io.read_ops));
     }
     if (std::string(dataset.name) == "100G") {
-      PrintNormalized("\nFig6 SSD-100G (normalized to L):", ssd_rows);
-      PrintNormalized("\nFig6 HDD-100G (normalized to L):", hdd_rows);
+      PrintNormalized("\nFig6 SSD-100G (normalized to L):", ssd_rows, wall);
+      PrintNormalized("\nFig6 HDD-100G (normalized to L):", hdd_rows, wall);
     } else {
-      PrintNormalized("\nFig6 HDD-1T (normalized to L):", hdd_rows);
+      PrintNormalized("\nFig6 HDD-1T (normalized to L):", hdd_rows, wall);
     }
     std::printf("\nWrite amplification (%s, log excluded):\n", dataset.name);
     for (const auto& [name, wamp] : wamp_rows) {

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> fill_ssd, fill_hdd;
   std::vector<std::pair<std::string, double>> read_ssd, read_hdd;
   std::vector<std::pair<std::string, double>> fill_wamp;
+  std::vector<double> fill_wall, read_wall;
 
   for (SystemId id : systems) {
     BenchDb bench(id, config);
@@ -31,6 +32,7 @@ int main(int argc, char** argv) {
                           /*pace_debt_bytes=*/3 << 20);
     fill_ssd.emplace_back(SystemName(id), fill.Throughput("SSD"));
     fill_hdd.emplace_back(SystemName(id), fill.Throughput("HDD"));
+    fill_wall.push_back(fill.WallThroughput());
     fill_wamp.emplace_back(SystemName(id),
                            bench.db()->GetStats().total_write_amp);
 
@@ -40,14 +42,17 @@ int main(int argc, char** argv) {
     // readseq throughput in records/s: each recorded op covers 100 records.
     read_ssd.emplace_back(SystemName(id), 100 * read.Throughput("SSD"));
     read_hdd.emplace_back(SystemName(id), 100 * read.Throughput("HDD"));
+    read_wall.push_back(100 * read.WallThroughput());
   }
 
-  PrintNormalized("\nFig9 fillseq-SSD (normalized to L):", fill_ssd);
-  PrintNormalized("\nFig9 fillseq-HDD (normalized to L):", fill_hdd);
+  PrintNormalized("\nFig9 fillseq-SSD (normalized to L):", fill_ssd,
+                  fill_wall);
+  PrintNormalized("\nFig9 fillseq-HDD (normalized to L):", fill_hdd,
+                  fill_wall);
   PrintNormalized("\nFig9 readseq-SSD (records/s, normalized to L):",
-                  read_ssd);
+                  read_ssd, read_wall);
   PrintNormalized("\nFig9 readseq-HDD (records/s, normalized to L):",
-                  read_hdd);
+                  read_hdd, read_wall);
   std::printf("\nfillseq write amp (log excluded; ~1.0 = written once):\n");
   for (const auto& [name, wamp] : fill_wamp) {
     std::printf("  %-6s %6.2f\n", name.c_str(), wamp);

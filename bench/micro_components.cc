@@ -292,6 +292,31 @@ void BM_MSTableAppendSequence(benchmark::State& state) {
 }
 BENCHMARK(BM_MSTableAppendSequence);
 
+// Builds "/node" on `env`: a 1 MB node of kNodeSequences appended
+// sequences with interleaved keys (record i of sequence s is key
+// i * kNodeSequences + s).  Returns the build result of the last append.
+constexpr int kNodeSequences = 4;
+constexpr int kNodePerSequence = 900;  // ~256 KB of records each
+MSTableBuildResult BuildInterleavedNode(Env* env, const TableOptions& options,
+                                        const InternalKeyComparator* cmp) {
+  const std::string value(256, 'v');
+  MSTableBuildResult result;
+  for (int seq = 0; seq < kNodeSequences; seq++) {
+    std::shared_ptr<MSTableReader> existing;
+    if (seq > 0) {
+      MSTableReader::Open(env, options, cmp, "/node", 1, result.meta_end,
+                          &existing);
+    }
+    MSTableWriter writer(env, options, "/node", existing.get());
+    writer.Open();
+    for (int i = 0; i < kNodePerSequence; i++) {
+      writer.Add(MakeIKey(i * kNodeSequences + seq, 1 + seq), value);
+    }
+    writer.Finish(false, &result);
+  }
+  return result;
+}
+
 void BM_CompactionReadNode(benchmark::State& state) {
   // A compaction's input read: the merged scan, under fill_cache = false,
   // of a 1 MB node of four appended sequences with interleaved keys.
@@ -302,23 +327,7 @@ void BM_CompactionReadNode(benchmark::State& state) {
   CountingEnv counting_env(&env, &stats);
   TableOptions options;
   InternalKeyComparator cmp;
-  const std::string value(256, 'v');
-  const int kSequences = 4;
-  const int kPerSequence = 900;  // ~256 KB of records each
-  MSTableBuildResult result;
-  for (int seq = 0; seq < kSequences; seq++) {
-    std::shared_ptr<MSTableReader> existing;
-    if (seq > 0) {
-      MSTableReader::Open(&env, options, &cmp, "/node", 1, result.meta_end,
-                          &existing);
-    }
-    MSTableWriter writer(&env, options, "/node", existing.get());
-    writer.Open();
-    for (int i = 0; i < kPerSequence; i++) {
-      writer.Add(MakeIKey(i * kSequences + seq, 1 + seq), value);
-    }
-    writer.Finish(false, &result);
-  }
+  const MSTableBuildResult result = BuildInterleavedNode(&env, options, &cmp);
   std::shared_ptr<MSTableReader> reader;
   MSTableReader::Open(&counting_env, options, &cmp, "/node", 2,
                       result.meta_end, &reader);
@@ -337,6 +346,45 @@ void BM_CompactionReadNode(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_CompactionReadNode);
+
+void BM_CachedScanNode(benchmark::State& state) {
+  // A YCSB-E style foreground scan: 100 records from a pseudo-random start
+  // key, through the block cache (64 KB, so most blocks miss), over the
+  // same 1 MB four-sequence node.  reads_per_scan and kb_per_scan count
+  // device reads and the bytes they move.
+  MemEnv env;
+  IoStats stats;
+  CountingEnv counting_env(&env, &stats);
+  TableOptions options;
+  InternalKeyComparator cmp;
+  const MSTableBuildResult result = BuildInterleavedNode(&env, options, &cmp);
+  LruCache cache(64 << 10);
+  options.block_cache = &cache;
+  std::shared_ptr<MSTableReader> reader;
+  MSTableReader::Open(&counting_env, options, &cmp, "/node", 2,
+                      result.meta_end, &reader);
+  const int keys = kNodeSequences * kNodePerSequence;
+  Random64 rnd(301);
+  const IoStatsSnapshot before = stats.Snapshot();
+  for (auto _ : state) {
+    std::unique_ptr<Iterator> iter(reader->NewIterator(ReadOptions()));
+    int n = 0;
+    for (iter->Seek(MakeIKey(static_cast<int>(rnd.Next() % keys),
+                             kMaxSequenceNumber));
+         n < 100 && iter->Valid(); iter->Next()) {
+      n++;
+    }
+    benchmark::DoNotOptimize(n);
+  }
+  state.SetItemsProcessed(state.iterations());
+  const IoStatsSnapshot io = stats.Snapshot() - before;
+  const double scans = static_cast<double>(state.iterations());
+  state.counters["reads_per_scan"] =
+      benchmark::Counter(static_cast<double>(io.read_ops) / scans);
+  state.counters["kb_per_scan"] =
+      benchmark::Counter(static_cast<double>(io.bytes_read) / 1024 / scans);
+}
+BENCHMARK(BM_CachedScanNode);
 
 void BM_CompactionStream(benchmark::State& state) {
   // Visibility-filter throughput over a duplicate-heavy stream; the

@@ -356,13 +356,17 @@ RunResult ReadSeq(BenchDb* bench) {
 }
 
 void PrintNormalized(const std::string& title,
-                     const std::vector<std::pair<std::string, double>>& rows) {
+                     const std::vector<std::pair<std::string, double>>& rows,
+                     const std::vector<double>& wall) {
   std::printf("%s\n", title.c_str());
   if (rows.empty()) return;
   double base = rows[0].second;
-  for (const auto& [name, value] : rows) {
-    std::printf("  %-6s %10.1f ops/s   normalized %.2fx\n", name.c_str(),
-                value, base > 0 ? value / base : 0);
+  for (size_t i = 0; i < rows.size(); i++) {
+    const auto& [name, value] = rows[i];
+    std::printf("  %-6s %10.1f ops/s   normalized %.2fx", name.c_str(), value,
+                base > 0 ? value / base : 0);
+    if (i < wall.size()) std::printf("   wall %10.1f ops/s", wall[i]);
+    std::printf("\n");
   }
 }
 

@@ -87,11 +87,18 @@ struct RunResult {
   Histogram hdd_latency_us;
   DbStats stats_after;
 
+  // Operations per modeled device-second on `device` ("SSD" or "HDD").
+  // Modeled time only: on MemEnv the wall clock measures the host, and a
+  // wall-clock floor lets one slow cell shift a whole normalized row.
   double Throughput(const char* device) const {
     double denominator =
         std::string(device) == "SSD" ? ssd_seconds : hdd_seconds;
-    if (denominator < wall_seconds) denominator = wall_seconds;
     return denominator > 0 ? ops / denominator : 0;
+  }
+  // Operations per wall-clock second: the host's speed, reported beside
+  // the modeled figures rather than folded into them.
+  double WallThroughput() const {
+    return wall_seconds > 0 ? ops / wall_seconds : 0;
   }
 };
 
@@ -142,9 +149,11 @@ RunResult ReadSeq(BenchDb* bench);
 
 // ---- reporting helpers ----
 
-// Prints "name: value" rows normalized to the first row.
+// Prints "name: value" rows normalized to the first row; `wall`, if given,
+// holds each row's wall-clock ops/s for a column of its own.
 void PrintNormalized(const std::string& title,
-                     const std::vector<std::pair<std::string, double>>& rows);
+                     const std::vector<std::pair<std::string, double>>& rows,
+                     const std::vector<double>& wall = {});
 
 void PrintLevelWriteAmps(const std::string& title,
                          const std::vector<std::pair<std::string, DbStats>>& rows);

@@ -28,25 +28,27 @@ class MergingIterator final : public Iterator {
 
   void SeekToFirst() override {
     for (auto& child : children_) child->SeekToFirst();
-    FindSmallest();
+    FindSmallest(kAllMoved);
     direction_ = kForward;
   }
 
   void SeekToLast() override {
     for (auto& child : children_) child->SeekToLast();
-    FindLargest();
+    FindLargest(kAllMoved);
     direction_ = kReverse;
   }
 
   void Seek(const Slice& target) override {
     for (auto& child : children_) child->Seek(target);
-    FindSmallest();
+    FindSmallest(kAllMoved);
     direction_ = kForward;
   }
 
   void Next() override {
     assert(Valid());
+    const Iterator* moved = current_;
     if (direction_ != kForward) {
+      moved = kAllMoved;
       // All non-current children must be repositioned after current's key.
       for (auto& child : children_) {
         if (child.get() == current_) continue;
@@ -59,12 +61,14 @@ class MergingIterator final : public Iterator {
       direction_ = kForward;
     }
     current_->Next();
-    FindSmallest();
+    FindSmallest(moved);
   }
 
   void Prev() override {
     assert(Valid());
+    const Iterator* moved = current_;
     if (direction_ != kReverse) {
+      moved = kAllMoved;
       for (auto& child : children_) {
         if (child.get() == current_) continue;
         child->Seek(key());
@@ -77,7 +81,7 @@ class MergingIterator final : public Iterator {
       direction_ = kReverse;
     }
     current_->Prev();
-    FindLargest();
+    FindLargest(moved);
   }
 
   Slice key() const override {
@@ -101,12 +105,28 @@ class MergingIterator final : public Iterator {
  private:
   enum Direction { kForward, kReverse };
 
+  // A child that failed ends the merge, invalid: its missing records may
+  // hold the newest version of a key that another child has an older one
+  // of.  A child stops, invalid, at its first error, so only children that
+  // are invalid and were just moved need a status check: the one a step
+  // moved, or every child after a seek (kAllMoved).
+  static constexpr const Iterator* kAllMoved = nullptr;
+  bool Failed(const Iterator* child, const Iterator* moved) const {
+    return (moved == kAllMoved || child == moved) && !child->status().ok();
+  }
+
   // Linear scan: child counts are small (sequences per node <= 2t) and this
   // keeps ties deterministic (lowest index wins).
-  void FindSmallest() {
+  void FindSmallest(const Iterator* moved) {
     Iterator* smallest = nullptr;
     for (auto& child : children_) {
-      if (!child->Valid()) continue;
+      if (!child->Valid()) {
+        if (Failed(child.get(), moved)) {
+          current_ = nullptr;
+          return;
+        }
+        continue;
+      }
       if (smallest == nullptr ||
           comparator_.Compare(child->key(), smallest->key()) < 0) {
         smallest = child.get();
@@ -115,11 +135,17 @@ class MergingIterator final : public Iterator {
     current_ = smallest;
   }
 
-  void FindLargest() {
+  void FindLargest(const Iterator* moved) {
     Iterator* largest = nullptr;
     for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
       auto& child = *it;
-      if (!child->Valid()) continue;
+      if (!child->Valid()) {
+        if (Failed(child.get(), moved)) {
+          current_ = nullptr;
+          return;
+        }
+        continue;
+      }
       if (largest == nullptr ||
           comparator_.Compare(child->key(), largest->key()) > 0) {
         largest = child.get();

@@ -14,7 +14,10 @@ namespace iamdb {
 // equal keys, the child with the smaller index wins first — callers order
 // children newest-first so MVCC resolution in db_iter sees newest versions
 // first (internal keys already embed the sequence number, so exact ties
-// cannot occur across valid inputs).
+// cannot occur across valid inputs).  A child that fails (non-OK status)
+// ends the merge in either direction: the merging iterator turns invalid
+// and reports that status, rather than yield the other children's records
+// past the gap.
 Iterator* NewMergingIterator(const InternalKeyComparator* comparator,
                              Iterator** children, int n);
 

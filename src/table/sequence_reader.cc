@@ -100,46 +100,67 @@ bool SequenceReader::LookupCachedBlock(const ReadOptions& options,
   return false;
 }
 
-std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
-    const ReadOptions& options, const BlockHandle& handle, Status* s) const {
-  const BlockCacheKey key{file_number_, handle.offset()};
-  std::shared_ptr<const Block> block;
-  if (LookupCachedBlock(options, key, &block, s)) return block;
-  if (options.cache_only) {
-    *s = Status::Incomplete("block not in cache");
-    return nullptr;
-  }
-
-  std::string contents;
-  CompressionType type = CompressionType::kNone;
-  *s = ReadBlockContents(file_, handle, format_version_, &contents, &type);
-  if (!s->ok()) return nullptr;
-  return FinishBlock(options, key, std::move(contents), type,
-                     /*from_compressed_tier=*/false, s);
-}
-
-// The window of one streaming iterator: the bytes of its last forward
-// refill, file range [offset, offset + window.size()).  It belongs to the
-// iterator, not to the SequenceReader, which readers of the node share
-// across threads; the buffer is reused across refills.
+// The read-ahead window of one iterator: the bytes of its last refill,
+// file range [offset, offset + window.size()), and the forward run of
+// blocks it is serving.  It belongs to the iterator (its block function
+// holds it), not to the SequenceReader, which readers of the node share
+// across threads; the buffer is reused across refills.  A copy (the block
+// function is a std::function, which must be copyable) starts empty.
 struct SequenceReader::Readahead {
-  uint64_t data_end = 0;  // just past the sequence's last data block
+  explicit Readahead(bool grows) : grow(grows) {}
+  Readahead(const Readahead& other) : grow(other.grow) {}
+  Readahead& operator=(const Readahead&) = delete;
+
+  // A cache-filling scan's refills grow with its run; a non-filling
+  // iterator's are kReadaheadBytes from the first.
+  const bool grow;
+  std::unique_ptr<Iterator> cursor;  // over the index: a window's extent
+  uint64_t cursor_offset = 0;  // offset of the block the cursor stands on
   std::unique_ptr<char[]> buffer;
   size_t capacity = 0;
   uint64_t offset = 0;
   Slice window;
   bool served = false;       // whether any block was handed out yet
   uint64_t last_offset = 0;  // offset of the last block handed out
+  uint64_t run_end = 0;      // just past the last block handed out
+  uint64_t run_bytes = 0;    // bytes of the forward run ending there
 };
 
-Status SequenceReader::Refill(Readahead* ra, uint64_t offset,
-                              uint64_t n) const {
-  const uint64_t rest = ra->data_end > offset ? ra->data_end - offset : 0;
-  const size_t len =
-      static_cast<size_t>(std::max(n, std::min(kReadaheadBytes, rest)));
+Status SequenceReader::Refill(Readahead* ra, const Slice& index_key,
+                              const BlockHandle& handle, uint64_t want) const {
+  const uint64_t trailer = BlockTrailerSize(format_version_);
+  const uint64_t offset = handle.offset();
+  const uint64_t n = handle.size() + trailer;
+  uint64_t end = offset + n;
+  if (n < want) {
+    // Whole blocks after this one, adjacent in the file, from the index.
+    // The last refill of a run leaves the cursor on the block this one
+    // starts at; otherwise it seeks to this block's own entry.  (A cursor
+    // off its mark costs only read-ahead: the window holds this block
+    // first, and then only blocks adjacent to it.)
+    if (ra->cursor == nullptr) ra->cursor.reset(index_block_.NewIterator(cmp_));
+    Iterator* cursor = ra->cursor.get();
+    if (!cursor->Valid() || ra->cursor_offset != offset) {
+      cursor->Seek(index_key);
+    }
+    for (cursor->Next(); cursor->Valid(); cursor->Next()) {
+      Slice input = cursor->value();
+      BlockHandle next;
+      if (!next.DecodeFrom(&input).ok() || next.offset() != end ||
+          end - offset >= want) {
+        break;
+      }
+      end += next.size() + trailer;
+    }
+    ra->cursor_offset = end;
+  }
+
+  const size_t len = static_cast<size_t>(end - offset);
   if (len > ra->capacity) {
-    ra->buffer.reset(new char[len]);
-    ra->capacity = len;
+    // Room for the largest window at once, not one allocation per doubling.
+    ra->capacity = std::max<size_t>(
+        len, (ra->grow ? kScanReadaheadBytes : kReadaheadBytes) + n);
+    ra->buffer.reset(new char[ra->capacity]);
   }
   ra->window = Slice();
   IAMDB_SYNC_POINT("SequenceReader::Refill:BeforeRead");
@@ -157,48 +178,72 @@ Status SequenceReader::Refill(Readahead* ra, uint64_t offset,
   return Status::OK();
 }
 
-std::shared_ptr<const Block> SequenceReader::ReadStreamedBlock(
-    const ReadOptions& options, Readahead* ra, const BlockHandle& handle,
-    Status* s) const {
+std::shared_ptr<const Block> SequenceReader::ReadAheadBlock(
+    const ReadOptions& options, Readahead* ra, const Slice& index_key,
+    const BlockHandle& handle, Status* s) const {
   const uint64_t offset = handle.offset();
   const uint64_t n = handle.size() + BlockTrailerSize(format_version_);
   const bool forward = !ra->served || offset > ra->last_offset;
+  // Bytes of the run this block extends: the blocks handed out one after
+  // another, each adjacent to the last.  A jump or a backward step starts
+  // a new run.
+  const uint64_t run = ra->served && offset == ra->run_end ? ra->run_bytes : 0;
   ra->served = true;
   ra->last_offset = offset;
-  const bool buffered = offset >= ra->offset &&
-                        offset + n <= ra->offset + ra->window.size();
+  ra->run_end = offset + n;
+  ra->run_bytes = run + n;
 
-  std::string stored;
-  CompressionType type = CompressionType::kNone;
-  if (buffered || forward) {
-    *s = buffered ? Status::OK() : Refill(ra, offset, n);
-    if (s->ok()) {
-      const char* data = ra->window.data() + (offset - ra->offset);
-      *s = CheckBlockTrailer(data, handle.size(), format_version_, &type);
-      if (s->ok()) stored.assign(data, static_cast<size_t>(handle.size()));
-    }
-  } else {
-    // A backward step reads only the block it lands on.
-    *s = ReadBlockContents(file_, handle, format_version_, &stored, &type);
+  const BlockCacheKey key{file_number_, offset};
+  if (options.fill_cache) {
+    std::shared_ptr<const Block> block;
+    if (LookupCachedBlock(options, key, &block, s)) return block;
   }
+  if (offset < ra->offset || offset + n > ra->offset + ra->window.size()) {
+    // A scan reads about as much as its run has served, so its window
+    // doubles while the run lasts and the first block after a Seek is read
+    // alone; a non-filling iterator reads a full window on every forward
+    // miss.  A backward step reads only its block.
+    const uint64_t want = ra->grow  ? std::min(run, kScanReadaheadBytes)
+                          : forward ? kReadaheadBytes
+                                    : 0;
+    if (want <= n) {
+      // One block: straight into its own buffer, leaving the window be.
+      std::string stored;
+      CompressionType type = CompressionType::kNone;
+      *s = ReadBlockContents(file_, handle, format_version_, &stored, &type);
+      if (!s->ok()) return nullptr;
+      return FinishBlock(options, key, std::move(stored), type,
+                         /*from_compressed_tier=*/false, s);
+    }
+    *s = Refill(ra, index_key, handle, want);
+    if (!s->ok()) return nullptr;
+  }
+
+  const char* data = ra->window.data() + (offset - ra->offset);
+  CompressionType type = CompressionType::kNone;
+  *s = CheckBlockTrailer(data, handle.size(), format_version_, &type);
   if (!s->ok()) return nullptr;
-  return FinishBlock(options, BlockCacheKey{file_number_, offset},
-                     std::move(stored), type, /*from_compressed_tier=*/false,
-                     s);
+  return FinishBlock(options, key,
+                     std::string(data, static_cast<size_t>(handle.size())),
+                     type, /*from_compressed_tier=*/false, s);
 }
 
 Iterator* SequenceReader::NewBlockIterator(const ReadOptions& options,
                                            Readahead* readahead,
+                                           const Slice& index_key,
                                            const Slice& index_value) const {
   Slice input = index_value;
   BlockHandle handle;
   Status s = handle.DecodeFrom(&input);
   if (!s.ok()) return NewErrorIterator(s);
 
-  std::shared_ptr<const Block> block =
-      readahead == nullptr
-          ? ReadDataBlock(options, handle, &s)
-          : ReadStreamedBlock(options, readahead, handle, &s);
+  std::shared_ptr<const Block> block;
+  if (!options.cache_only) {
+    block = ReadAheadBlock(options, readahead, index_key, handle, &s);
+  } else if (!LookupCachedBlock(options, {file_number_, handle.offset()},
+                                &block, &s)) {
+    s = Status::Incomplete("block not in cache");
+  }
   if (block == nullptr) return NewErrorIterator(s);
   Iterator* iter = block->NewIterator(cmp_);
   // Pin the block for the iterator's lifetime.
@@ -384,22 +429,14 @@ void SequenceReader::MultiGet(const ReadOptions& options,
 }
 
 Iterator* SequenceReader::NewIterator(const ReadOptions& options) const {
-  std::shared_ptr<Readahead> readahead;
-  if (!options.fill_cache && !options.cache_only) {
-    readahead = std::make_shared<Readahead>();
-    std::unique_ptr<Iterator> last(index_block_.NewIterator(cmp_));
-    last->SeekToLast();
-    Slice input = last->Valid() ? last->value() : Slice();
-    BlockHandle handle;
-    if (handle.DecodeFrom(&input).ok()) {
-      readahead->data_end = handle.offset() + handle.size() +
-                            BlockTrailerSize(format_version_);
-    }
-  }
+  // The two-level iterator owns `index` and calls the block function with
+  // it positioned on the entry of the block asked for.
+  Iterator* index = index_block_.NewIterator(cmp_);
   return NewTwoLevelIterator(
-      index_block_.NewIterator(cmp_),
-      [this, options, readahead](const Slice& index_value) {
-        return NewBlockIterator(options, readahead.get(), index_value);
+      index, [this, options, index, readahead = Readahead(options.fill_cache)](
+                 const Slice& index_value) mutable {
+        return NewBlockIterator(options, &readahead, index->key(),
+                                index_value);
       });
 }
 

@@ -1,8 +1,8 @@
 // SequenceReader: query interface over one sorted sequence of an MSTable.
 // Index and bloom contents live in memory (the paper assumes all table
-// metadata is cached); data blocks are fetched through the block cache,
-// except by iterators opened with ReadOptions::fill_cache == false, which
-// stream the sequence through a readahead window of their own.
+// metadata is cached).  Point reads fetch data blocks through the block
+// cache; iterators read the sequence ahead through a window of their own
+// (see NewIterator), which a cache-filling scan grows as its run lasts.
 #pragma once
 
 #include <cstdint>
@@ -54,46 +54,63 @@ class SequenceReader {
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 
-  // Iterator over the full sequence (internal keys).  Under
-  // options.fill_cache == false (and not cache_only) the iterator neither
-  // probes nor fills the block cache: moving forward to a block outside its
-  // window reads the next kReadaheadBytes of the sequence's data blocks in
-  // one Read, and the blocks after it are served from that window.  A
-  // backward step reads only the block it lands on.
+  // Iterator over the full sequence (internal keys).  Unless
+  // options.cache_only, it reads the device through a window of its own:
+  // a miss reads the block together with the adjacent blocks after it in
+  // one read, and the blocks of that window are served from memory (a miss
+  // that wants one block reads it straight into the block's own buffer).
+  // Every block still passes its CRC check when it is served.
+  //  - options.fill_cache (a scan): the iterator probes both cache tiers
+  //    before the window and fills them only with blocks it serves.  The
+  //    first miss after a Seek reads one block; each later miss in the same
+  //    forward run of adjacent blocks reads about as many bytes as the run
+  //    has served, so the window doubles up to kScanReadaheadBytes.
+  //  - !options.fill_cache (compaction inputs, the tree digest, iamdb_dump):
+  //    the iterator neither probes nor fills the caches, and every forward
+  //    miss reads kReadaheadBytes.
+  // A backward step reads only the block it lands on.  Under
+  // options.cache_only a block that misses both tiers ends the iteration
+  // with Status::Incomplete.
   Iterator* NewIterator(const ReadOptions& options) const;
 
-  // Bytes one forward refill of a streaming iterator reads (fewer at the
-  // end of the sequence's data blocks, more for a larger block).
+  // Most bytes one refill of an iterator's window reads (fewer at the end
+  // of the sequence's data blocks, more for a larger block).  A non-filling
+  // iterator reads kReadaheadBytes per refill.  A scan's window stops
+  // doubling at kScanReadaheadBytes: past that, each block a scan reads
+  // but never serves costs CPU (on MemEnv a read is a memcpy) and saves
+  // no seek it has not already saved; see EXPERIMENTS.md, "Scan
+  // read-ahead".
   static constexpr uint64_t kReadaheadBytes = 256 << 10;
+  static constexpr uint64_t kScanReadaheadBytes = 16 << 10;
 
  private:
-  // A streaming iterator's window; see the .cc.
+  // An iterator's window; see the .cc.
   struct Readahead;
 
-  // Iterator over the block named by `index_value`: read through
-  // `readahead` if it is non-null, else through ReadDataBlock.
+  // Iterator over the block named by `index_value`, whose index entry's key
+  // is `index_key`: read through `readahead`, or under options.cache_only
+  // from the caches alone (Status::Incomplete on a miss).
   Iterator* NewBlockIterator(const ReadOptions& options, Readahead* readahead,
+                             const Slice& index_key,
                              const Slice& index_value) const;
-  // The block at `handle`, from the window of `readahead`, refilled first
-  // if the block lies outside it and ahead of the last block served; a
-  // block behind that is read alone.  Never touches the block cache.
-  std::shared_ptr<const Block> ReadStreamedBlock(const ReadOptions& options,
-                                                 Readahead* readahead,
-                                                 const BlockHandle& handle,
-                                                 Status* s) const;
-  // Reads the window of `readahead` anew from `offset`, the start of a
-  // block whose stored size plus trailer is `n`.
-  Status Refill(Readahead* readahead, uint64_t offset, uint64_t n) const;
+  // The block at `handle`: from the caches (a cache-filling iterator), else
+  // from the window of `readahead`, refilled first if the block is not in
+  // it, or read alone when the refill would hold only this block.
+  std::shared_ptr<const Block> ReadAheadBlock(const ReadOptions& options,
+                                              Readahead* readahead,
+                                              const Slice& index_key,
+                                              const BlockHandle& handle,
+                                              Status* s) const;
+  // Reads the window of `readahead` anew: the block at `handle`, whose
+  // index entry's key is `index_key`, and the adjacent blocks after it
+  // while the window holds fewer than `want` bytes.
+  Status Refill(Readahead* readahead, const Slice& index_key,
+                const BlockHandle& handle, uint64_t want) const;
   // Looks `key` up in the uncompressed tier, then the compressed tier
   // (decompressing and promoting a hit).  False on a miss in both; true
   // otherwise, with *block null and *s set if decompression failed.
   bool LookupCachedBlock(const ReadOptions& options, const BlockCacheKey& key,
                          std::shared_ptr<const Block>* block, Status* s) const;
-  // Cached block, else a device read (Status::Incomplete instead under
-  // options.cache_only).
-  std::shared_ptr<const Block> ReadDataBlock(const ReadOptions& options,
-                                             const BlockHandle& handle,
-                                             Status* s) const;
   // Final leg of a block fetch whose stored payload is already in memory:
   // optionally parks the compressed form in the compressed tier, then
   // decompresses and inserts into the uncompressed tier (both via

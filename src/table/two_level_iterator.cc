@@ -59,9 +59,17 @@ class TwoLevelIterator final : public Iterator {
   }
 
  private:
+  // Steps over exhausted sub-iterators, but stops, invalid, at one that
+  // failed: stepping past it would let a merge above this iterator yield
+  // the records after the missing ones, or older versions of them.
+  bool AtEndOrError() const {
+    return !index_iter_->Valid() ||
+           (data_iter_ != nullptr && !data_iter_->status().ok());
+  }
+
   void SkipEmptyDataBlocksForward() {
     while (data_iter_ == nullptr || !data_iter_->Valid()) {
-      if (!index_iter_->Valid()) {
+      if (AtEndOrError()) {
         SetDataIterator(nullptr);
         return;
       }
@@ -73,7 +81,7 @@ class TwoLevelIterator final : public Iterator {
 
   void SkipEmptyDataBlocksBackward() {
     while (data_iter_ == nullptr || !data_iter_->Valid()) {
-      if (!index_iter_->Valid()) {
+      if (AtEndOrError()) {
         SetDataIterator(nullptr);
         return;
       }

@@ -9,8 +9,9 @@
 namespace iamdb {
 
 // block_function turns an index value into the iterator over that entry's
-// contents; it may return nullptr on error (iterator becomes invalid with
-// the given status captured by the returned iterator itself).
+// contents; it runs with `index_iter` positioned on that entry.  A
+// sub-iterator that fails (non-OK status) ends the iteration in either
+// direction: the two-level iterator turns invalid and reports its status.
 Iterator* NewTwoLevelIterator(
     Iterator* index_iter,
     std::function<Iterator*(const Slice& index_value)> block_function);

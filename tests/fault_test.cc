@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <tuple>
 
 #include "core/db.h"
 #include "core/filename.h"
@@ -281,6 +282,193 @@ TEST(PlaceholderFaultTest, FailedFirstFileLeavesNoTableFile) {
   }
   faulty.Heal();
 }
+
+// Foreground scans on all three engines: a block read that fails ends the
+// scan with its error.  Parameter: (engine, AMT policy).
+class ScanFaultTest
+    : public testing::TestWithParam<std::tuple<EngineType, AmtPolicy>> {
+ protected:
+  ScanFaultTest() : faulty_(&mem_) {}
+
+  Options MakeOptions() {
+    Options options;
+    options.env = &faulty_;
+    options.engine = std::get<0>(GetParam());
+    options.amt.policy = std::get<1>(GetParam());
+    options.node_capacity = 24 << 10;
+    options.table.block_size = 1024;
+    options.amt.fanout = 4;
+    options.leveled.max_bytes_level1 = 96 << 10;
+    options.leveled.target_file_size = 12 << 10;
+    // Uncompressed, so a record's bytes can be found in its table file.
+    options.table.compression = CompressionType::kNone;
+    options.background_threads = 1;
+    return options;
+  }
+
+  static std::string Key(int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "key%06d", i);
+    return buf;
+  }
+
+  static std::string Value(int i, const char* version) {
+    return std::string(version) + "-" + Key(i) + "-" + std::string(80, 'v');
+  }
+
+  // Table files of /db and their contents.
+  std::map<std::string, std::string> TableFiles() {
+    std::map<std::string, std::string> files;
+    std::vector<std::string> children;
+    EXPECT_TRUE(mem_.GetChildren("/db", &children).ok());
+    for (const std::string& child : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(child, &number, &type) &&
+          type == FileType::kTableFile) {
+        EXPECT_TRUE(
+            ReadFileToString(&mem_, "/db/" + child, &files["/db/" + child])
+                .ok());
+      }
+    }
+    return files;
+  }
+
+  MemEnv mem_;
+  FaultInjectionEnv faulty_;
+};
+
+// Every key is written twice, the second version flushed into a newer
+// sequence (an AMT append, a newer leveled L0 file) while the first stays
+// in an older one.  A flipped byte in the block that holds one key's new
+// version must stop a scan there with Corruption, and a point read of the
+// key must fail too: neither may fall back to the key's older version.
+TEST_P(ScanFaultTest, CorruptNewerBlockNeverSurfacesOlderVersion) {
+  const int kKeys = 100;
+  const int kVictim = 50;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(MakeOptions(), "/db", &db).ok());
+    for (const char* version : {"old", "new"}) {
+      for (int i = 0; i < kKeys; i++) {
+        ASSERT_TRUE(db->Put(WriteOptions(), Key(i), Value(i, version)).ok());
+      }
+      ASSERT_TRUE(db->FlushAll().ok());
+    }
+    ASSERT_TRUE(db->WaitForQuiescence().ok());
+  }
+
+  // Both versions of the victim sit in table files; flip a byte inside its
+  // new value (closed DB, so the reopened one reads the changed bytes).
+  const std::string old_value = Value(kVictim, "old");
+  const std::string new_value = Value(kVictim, "new");
+  bool old_on_disk = false;
+  int corrupted = 0;
+  for (auto& [fname, contents] : TableFiles()) {
+    old_on_disk |= contents.find(old_value) != std::string::npos;
+    size_t pos = contents.find(new_value);
+    if (pos == std::string::npos) continue;
+    contents[pos + new_value.size() / 2] ^= 0x10;
+    ASSERT_TRUE(WriteStringToFile(&mem_, contents, fname, false).ok());
+    corrupted++;
+  }
+  ASSERT_TRUE(old_on_disk) << "the older version was compacted away";
+  ASSERT_EQ(1, corrupted);
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(MakeOptions(), "/db", &db).ok());
+  std::unique_ptr<Iterator> iter(db->NewIterator(ReadOptions()));
+  int yielded = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
+    ASSERT_EQ(Key(yielded), iter->key().ToString());
+    ASSERT_EQ(Value(yielded, "new"), iter->value().ToString());
+  }
+  EXPECT_LT(yielded, kVictim + 1);
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+
+  std::string got;
+  Status s = db->Get(ReadOptions(), Key(kVictim), &got);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString() << " value " << got;
+}
+
+// A foreground scan whose read-ahead refill fails: the scan ends with the
+// injected IOError after yielding only correct keys, the DB's background
+// error stays clear, and the next scan reads everything.
+TEST_P(ScanFaultTest, ForegroundRefillFaultEndsScan) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
+#else
+  const uint64_t seed = test::TestSeed(23);
+  SCOPED_TRACE(test::SeedTrace(seed));
+  const int kKeys = 3000;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(MakeOptions(), "/db", &db).ok());
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), Key(i), Value(i, "v")).ok());
+    }
+    ASSERT_TRUE(db->FlushAll().ok());
+    ASSERT_TRUE(db->WaitForQuiescence().ok());
+  }
+  // Reopen: a cold cache, so the scan reads the device.
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(MakeOptions(), "/db", &db).ok());
+  ASSERT_TRUE(db->WaitForQuiescence().ok());
+
+  SyncPoint* sp = SyncPoint::Instance();
+  sp->Reset();
+  std::atomic<bool> arm{false};
+  std::atomic<int> injected{0};
+  sp->SetCallback("SequenceReader::Refill:BeforeRead", [&](void*) {
+    if (arm.exchange(false)) {
+      injected++;
+      faulty_.SetErrorSchedule(kFaultRead, seed, /*one_in=*/1,
+                               /*max_failures=*/1);
+    }
+  });
+  sp->EnableProcessing();
+
+  // Arm the fault once the scan is well under way: the next refill fails.
+  std::unique_ptr<Iterator> iter(db->NewIterator(ReadOptions()));
+  int yielded = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
+    ASSERT_EQ(Key(yielded), iter->key().ToString());
+    ASSERT_EQ(Value(yielded, "v"), iter->value().ToString());
+    if (yielded == kKeys / 3) arm = true;
+  }
+  const Status s = iter->status();
+  iter.reset();
+  sp->Reset();
+  faulty_.ClearErrorSchedule();
+  ASSERT_EQ(1, injected.load());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find("injected")) << s.ToString();
+  EXPECT_GT(yielded, kKeys / 3);
+  EXPECT_LT(yielded, kKeys);
+
+  // A foreground read error is the reader's alone: writes, flushes and
+  // compactions carry on, and the next scan sees every key.
+  ASSERT_TRUE(db->Put(WriteOptions(), Key(kKeys), Value(kKeys, "v")).ok());
+  EXPECT_TRUE(db->FlushAll().ok());
+  iter.reset(db->NewIterator(ReadOptions()));
+  yielded = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
+    ASSERT_EQ(Key(yielded), iter->key().ToString());
+  }
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(kKeys + 1, yielded);
+#endif  // IAMDB_SYNC_POINTS
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ScanFaultTest,
+    testing::Values(std::make_tuple(EngineType::kLeveled, AmtPolicy::kIam),
+                    std::make_tuple(EngineType::kAmt, AmtPolicy::kLsa),
+                    std::make_tuple(EngineType::kAmt, AmtPolicy::kIam)),
+    [](const testing::TestParamInfo<std::tuple<EngineType, AmtPolicy>>& i) {
+      if (std::get<0>(i.param) == EngineType::kLeveled) return "Leveled";
+      return std::get<1>(i.param) == AmtPolicy::kLsa ? "Lsa" : "Iam";
+    });
 
 INSTANTIATE_TEST_SUITE_P(Engines, FaultTest,
                          testing::Values(EngineType::kLeveled,

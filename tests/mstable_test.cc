@@ -1,9 +1,11 @@
 // MSTable tests: build/read round trips, appended sequences, metadata
 // clustering, crash-tolerance of appends (stale meta_end still readable),
 // clean-up of abandoned and failed writes, point reads across sequences
-// with MVCC, merged iteration, streaming (fill_cache = false) reads.
+// with MVCC, merged iteration, read-ahead of streaming (fill_cache = false)
+// and cached scans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/dbformat.h"
@@ -81,6 +83,42 @@ class MSTableTest : public testing::Test {
     return value;
   }
 
+  // A table of `sequences` appended sequences of `per_sequence` records
+  // each, their keys interleaved (key%05d, record i of sequence s is key
+  // i * sequences + s); returns its meta_end.
+  uint64_t BuildInterleaved(const std::string& fname, int sequences,
+                            int per_sequence) {
+    uint64_t meta_end = 0;
+    for (int seq = 0; seq < sequences; seq++) {
+      std::vector<std::pair<std::string, std::string>> entries;
+      for (int i = 0; i < per_sequence; i++) {
+        char buf[16];
+        snprintf(buf, sizeof(buf), "key%05d", i * sequences + seq);
+        entries.emplace_back(IKey(buf, 10 + seq),
+                             std::string(200, 'a' + seq));
+      }
+      if (seq == 0) {
+        meta_end = BuildNew(fname, entries).meta_end;
+      } else {
+        meta_end =
+            Append(fname, *OpenReader(fname, meta_end, seq), entries).meta_end;
+      }
+    }
+    return meta_end;
+  }
+
+  // The index keys of one sequence's data blocks, in file order: each is
+  // at or after every key of its block and before every key of the next.
+  std::vector<std::string> IndexKeys(const SequenceReader& seq) {
+    std::vector<std::string> keys;
+    Block index(seq.index_contents().ToString());
+    std::unique_ptr<Iterator> iter(index.NewIterator(&cmp_));
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      keys.push_back(iter->key().ToString());
+    }
+    return keys;
+  }
+
   // The data block handles of one sequence, in file order.
   std::vector<BlockHandle> DataBlocks(const SequenceReader& seq) {
     std::vector<BlockHandle> handles;
@@ -99,7 +137,8 @@ class MSTableTest : public testing::Test {
   // stored payload of its middle data block, then checks that reads under
   // `read` surface Corruption and never a wrong record: a point read of
   // every key either returns its value or Corruption, and a full scan
-  // yields only records of `entries` and ends in Corruption.
+  // yields the records before the corrupt block, nothing at or after it,
+  // and ends in Corruption.
   void ExpectCorruptMiddleBlockSurfaces(
       const std::string& fname,
       const std::vector<std::pair<std::string, std::string>>& entries,
@@ -114,6 +153,17 @@ class MSTableTest : public testing::Test {
     const std::vector<BlockHandle> blocks = DataBlocks(reader->sequence(0));
     ASSERT_GE(blocks.size(), 3u);
     const BlockHandle& middle = blocks[blocks.size() / 2];
+    // The records before the middle block: keys up to the index key of the
+    // block just before it.
+    const std::string before_middle =
+        IndexKeys(reader->sequence(0))[blocks.size() / 2 - 1];
+    size_t before = 0;
+    while (before < entries.size() &&
+           cmp_.Compare(entries[before].first, before_middle) <= 0) {
+      before++;
+    }
+    ASSERT_GT(before, 0u);
+    ASSERT_LT(before, entries.size());
 
     std::string contents;
     ASSERT_TRUE(ReadFileToString(&env_, fname, &contents).ok());
@@ -139,20 +189,16 @@ class MSTableTest : public testing::Test {
     }
     EXPECT_GT(corrupt_gets, 0);
 
-    // The scan steps over the bad block (its status keeps the error), so it
-    // yields an ordered subset of `entries`, each with its own value.
+    // The scan stops at the bad block: it yields exactly the records before
+    // it, each with its own value, and nothing from the block on.
     std::unique_ptr<Iterator> iter(reader->NewIterator(read));
-    size_t next = 0, yielded = 0;
+    size_t yielded = 0;
     for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
-      while (next < entries.size() &&
-             entries[next].first != iter->key().ToString()) {
-        next++;
-      }
-      ASSERT_LT(next, entries.size()) << "unexpected record";
-      ASSERT_EQ(entries[next].second, iter->value().ToString());
-      next++;
+      ASSERT_LT(yielded, before) << "record at or after the corrupt block";
+      ASSERT_EQ(entries[yielded].first, iter->key().ToString());
+      ASSERT_EQ(entries[yielded].second, iter->value().ToString());
     }
-    EXPECT_LT(yielded, entries.size());
+    EXPECT_EQ(before, yielded);
     EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
   }
 
@@ -564,30 +610,25 @@ INSTANTIATE_TEST_SUITE_P(FillCache, MSTableChecksumTest, testing::Bool(),
                            return i.param ? "Cached" : "Streaming";
                          });
 
+// ceil(log2(n)) for n >= 1.
+uint64_t CeilLog2(uint64_t n) {
+  uint64_t bits = 0;
+  while ((uint64_t{1} << bits) < n) bits++;
+  return bits;
+}
+
 // A non-filling merged scan reads each sequence in kReadaheadBytes chunks,
-// however the merge interleaves the sequences; a cached scan still reads
-// one block at a time, and a backward streaming scan reads no more than a
-// backward cached one.
+// however the merge interleaves the sequences.  A cached scan's window
+// doubles while its run lasts: over the N blocks of one sequence that fit
+// in a full window it issues at most ceil(log2 N) + 2 reads, then one read
+// per kScanReadaheadBytes, and it reads at most twice the bytes it serves
+// plus one window.  A backward scan of either kind reads each block once,
+// as a scan without read-ahead does.
 TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
   // Three sequences with interleaved keys, each over one chunk wide.
   const int kPerSequence = 1500;
-  uint64_t meta_end = 0;
-  size_t total_entries = 0;
-  for (int seq = 0; seq < 3; seq++) {
-    std::vector<std::pair<std::string, std::string>> entries;
-    for (int i = 0; i < kPerSequence; i++) {
-      char buf[16];
-      snprintf(buf, sizeof(buf), "key%05d", i * 3 + seq);
-      entries.emplace_back(IKey(buf, 10 + seq), std::string(200, 'a' + seq));
-    }
-    total_entries += entries.size();
-    if (seq == 0) {
-      meta_end = BuildNew("/ts", entries).meta_end;
-    } else {
-      meta_end = Append("/ts", *OpenReader("/ts", meta_end, seq), entries)
-                     .meta_end;
-    }
-  }
+  const uint64_t meta_end = BuildInterleaved("/ts", 3, kPerSequence);
+  const size_t total_entries = 3 * kPerSequence;
 
   IoStats stats;
   CountingEnv counting_env(&env_, &stats);
@@ -600,26 +641,68 @@ TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
   ASSERT_EQ(3, reader->seq_count());
 
   const uint64_t chunk = SequenceReader::kReadaheadBytes;
-  uint64_t blocks = 0;
+  const uint64_t window = SequenceReader::kScanReadaheadBytes;
+  const uint64_t trailer = BlockTrailerSize(kCurrentFormatVersion);
+  uint64_t block_bytes = 0;
   uint64_t chunk_bound = 0;
+  uint64_t cached_bound = 0;
   for (int i = 0; i < reader->seq_count(); i++) {
     const SequenceReader& seq = reader->sequence(i);
     const std::vector<BlockHandle> handles = DataBlocks(seq);
     const uint64_t span = handles.back().offset() + handles.back().size() +
-                          BlockTrailerSize(kCurrentFormatVersion) -
-                          handles.front().offset();
+                          trailer - handles.front().offset();
     ASSERT_GT(span, chunk);  // at least one refill past the first
+    ASSERT_GT(span, window);
     const uint64_t bound = (span + chunk - 1) / chunk + 1;
-    blocks += handles.size();
+    block_bytes += span;
     chunk_bound += bound;
 
-    IoStatsSnapshot before = stats.Snapshot();
-    std::unique_ptr<Iterator> iter(seq.NewIterator(StreamingRead()));
-    size_t n = 0;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
-    ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
-    EXPECT_EQ(static_cast<size_t>(kPerSequence), n);
-    EXPECT_LE((stats.Snapshot() - before).read_ops, bound) << "sequence " << i;
+    // The leading blocks that fit in one full scan window, and the
+    // records they hold (keys up to the last one's index separator).
+    size_t window_blocks = 0;
+    uint64_t window_bytes = 0;
+    while (window_bytes + handles[window_blocks].size() + trailer <= window) {
+      window_bytes += handles[window_blocks++].size() + trailer;
+    }
+    ASSERT_GT(window_blocks, 1u);
+    const std::string separator = IndexKeys(seq)[window_blocks - 1];
+    size_t window_records = 0;
+    for (int r = 0; r < kPerSequence; r++) {
+      char buf[16];
+      snprintf(buf, sizeof(buf), "key%05d", r * 3 + i);
+      if (cmp_.Compare(IKey(buf, 10 + i), separator) <= 0) window_records++;
+    }
+    // A cached scan of those blocks alone: the window doubles from one
+    // block.  Past them it reads one full window at a time.
+    const uint64_t doubling = CeilLog2(window_blocks) + 2;
+    const uint64_t capped = doubling + (span + window - 1) / window;
+    cached_bound += capped;
+    {
+      IoStatsSnapshot before = stats.Snapshot();
+      std::unique_ptr<Iterator> iter(seq.NewIterator(ReadOptions()));
+      iter->SeekToFirst();
+      for (size_t r = 1; r < window_records; r++) iter->Next();
+      ASSERT_TRUE(iter->Valid()) << iter->status().ToString();
+      const IoStatsSnapshot io = stats.Snapshot() - before;
+      EXPECT_LE(io.read_ops, doubling) << "sequence " << i;
+      EXPECT_LE(io.bytes_read, 2 * window_bytes + window) << "sequence " << i;
+    }
+
+    for (const bool fill_cache : {false, true}) {
+      ReadOptions read;
+      read.fill_cache = fill_cache;
+      IoStatsSnapshot before = stats.Snapshot();
+      std::unique_ptr<Iterator> iter(seq.NewIterator(read));
+      size_t n = 0;
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
+      ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+      EXPECT_EQ(static_cast<size_t>(kPerSequence), n);
+      const IoStatsSnapshot io = stats.Snapshot() - before;
+      EXPECT_LE(io.read_ops, fill_cache ? capped : bound)
+          << "sequence " << i << (fill_cache ? " cached" : " streaming");
+      EXPECT_LE(io.bytes_read, 2 * span + (fill_cache ? window : chunk))
+          << "sequence " << i;
+    }
   }
 
   auto scan = [&](const ReadOptions& read, bool backward,
@@ -645,7 +728,8 @@ TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
   EXPECT_EQ(total_entries, streamed.size());
   EXPECT_EQ(cached, streamed);
   EXPECT_LE(streaming_io.read_ops, chunk_bound);
-  EXPECT_EQ(blocks, cached_io.read_ops);
+  EXPECT_LE(cached_io.read_ops, cached_bound);
+  EXPECT_LE(cached_io.bytes_read, 2 * block_bytes + 3 * window);
 
   std::vector<std::string> streamed_back, cached_back;
   const IoStatsSnapshot streaming_back_io =
@@ -654,7 +738,95 @@ TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
       scan(ReadOptions(), true, &cached_back);
   EXPECT_EQ(total_entries, streamed_back.size());
   EXPECT_EQ(cached_back, streamed_back);
+  EXPECT_EQ(block_bytes, cached_back_io.bytes_read);
   EXPECT_LE(streaming_back_io.bytes_read, cached_back_io.bytes_read);
+}
+
+// A cached scan reads one block after a Seek, and a jump starts that
+// over: a short scan pays for no read-ahead it does not use.
+TEST_F(MSTableTest, CachedScanReadsOneBlockAfterSeek) {
+  const uint64_t meta_end = BuildInterleaved("/tseek", 1, 1500);
+  IoStats stats;
+  CountingEnv counting_env(&env_, &stats);
+  TableOptions no_cache = options_;
+  no_cache.block_cache = nullptr;
+  std::shared_ptr<MSTableReader> reader;
+  ASSERT_TRUE(MSTableReader::Open(&counting_env, no_cache, &cmp_, "/tseek", 9,
+                                  meta_end, &reader)
+                  .ok());
+  const std::vector<BlockHandle> handles = DataBlocks(reader->sequence(0));
+  const uint64_t trailer = BlockTrailerSize(kCurrentFormatVersion);
+  const uint64_t max_block =
+      std::max_element(handles.begin(), handles.end(),
+                       [](const BlockHandle& a, const BlockHandle& b) {
+                         return a.size() < b.size();
+                       })
+          ->size() +
+      trailer;
+
+  std::unique_ptr<Iterator> iter(reader->NewIterator(ReadOptions()));
+  for (const char* target : {"key00750", "key01400", "key00100"}) {
+    const IoStatsSnapshot before = stats.Snapshot();
+    iter->Seek(IKey(target, kMaxSequenceNumber, kValueTypeForSeek));
+    ASSERT_TRUE(iter->Valid()) << target;
+    EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), target);
+    const IoStatsSnapshot io = stats.Snapshot() - before;
+    EXPECT_EQ(1u, io.read_ops) << target;
+    EXPECT_LE(io.bytes_read, max_block) << target;
+  }
+}
+
+// Read-ahead fills the block cache only with the blocks the scan serves,
+// and a cache-only iterator still reads nothing: it serves exactly those
+// blocks and then stops with Incomplete.
+TEST_F(MSTableTest, CachedScanCachesOnlyServedBlocks) {
+  const uint64_t meta_end = BuildInterleaved("/tfill", 1, 1500);
+  IoStats stats;
+  CountingEnv counting_env(&env_, &stats);
+  std::shared_ptr<MSTableReader> reader;
+  ASSERT_TRUE(MSTableReader::Open(&counting_env, options_, &cmp_, "/tfill", 9,
+                                  meta_end, &reader)
+                  .ok());
+  const std::vector<BlockHandle> handles = DataBlocks(reader->sequence(0));
+  const uint64_t trailer = BlockTrailerSize(kCurrentFormatVersion);
+
+  // Scan until the fourth read (windows of 1, 1, 2 and about 4 blocks),
+  // then stop on the first record it brought in.
+  const IoStatsSnapshot start = stats.Snapshot();
+  std::unique_ptr<Iterator> iter(reader->NewIterator(ReadOptions()));
+  size_t scanned = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), scanned++) {
+    if ((stats.Snapshot() - start).read_ops == 4) break;
+  }
+  ASSERT_TRUE(iter->Valid());
+  const IoStatsSnapshot io = stats.Snapshot() - start;
+  iter.reset();
+
+  size_t cached = 0;
+  uint64_t cached_bytes = 0;
+  for (const BlockHandle& h : handles) {
+    if (CacheLookup<Block>(*cache_, {9, h.offset()}) == nullptr) break;
+    cached++;
+    cached_bytes += h.size() + trailer;
+  }
+  for (size_t b = cached; b < handles.size(); b++) {
+    EXPECT_EQ(nullptr, CacheLookup<Block>(*cache_, {9, handles[b].offset()}))
+        << "block " << b << " cached but not served";
+  }
+  EXPECT_GT(cached, 3u);
+  EXPECT_GT(io.bytes_read, cached_bytes);  // the window read unserved blocks
+
+  ReadOptions cache_only;
+  cache_only.cache_only = true;
+  const IoStatsSnapshot before = stats.Snapshot();
+  iter.reset(reader->NewIterator(cache_only));
+  size_t served = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) served++;
+  EXPECT_TRUE(iter->status().IsIncomplete()) << iter->status().ToString();
+  EXPECT_GT(served, scanned);
+  const IoStatsSnapshot after = stats.Snapshot() - before;
+  EXPECT_EQ(0u, after.read_ops);
+  EXPECT_EQ(0u, after.bytes_read);
 }
 
 TEST_F(MSTableTest, RandomizedMultiSequenceAgainstModel) {
