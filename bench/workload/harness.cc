@@ -136,8 +136,8 @@ class PhaseRecorder {
     fn();
     const OpIoContext& ctx = scope.context();
     samples_.push_back(OpSample{
-        static_cast<float>(ssd_.OpMicros(ctx) - ctx.stall_micros),
-        static_cast<float>(hdd_.OpMicros(ctx) - ctx.stall_micros),
+        static_cast<float>(ssd_.OpMicros(ctx)),
+        static_cast<float>(hdd_.OpMicros(ctx)),
         static_cast<float>(ctx.stall_micros)});
   }
 

@@ -539,7 +539,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Status s;
-  ReadBatch(options, 1, &key, value, &s, /*batch=*/nullptr);
+  ReadBatch(options, 1, &key, value, &s);
   return s;
 }
 
@@ -555,12 +555,7 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
                       Status* statuses) {
   multiget_batches_.fetch_add(1, std::memory_order_relaxed);
   multiget_keys_.fetch_add(count, std::memory_order_relaxed);
-  MultiGetContext batch;
-  ReadBatch(options, count, keys, values, statuses, &batch);
-  multiget_coalesced_reads_.fetch_add(batch.coalesced_reads,
-                                      std::memory_order_relaxed);
-  multiget_coalesced_blocks_.fetch_add(batch.coalesced_blocks,
-                                       std::memory_order_relaxed);
+  ReadBatch(options, count, keys, values, statuses);
 }
 
 // The only point-read path.  Lock-free: acquires no lock the write path
@@ -574,7 +569,7 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
 // survivors sorted, so per-table metadata and block I/O coalesce.
 void DBImpl::ReadBatch(const ReadOptions& options, size_t count,
                        const Slice* keys, std::string* values,
-                       Status* statuses, MultiGetContext* batch) {
+                       Status* statuses) {
   // Optimistic validation against compaction GC: a compaction that STARTS
   // after our sequence load may capture a larger smallest-snapshot and drop
   // the newest entry at or below our sequence (its shadower being above
@@ -599,8 +594,6 @@ void DBImpl::ReadBatch(const ReadOptions& options, size_t count,
   std::pmr::vector<KeyProbe> probes(count, &scratch);
   std::pmr::vector<MultiGetRequest*> pending(&scratch);
   pending.reserve(count);
-  ReadOptions read_options = options;
-  read_options.batch = batch;
   for (;;) {
     const uint64_t stamp =
         options.snapshot == nullptr ? engine_->version_stamp() : 0;
@@ -641,7 +634,7 @@ void DBImpl::ReadBatch(const ReadOptions& options, size_t count,
                 [](const MultiGetRequest* a, const MultiGetRequest* b) {
                   return a->lkey->user_key().compare(b->lkey->user_key()) < 0;
                 });
-      VersionMultiGet(this, *engine_->current_version(), read_options,
+      VersionMultiGet(this, *engine_->current_version(), options,
                       pending.data(), pending.size());
     }
 
@@ -1028,10 +1021,8 @@ DbStats DBImpl::GetStats() {
   stats.subcompactions_run = subcompactions_.load(std::memory_order_relaxed);
   stats.multiget_batches = multiget_batches_.load(std::memory_order_relaxed);
   stats.multiget_keys = multiget_keys_.load(std::memory_order_relaxed);
-  stats.multiget_coalesced_reads =
-      multiget_coalesced_reads_.load(std::memory_order_relaxed);
-  stats.multiget_coalesced_blocks =
-      multiget_coalesced_blocks_.load(std::memory_order_relaxed);
+  stats.multiget_coalesced_reads = io_stats_.coalesced_reads();
+  stats.multiget_coalesced_blocks = io_stats_.coalesced_blocks();
   engine_->FillStats(&stats);
   return stats;
 }

@@ -131,10 +131,8 @@ class DBImpl final : public DB {
   void BackgroundCall(TreeEngine::WorkLane lane);
   void RemoveObsoleteFiles();  // mutex held (open/flush time)
   // Point reads of `count` keys at one snapshot; Get is a batch of one.
-  // `batch`, when non-null, collects the table layer's coalescing counts.
   void ReadBatch(const ReadOptions& options, size_t count, const Slice* keys,
-                 std::string* values, Status* statuses,
-                 MultiGetContext* batch);
+                 std::string* values, Status* statuses);
   Iterator* NewInternalIterator(const ReadOptions& options,
                                 SequenceNumber* latest_snapshot);
 
@@ -201,8 +199,6 @@ class DBImpl final : public DB {
   // Batched-read accounting (DbStats multiget gauges; no mutex).
   std::atomic<uint64_t> multiget_batches_{0};
   std::atomic<uint64_t> multiget_keys_{0};
-  std::atomic<uint64_t> multiget_coalesced_reads_{0};
-  std::atomic<uint64_t> multiget_coalesced_blocks_{0};
   RecoveredState recovered_;  // staging between Recover and engine init
 };
 

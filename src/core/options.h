@@ -135,15 +135,6 @@ struct Options {
   LeveledOptions leveled;
 };
 
-// I/O accounting for one MultiGet batch.  DBImpl::MultiGet points
-// ReadOptions::batch at a stack instance; the table layer adds every
-// vectored device read that covered more than one block, and DBImpl folds
-// the totals into DbStats when the batch completes.
-struct MultiGetContext {
-  uint64_t coalesced_reads = 0;   // contiguous device runs covering 2+ blocks
-  uint64_t coalesced_blocks = 0;  // blocks fetched by those runs
-};
-
 struct ReadOptions {
   // Whether blocks read from the device fill the block cache.  When false,
   // point reads still probe both cache tiers but fill neither.  Every
@@ -170,9 +161,6 @@ struct ReadOptions {
   // those anyway.  The server's reactor threads read with this set and
   // hand a read that comes back Incomplete to a worker.
   bool cache_only = false;
-  // Non-null while serving a MultiGet batch (set by DBImpl::MultiGet, not
-  // by callers).  Not owned.
-  MultiGetContext* batch = nullptr;
 };
 
 struct WriteOptions {

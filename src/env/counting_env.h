@@ -1,7 +1,9 @@
-// CountingEnv: wraps any Env and records every byte and every positional
-// read into an IoStats sink plus the calling thread's OpIoContext.  This is
-// how write amplification, read amplification and modeled device time are
-// measured without touching engine code.
+// CountingEnv: wraps any Env and turns every file call into a device event
+// for an IoSink: a read's bytes and seeks, an Append's bytes, a sync.  This
+// is the one place that decides what a seek is.  An IoStats sink measures
+// write amplification, read amplification and modeled device time (plus
+// the calling thread's OpIoContext) without touching engine code; a
+// ThrottledEnv sink charges the same events to a wall-clock device queue.
 #pragma once
 
 #include "env/env.h"
@@ -9,10 +11,9 @@
 
 namespace iamdb {
 
-class CountingEnv final : public EnvWrapper {
+class CountingEnv : public EnvWrapper {
  public:
-  CountingEnv(Env* target, IoStats* stats)
-      : EnvWrapper(target), stats_(stats) {}
+  CountingEnv(Env* target, IoSink* sink) : EnvWrapper(target), sink_(sink) {}
 
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;
@@ -24,10 +25,8 @@ class CountingEnv final : public EnvWrapper {
   Status NewAppendableFile(const std::string& fname,
                            std::unique_ptr<WritableFile>* result) override;
 
-  IoStats* stats() const { return stats_; }
-
  private:
-  IoStats* stats_;
+  IoSink* sink_;
 };
 
 }  // namespace iamdb

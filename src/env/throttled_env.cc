@@ -1,18 +1,22 @@
 #include "env/throttled_env.h"
 
+#include <algorithm>
+
 namespace iamdb {
 
+double ThrottledEnv::charged_micros() const {
+  std::lock_guard<std::mutex> l(queue_mu_);
+  return charged_micros_;
+}
+
 void ThrottledEnv::Charge(double modeled_micros) {
-  charged_micros_.fetch_add(static_cast<uint64_t>(modeled_micros),
-                            std::memory_order_relaxed);
-  const uint64_t cost = static_cast<uint64_t>(modeled_micros * scale_);
   Env* wall = Env::Default();
-  uint64_t now = wall->NowMicros();
-  uint64_t done;
+  const double now = static_cast<double>(wall->NowMicros());
+  double done;
   {
     std::lock_guard<std::mutex> l(queue_mu_);
-    uint64_t start = std::max(now, device_free_at_);
-    done = start + cost;
+    charged_micros_ += modeled_micros;
+    done = std::max(now, device_free_at_) + modeled_micros * scale_;
     device_free_at_ = done;
   }
   // Sleep until this request's scaled completion; skip sub-granularity
@@ -20,124 +24,6 @@ void ThrottledEnv::Charge(double modeled_micros) {
   if (done > now + 100) {
     wall->SleepForMicroseconds(static_cast<int>(done - now));
   }
-}
-
-namespace {
-
-class ThrottledSequentialFile final : public SequentialFile {
- public:
-  ThrottledSequentialFile(std::unique_ptr<SequentialFile> target,
-                          ThrottledEnv* env, const DeviceModel& model)
-      : target_(std::move(target)), env_(env), model_(model) {}
-
-  Status Read(size_t n, Slice* result, char* scratch) override {
-    Status s = target_->Read(n, result, scratch);
-    if (s.ok() && !result->empty()) {
-      // Sequential: bandwidth only (the dispatch seek amortizes away).
-      env_->Charge(model_.ReadMicros(0, result->size()));
-    }
-    return s;
-  }
-  Status Skip(uint64_t n) override { return target_->Skip(n); }
-
- private:
-  std::unique_ptr<SequentialFile> target_;
-  ThrottledEnv* env_;
-  const DeviceModel& model_;
-};
-
-class ThrottledRandomAccessFile final : public RandomAccessFile {
- public:
-  ThrottledRandomAccessFile(std::unique_ptr<RandomAccessFile> target,
-                            ThrottledEnv* env, const DeviceModel& model)
-      : target_(std::move(target)), env_(env), model_(model) {}
-
-  Status Read(uint64_t offset, size_t n, Slice* result,
-              char* scratch) const override {
-    Status s = target_->Read(offset, n, result, scratch);
-    if (s.ok()) {
-      env_->Charge(model_.ReadMicros(1, result->size()));
-    }
-    return s;
-  }
-
- private:
-  std::unique_ptr<RandomAccessFile> target_;
-  ThrottledEnv* env_;
-  const DeviceModel& model_;
-};
-
-class ThrottledWritableFile final : public WritableFile {
- public:
-  ThrottledWritableFile(std::unique_ptr<WritableFile> target,
-                        ThrottledEnv* env, const DeviceModel& model)
-      : target_(std::move(target)), env_(env), model_(model) {}
-
-  Status Append(const Slice& data) override {
-    Status s = target_->Append(data);
-    if (s.ok()) {
-      env_->Charge(model_.WriteMicros(1, data.size()));
-    }
-    return s;
-  }
-  Status Close() override { return target_->Close(); }
-  Status Flush() override { return target_->Flush(); }
-  Status Sync() override {
-    // A sync is a device round trip: charge one dispatch.
-    env_->Charge(model_.profile().seek_latency_us);
-    return target_->Sync();
-  }
-
- private:
-  std::unique_ptr<WritableFile> target_;
-  ThrottledEnv* env_;
-  const DeviceModel& model_;
-};
-
-}  // namespace
-
-Status ThrottledEnv::NewSequentialFile(const std::string& fname,
-                                       std::unique_ptr<SequentialFile>* result) {
-  std::unique_ptr<SequentialFile> inner;
-  Status s = target()->NewSequentialFile(fname, &inner);
-  if (s.ok()) {
-    *result = std::make_unique<ThrottledSequentialFile>(std::move(inner), this,
-                                                        model_);
-  }
-  return s;
-}
-
-Status ThrottledEnv::NewRandomAccessFile(
-    const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  std::unique_ptr<RandomAccessFile> inner;
-  Status s = target()->NewRandomAccessFile(fname, &inner);
-  if (s.ok()) {
-    *result = std::make_unique<ThrottledRandomAccessFile>(std::move(inner),
-                                                          this, model_);
-  }
-  return s;
-}
-
-Status ThrottledEnv::NewWritableFile(const std::string& fname,
-                                     std::unique_ptr<WritableFile>* result) {
-  std::unique_ptr<WritableFile> inner;
-  Status s = target()->NewWritableFile(fname, &inner);
-  if (s.ok()) {
-    *result =
-        std::make_unique<ThrottledWritableFile>(std::move(inner), this, model_);
-  }
-  return s;
-}
-
-Status ThrottledEnv::NewAppendableFile(const std::string& fname,
-                                       std::unique_ptr<WritableFile>* result) {
-  std::unique_ptr<WritableFile> inner;
-  Status s = target()->NewAppendableFile(fname, &inner);
-  if (s.ok()) {
-    *result =
-        std::make_unique<ThrottledWritableFile>(std::move(inner), this, model_);
-  }
-  return s;
 }
 
 }  // namespace iamdb

@@ -1,44 +1,36 @@
-// ThrottledEnv: couples modeled device time to wall time.  Every read and
-// write sleeps for its DeviceModel cost scaled by `time_scale`, so the
-// writer, readers and background compactions genuinely contend for a
-// device that moves at a bounded rate — the dynamic a pure
-// price-the-IO-afterwards model cannot express (write stalls, compaction
-// debt that persists into a measurement window, the paper's "tuning
-// phase").
+// ThrottledEnv: couples modeled device time to wall time.  It is a
+// CountingEnv whose events go to a device queue instead of an IoStats:
+// every read, Append and sync is charged the DeviceModel time that
+// TotalMicros would sum for it (plus one seek per sync), scaled by
+// `time_scale`, so the writer, readers and background compactions
+// genuinely contend for a device that moves at a bounded rate — the
+// dynamic a pure price-the-IO-afterwards model cannot express (write
+// stalls, compaction debt that persists into a measurement window, the
+// paper's "tuning phase").  It feeds no OpIoScope: under a DB, the DB's own
+// CountingEnv above it does.
 //
 // time_scale = 0.01 runs a simulated HDD 100x faster than real time while
-// preserving every ratio between operations.  Sub-sleep-granularity costs
-// accumulate per thread and are paid in batches.
+// preserving every ratio between operations.  The queue clock is
+// fractional, so costs below one scaled microsecond still accumulate; a
+// caller sleeps only once its request completes more than 100us ahead.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <mutex>
 
-#include "env/env.h"
+#include "env/counting_env.h"
 #include "stats/device_model.h"
 
 namespace iamdb {
 
-class ThrottledEnv final : public EnvWrapper {
+class ThrottledEnv final : private IoSink, public CountingEnv {
  public:
   ThrottledEnv(Env* target, DeviceProfile profile, double time_scale)
-      : EnvWrapper(target), model_(std::move(profile)), scale_(time_scale) {}
-
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override;
-  Status NewRandomAccessFile(
-      const std::string& fname,
-      std::unique_ptr<RandomAccessFile>* result) override;
-  Status NewWritableFile(const std::string& fname,
-                         std::unique_ptr<WritableFile>* result) override;
-  Status NewAppendableFile(const std::string& fname,
-                           std::unique_ptr<WritableFile>* result) override;
+      : CountingEnv(target, this),
+        model_(std::move(profile)),
+        scale_(time_scale) {}
 
   // Total modeled device-busy microseconds charged so far (unscaled).
-  uint64_t charged_micros() const {
-    return charged_micros_.load(std::memory_order_relaxed);
-  }
+  double charged_micros() const;
 
   // Charge `modeled_micros` of device time: the device is a single server,
   // so the request queues behind all previously charged I/O (from any
@@ -48,11 +40,20 @@ class ThrottledEnv final : public EnvWrapper {
   void Charge(double modeled_micros);
 
  private:
-  DeviceModel model_;
-  double scale_;
-  std::atomic<uint64_t> charged_micros_{0};
-  std::mutex queue_mu_;
-  uint64_t device_free_at_ = 0;  // wall micros when the device frees up
+  void RecordRead(uint64_t bytes, uint64_t seeks) override {
+    Charge(model_.ReadMicros(seeks, bytes));
+  }
+  void RecordWrite(uint64_t bytes) override {
+    Charge(model_.WriteMicros(1, bytes));
+  }
+  // A sync is a device round trip: one dispatch.
+  void RecordSync() override { Charge(model_.profile().seek_latency_us); }
+
+  const DeviceModel model_;
+  const double scale_;
+  mutable std::mutex queue_mu_;
+  double charged_micros_ = 0;  // guarded by queue_mu_
+  double device_free_at_ = 0;  // wall micros when the device frees up
 };
 
 }  // namespace iamdb

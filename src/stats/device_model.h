@@ -53,11 +53,12 @@ class DeviceModel {
            WriteMicros(delta.write_ops, delta.bytes_written);
   }
 
-  // Modeled latency of a single user operation from its OpIoContext.
+  // Modeled device time of a single user operation from its OpIoContext
+  // (its write stalls are wall time and stay separate).
   double OpMicros(const OpIoContext& op) const {
     return op.seeks * profile_.seek_latency_us +
            op.bytes_read / profile_.read_bw_mbps +
-           op.bytes_written / profile_.write_bw_mbps + op.stall_micros;
+           op.bytes_written / profile_.write_bw_mbps;
   }
 
  private:

@@ -12,21 +12,18 @@ OpIoScope::~OpIoScope() { tls_op_ctx = prev_; }
 
 const OpIoContext& OpIoScope::context() const { return ctx_; }
 
-void OpIoScope::RecordRead(uint64_t bytes) {
-  if (tls_op_ctx != nullptr) {
-    tls_op_ctx->seeks++;
-    tls_op_ctx->bytes_read += bytes;
-  }
-}
-
-void OpIoScope::RecordReadV(uint64_t bytes, uint64_t seeks) {
+void IoStats::RecordRead(uint64_t bytes, uint64_t seeks) {
+  bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
+  read_ops_.fetch_add(seeks, std::memory_order_relaxed);
   if (tls_op_ctx != nullptr) {
     tls_op_ctx->seeks += seeks;
     tls_op_ctx->bytes_read += bytes;
   }
 }
 
-void OpIoScope::RecordWrite(uint64_t bytes) {
+void IoStats::RecordWrite(uint64_t bytes) {
+  bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
+  write_ops_.fetch_add(1, std::memory_order_relaxed);
   if (tls_op_ctx != nullptr) tls_op_ctx->bytes_written += bytes;
 }
 

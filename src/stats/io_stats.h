@@ -27,24 +27,34 @@ struct IoStatsSnapshot {
   }
 };
 
-class IoStats {
+// Receives the device events CountingEnv classifies (env/counting_env.cc
+// is the only code that turns a file call into one).  A read is `seeks`
+// distinct device positions covering `bytes`; a write is one Append.
+class IoSink {
  public:
-  void RecordWrite(uint64_t bytes) {
-    bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-    write_ops_.fetch_add(1, std::memory_order_relaxed);
+  virtual ~IoSink() = default;
+  virtual void RecordRead(uint64_t bytes, uint64_t seeks) = 0;
+  virtual void RecordWrite(uint64_t bytes) = 0;
+  virtual void RecordSync() = 0;
+  // Of one vectored read's runs, `runs` covered 2+ adjacent segments,
+  // `segments` of them in all.  Already priced by that read's RecordRead.
+  virtual void RecordCoalesced(uint64_t /*runs*/, uint64_t /*segments*/) {}
+};
+
+// The per-DB counters.  Reads and writes also feed the calling thread's
+// OpIoScope, if any, so one device read must reach exactly one IoStats:
+// a ThrottledEnv under the DB's CountingEnv is a sink of its own.
+class IoStats final : public IoSink {
+ public:
+  void RecordRead(uint64_t bytes, uint64_t seeks) override;
+  void RecordWrite(uint64_t bytes) override;
+  void RecordSync() override {
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
   }
-  void RecordRead(uint64_t bytes) {
-    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-    read_ops_.fetch_add(1, std::memory_order_relaxed);
+  void RecordCoalesced(uint64_t runs, uint64_t segments) override {
+    coalesced_reads_.fetch_add(runs, std::memory_order_relaxed);
+    coalesced_blocks_.fetch_add(segments, std::memory_order_relaxed);
   }
-  // A vectored read: `seeks` distinct device positions covering `bytes`
-  // total.  Coalesced segments cost one seek, so ReadV accounting shows
-  // fewer read_ops than the equivalent loop of Read() calls.
-  void RecordReadV(uint64_t bytes, uint64_t seeks) {
-    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
-    read_ops_.fetch_add(seeks, std::memory_order_relaxed);
-  }
-  void RecordSync() { fsyncs_.fetch_add(1, std::memory_order_relaxed); }
 
   IoStatsSnapshot Snapshot() const {
     IoStatsSnapshot s;
@@ -55,6 +65,15 @@ class IoStats {
     s.fsyncs = fsyncs_.load(std::memory_order_relaxed);
     return s;
   }
+  // Vectored-read runs of 2+ adjacent segments, and the segments in them.
+  // Only a MultiGet batch issues multi-segment reads, so these are its
+  // coalescing gauges.
+  uint64_t coalesced_reads() const {
+    return coalesced_reads_.load(std::memory_order_relaxed);
+  }
+  uint64_t coalesced_blocks() const {
+    return coalesced_blocks_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<uint64_t> bytes_written_{0};
@@ -62,6 +81,8 @@ class IoStats {
   std::atomic<uint64_t> write_ops_{0};
   std::atomic<uint64_t> read_ops_{0};
   std::atomic<uint64_t> fsyncs_{0};
+  std::atomic<uint64_t> coalesced_reads_{0};
+  std::atomic<uint64_t> coalesced_blocks_{0};
 };
 
 // Per-operation I/O gathered while the current thread executes one user
@@ -87,10 +108,7 @@ class OpIoScope {
 
   const OpIoContext& context() const;
 
-  // Static recording hooks used by CountingEnv / stall logic.
-  static void RecordRead(uint64_t bytes);
-  static void RecordReadV(uint64_t bytes, uint64_t seeks);
-  static void RecordWrite(uint64_t bytes);
+  // Device reads and writes arrive through IoStats; stalls through this.
   static void RecordStall(uint64_t micros);
 
  private:

@@ -370,23 +370,6 @@ void SequenceReader::MultiGet(const ReadOptions& options,
   if (!rr.empty()) {
     file_->ReadV(rr.data(), rr.size());
 
-    if (options.batch != nullptr) {
-      // Batch accounting: contiguous runs of 2+ blocks became one device
-      // read each.
-      size_t run_len = 1;
-      for (size_t i = 1; i <= rr.size(); ++i) {
-        if (i < rr.size() && rr[i].offset == rr[i - 1].offset + rr[i - 1].n) {
-          run_len++;
-          continue;
-        }
-        if (run_len >= 2) {
-          options.batch->coalesced_reads++;
-          options.batch->coalesced_blocks += run_len;
-        }
-        run_len = 1;
-      }
-    }
-
     for (size_t i = 0; i < rr.size(); ++i) {
       Group& grp = groups[missing[i]];
       const size_t payload = static_cast<size_t>(grp.handle.size());

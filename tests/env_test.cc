@@ -277,7 +277,8 @@ TEST(CountingEnvTest, CountsReadsWritesSyncs) {
 
 // A vectored read is charged one read_op ("seek") per contiguous run, not
 // per segment — this is the signal the MultiGet coalescing test asserts on
-// (fewer device reads for the same blocks).
+// (fewer device reads for the same blocks).  Runs of 2+ segments are the
+// coalescing gauges.
 TEST(CountingEnvTest, ReadVChargesOneOpPerContiguousRun) {
   MemEnv base;
   IoStats stats;
@@ -302,6 +303,69 @@ TEST(CountingEnvTest, ReadVChargesOneOpPerContiguousRun) {
   IoStatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(2u, snap.read_ops);
   EXPECT_EQ(192u, snap.bytes_read);
+  EXPECT_EQ(1u, stats.coalesced_reads());
+  EXPECT_EQ(2u, stats.coalesced_blocks());
+
+  // A lone segment is one seek and coalesces nothing.
+  ASSERT_TRUE(r->ReadV(reqs + 2, 1).ok());
+  EXPECT_EQ(3u, stats.Snapshot().read_ops);
+  EXPECT_EQ(1u, stats.coalesced_reads());
+  EXPECT_EQ(2u, stats.coalesced_blocks());
+}
+
+// A failed segment charges nothing and splits its run: the segments after
+// it start a new seek.  The expected counts are computed from the
+// per-segment outcomes of a seeded kFaultRead schedule.
+TEST(CountingEnvTest, FailedSegmentSplitsRun) {
+  MemEnv base;
+  FaultInjectionEnv fault(&base);
+  IoStats stats;
+  CountingEnv env(&fault, &stats);
+  ASSERT_TRUE(
+      WriteStringToFile(&env, std::string(1024, 'x'), "/f", false).ok());
+  std::unique_ptr<RandomAccessFile> r;
+  ASSERT_TRUE(env.NewRandomAccessFile("/f", &r).ok());
+
+  int splits = 0;
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    fault.SetErrorSchedule(kFaultRead, seed, /*one_in=*/3);
+    std::vector<std::array<char, 16>> scratch(16);
+    std::vector<ReadRequest> reqs(16);
+    for (size_t i = 0; i < 16; i++) {
+      reqs[i] = {i * 16, 16, scratch[i].data(), Slice(), Status::OK()};
+    }
+    const IoStatsSnapshot before = stats.Snapshot();
+    const uint64_t runs_before = stats.coalesced_reads();
+    const uint64_t blocks_before = stats.coalesced_blocks();
+    r->ReadV(reqs.data(), reqs.size());
+
+    uint64_t seeks = 0, bytes = 0, runs = 0, blocks = 0;
+    size_t run = 0;
+    for (size_t i = 0; i <= reqs.size(); i++) {
+      if (i < reqs.size() && reqs[i].status.ok()) {
+        if (run == 0) seeks++;
+        run++;
+        bytes += 16;
+        continue;
+      }
+      if (i < reqs.size() && run > 0 && i + 1 < reqs.size() &&
+          reqs[i + 1].status.ok()) {
+        splits++;
+      }
+      if (run >= 2) {
+        runs++;
+        blocks += run;
+      }
+      run = 0;
+    }
+    const IoStatsSnapshot io = stats.Snapshot() - before;
+    EXPECT_EQ(seeks, io.read_ops) << seed;
+    EXPECT_EQ(bytes, io.bytes_read) << seed;
+    EXPECT_EQ(runs, stats.coalesced_reads() - runs_before) << seed;
+    EXPECT_EQ(blocks, stats.coalesced_blocks() - blocks_before) << seed;
+  }
+  fault.ClearErrorSchedule();
+  EXPECT_GT(splits, 0);
 }
 
 TEST(CountingEnvTest, OpIoScopeCapturesPerOperationIo) {
