@@ -49,9 +49,12 @@ int main(int argc, char** argv) {
       // Write amp counts everything, including the settled debt.
       double wamp = bench.db()->GetStats().total_write_amp;
       wamp_rows.emplace_back(SystemName(id), wamp);
-      std::printf("  [loaded %s/%s: wamp=%.2f wall=%.1fs read_ops=%llu]\n",
-                  dataset.name, SystemName(id), wamp, r.wall_seconds,
-                  static_cast<unsigned long long>(r.stats_after.io.read_ops));
+      std::printf(
+          "  [loaded %s/%s: wamp=%.2f wall=%.1fs read_ops=%llu "
+          "write_ops=%llu]\n",
+          dataset.name, SystemName(id), wamp, r.wall_seconds,
+          static_cast<unsigned long long>(r.stats_after.io.read_ops),
+          static_cast<unsigned long long>(r.stats_after.io.write_ops));
     }
     if (std::string(dataset.name) == "100G") {
       PrintNormalized("\nFig6 SSD-100G (normalized to L):", ssd_rows, wall);

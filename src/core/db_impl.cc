@@ -11,6 +11,7 @@
 #include "core/filename.h"
 #include "core/level_iters.h"
 #include "core/leveled/leveled_engine.h"
+#include "env/buffered_writable_file.h"
 #include "table/merging_iterator.h"
 #include "util/crc32c.h"
 #include "util/sync_point.h"
@@ -371,7 +372,9 @@ Status DBImpl::SwitchMemTable() {
   IAMDB_SYNC_POINT("DBImpl::SwitchMemTable:AfterNewWal");
 
   if (log_number_ != 0) old_log_numbers_.insert(log_number_);
-  log_file_ = std::move(lfile);
+  // log::Writer flushes once per record, so each record reaches the env
+  // as one write.
+  log_file_ = std::make_unique<BufferedWritableFile>(std::move(lfile));
   log_ = std::make_unique<log::Writer>(log_file_.get());
   log_number_ = new_log_number;
 

@@ -41,8 +41,12 @@ class DeviceModel {
   }
   double WriteMicros(uint64_t ops, uint64_t bytes) const {
     // Writes are buffered/sequential: charge dispatch cost per sync-sized
-    // batch rather than per append (one seek per 64 appends approximates
-    // filesystem write-back clustering).
+    // batch rather than per device write (one seek per 64 writes
+    // approximates filesystem write-back clustering).  A device write is
+    // one Append that reaches CountingEnv: for node files, one pushed
+    // 64 KB buffer (env/buffered_writable_file.h); for the WAL, one
+    // record; the manifest still appends each record's header and payload
+    // apart.
     return (ops / 64.0) * profile_.seek_latency_us +
            bytes / profile_.write_bw_mbps;
   }

@@ -12,7 +12,8 @@ namespace iamdb {
 struct IoStatsSnapshot {
   uint64_t bytes_written = 0;
   uint64_t bytes_read = 0;
-  uint64_t write_ops = 0;   // distinct Append calls
+  uint64_t write_ops = 0;   // device writes: Appends reaching CountingEnv
+                            // (a pushed 64 KB buffer or one WAL record)
   uint64_t read_ops = 0;    // distinct positional reads ("seeks")
   uint64_t fsyncs = 0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "env/buffered_writable_file.h"
 #include "table/merging_iterator.h"
 
 namespace iamdb {
@@ -125,6 +126,8 @@ Status MSTableWriter::Open() {
     s = env_->NewWritableFile(fname_, &file_);
   }
   if (!s.ok()) return s;
+  // Blocks and their trailers reach the env in 64 KB writes.
+  file_ = std::make_unique<BufferedWritableFile>(std::move(file_));
   builder_ = std::make_unique<SequenceBuilder>(options_, file_.get(),
                                                start_offset, format_version_);
   return Status::OK();

@@ -54,6 +54,9 @@ Status Writer::AddRecord(const Slice& slice) {
     left -= fragment_length;
     begin = false;
   } while (s.ok() && left > 0);
+  // One flush per record: its padding, headers and fragments reach the
+  // file beneath together, and before AddRecord returns.
+  if (s.ok()) s = dest_->Flush();
   return s;
 }
 
@@ -71,10 +74,7 @@ Status Writer::EmitPhysicalRecord(RecordType t, const char* ptr,
   EncodeFixed32(buf, crc32c::Mask(crc));
 
   Status s = dest_->Append(Slice(buf, kHeaderSize));
-  if (s.ok()) {
-    s = dest_->Append(Slice(ptr, length));
-    if (s.ok()) s = dest_->Flush();
-  }
+  if (s.ok()) s = dest_->Append(Slice(ptr, length));
   block_offset_ += kHeaderSize + length;
   return s;
 }

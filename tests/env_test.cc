@@ -6,8 +6,10 @@
 #include <array>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <vector>
 
+#include "env/buffered_writable_file.h"
 #include "env/counting_env.h"
 #include "env/env.h"
 #include "env/fault_injection_env.h"
@@ -664,6 +666,117 @@ TEST_F(FaultInjectionEnvTest, RenameMovesTrackedState) {
   ASSERT_TRUE(fault_.RenameFile("/a", "/b").ok());
   ASSERT_TRUE(fault_.DropUnsyncedFileData().ok());
   EXPECT_EQ("keep", ReadAll("/b"));
+}
+
+// ---------------------------------------------------------------------------
+// BufferedWritableFile: what reaches the file beneath, and when.
+
+// Logs every call that reaches it: an Append as its bytes, the others by
+// name.
+class RecordingFile final : public WritableFile {
+ public:
+  explicit RecordingFile(std::vector<std::string>* calls) : calls_(calls) {}
+  Status Append(const Slice& data) override {
+    calls_->push_back(data.ToString());
+    return Status::OK();
+  }
+  Status Close() override { return Log("<close>"); }
+  Status Flush() override { return Log("<flush>"); }
+  Status Sync() override { return Log("<sync>"); }
+
+ private:
+  Status Log(const char* call) {
+    calls_->push_back(call);
+    return Status::OK();
+  }
+  std::vector<std::string>* calls_;
+};
+
+using Calls = std::vector<std::string>;
+constexpr size_t kBuf = BufferedWritableFile::kBufferSize;
+
+TEST(BufferedWritableFileTest, SmallAppendsCoalesceUntilFlushSyncClose) {
+  Calls calls;
+  BufferedWritableFile f(std::make_unique<RecordingFile>(&calls));
+  ASSERT_TRUE(f.Append("ab").ok());
+  ASSERT_TRUE(f.Append("cd").ok());
+  EXPECT_TRUE(calls.empty());
+  ASSERT_TRUE(f.Flush().ok());
+  EXPECT_EQ((Calls{"abcd", "<flush>"}), calls);
+
+  calls.clear();
+  ASSERT_TRUE(f.Append("e").ok());
+  ASSERT_TRUE(f.Sync().ok());
+  ASSERT_TRUE(f.Flush().ok());  // nothing buffered: no empty write
+  EXPECT_EQ((Calls{"e", "<sync>", "<flush>"}), calls);
+
+  calls.clear();
+  ASSERT_TRUE(f.Append("fg").ok());
+  ASSERT_TRUE(f.Close().ok());
+  EXPECT_EQ((Calls{"fg", "<close>"}), calls);
+}
+
+TEST(BufferedWritableFileTest, OverflowPushesTheBufferFirst) {
+  Calls calls;
+  BufferedWritableFile f(std::make_unique<RecordingFile>(&calls));
+  const std::string a(40 << 10, 'a'), b(30 << 10, 'b');
+  const std::string c(kBuf - b.size(), 'c');
+  ASSERT_TRUE(f.Append(a).ok());
+  ASSERT_TRUE(f.Append(b).ok());  // would overflow: a goes out alone
+  EXPECT_EQ((Calls{a}), calls);
+  ASSERT_TRUE(f.Append(c).ok());  // fills the buffer exactly
+  EXPECT_EQ(1u, calls.size());
+  ASSERT_TRUE(f.Append("d").ok());
+  EXPECT_EQ((Calls{a, b + c}), calls);
+  ASSERT_TRUE(f.Close().ok());
+  EXPECT_EQ((Calls{a, b + c, "d", "<close>"}), calls);
+}
+
+TEST(BufferedWritableFileTest, LargeAppendPassesThroughAfterPush) {
+  Calls calls;
+  BufferedWritableFile f(std::make_unique<RecordingFile>(&calls));
+  const std::string full(kBuf, 'x'), bigger(kBuf + 1000, 'y');
+  ASSERT_TRUE(f.Append("head").ok());
+  ASSERT_TRUE(f.Append(full).ok());
+  EXPECT_EQ((Calls{"head", full}), calls);
+  ASSERT_TRUE(f.Append(bigger).ok());
+  ASSERT_TRUE(f.Append("tail").ok());
+  ASSERT_TRUE(f.Close().ok());
+  EXPECT_EQ((Calls{"head", full, bigger, "tail", "<close>"}), calls);
+}
+
+// A push that fails surfaces from the call that made it, whichever call
+// that is, and sticks: no later Sync acknowledges the lost bytes.
+TEST_F(FaultInjectionEnvTest, BufferedPushFailureSticks) {
+  enum Trigger { kAppend, kFlush, kSync, kClose };
+  for (Trigger trigger : {kAppend, kFlush, kSync, kClose}) {
+    SCOPED_TRACE(trigger);
+    fault_.Heal();
+    std::unique_ptr<WritableFile> inner;
+    ASSERT_TRUE(fault_.NewWritableFile("/f", &inner).ok());
+    BufferedWritableFile f(std::move(inner));
+    ASSERT_TRUE(f.Append("durable").ok());
+    ASSERT_TRUE(f.Sync().ok());
+    ASSERT_TRUE(f.Append("lost").ok());
+
+    fault_.SetErrorSchedule(kFaultWrite, /*seed=*/1, /*one_in=*/1,
+                            /*max_failures=*/1);
+    Status s;
+    switch (trigger) {
+      case kAppend: s = f.Append(std::string(kBuf, 'x')); break;
+      case kFlush: s = f.Flush(); break;
+      case kSync: s = f.Sync(); break;
+      case kClose: s = f.Close(); break;
+    }
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find("injected"));
+    // The one-shot schedule is spent; the file beneath would take writes
+    // again, but the buffer does not pretend the lost bytes landed.
+    EXPECT_FALSE(f.Append("more").ok());
+    EXPECT_FALSE(f.Sync().ok());
+    EXPECT_EQ("durable", ReadAll("/f"));
+    EXPECT_EQ(0u, fault_.UnsyncedBytes());
+  }
 }
 
 }  // namespace

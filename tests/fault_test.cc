@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "core/db.h"
@@ -199,6 +201,87 @@ TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
   EXPECT_NE(std::string::npos, s.ToString().find("injected")) << s.ToString();
   // Writes that raced the failure may or may not have been acknowledged;
   // the ones that were must survive.
+  for (int i = 0; i < 100; i++) {
+    const std::string k = Key(100000 + i);
+    if (db->Put(WriteOptions(), k, value).ok()) acked[k] = value;
+  }
+  faulty_.ClearErrorSchedule();
+  db.reset();
+
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (const auto& [k, v] : acked) {
+    std::string got;
+    ASSERT_TRUE(db->Get(ReadOptions(), k, &got).ok()) << k;
+    ASSERT_EQ(v, got) << k;
+  }
+  ASSERT_TRUE(db->WaitForQuiescence().ok());
+  EXPECT_TRUE(db->CheckInvariants(true).ok());
+#endif  // IAMDB_SYNC_POINTS
+}
+
+// A background merge whose output write fails: the node file's blocks sit
+// in its 64 KB write buffer until Finish pushes them, and that push gets an
+// injected error.  Foreground writes wait at the WAL append while the fault
+// is armed, so the job's push is the write that fails.  The job fails, the
+// DB reports the error, and every acknowledged write reads back after a
+// reopen.
+TEST_P(FaultTest, BufferedTableWriteFailureLosesNoAcknowledgedWrite) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
+#else
+  const uint64_t seed = test::TestSeed(23);
+  SCOPED_TRACE(test::SeedTrace(seed));
+  Options options = MakeOptions();
+  options.background_threads = 1;  // one job at a time
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
+
+  SyncPoint* sp = SyncPoint::Instance();
+  sp->Reset();
+  std::atomic<bool> armed{false};
+  std::atomic<bool> job_done{false};
+  sp->SetCallback(GetParam() == EngineType::kAmt
+                      ? "AmtEngine::RunFlushNode:Unlocked"
+                      : "LeveledEngine::CompactLevel:Unlocked",
+                  [&](void*) {
+                    if (!armed.exchange(true)) {
+                      faulty_.SetErrorSchedule(kFaultWrite, seed,
+                                               /*one_in=*/1,
+                                               /*max_failures=*/1);
+                    }
+                  });
+  auto job_finished = [&](void*) {
+    if (armed) job_done = true;
+  };
+  sp->SetCallback("DBImpl::BackgroundCall:RanJob", job_finished);
+  sp->SetCallback("DBImpl::BackgroundCall:NoWork", job_finished);
+  sp->SetCallback("DBImpl::Write:BeforeWalAppend", [&](void*) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (armed && !job_done && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  sp->EnableProcessing();
+
+  Random64 rnd(seed);
+  const std::string value(100, 'v');
+  std::map<std::string, std::string> acked;
+  Status s;
+  for (int i = 0; i < 40000 && !armed; i++) {
+    const std::string k = Key(static_cast<int>(rnd.Next() % 8000));
+    const std::string v = value + std::to_string(i);
+    s = db->Put(WriteOptions(), k, v);
+    if (!s.ok()) break;  // a write stalled behind the failed job
+    acked[k] = v;
+  }
+  ASSERT_TRUE(armed.load()) << s.ToString();
+  s = db->FlushAll();
+  EXPECT_TRUE(job_done.load());
+  sp->Reset();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find("injected")) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find(".mst")) << s.ToString();
   for (int i = 0; i < 100; i++) {
     const std::string k = Key(100000 + i);
     if (db->Put(WriteOptions(), k, value).ok()) acked[k] = value;

@@ -1,8 +1,13 @@
 // WAL tests: framing round trips, block boundary handling, corruption and
-// torn-tail recovery semantics.
+// torn-tail recovery semantics, and the device writes a record costs.  The
+// writer appends through a BufferedWritableFile over a CountingEnv, as the
+// engine's WAL does.
 #include <gtest/gtest.h>
 
+#include "env/buffered_writable_file.h"
+#include "env/counting_env.h"
 #include "env/mem_env.h"
+#include "stats/io_stats.h"
 #include "util/random.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
@@ -16,9 +21,15 @@ class WalTest : public testing::Test {
 
   void OpenWriter() {
     std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_.NewWritableFile("/log", &file).ok());
-    file_ = std::move(file);
+    ASSERT_TRUE(counting_.NewWritableFile("/log", &file).ok());
+    file_ = std::make_unique<BufferedWritableFile>(std::move(file));
     writer_ = std::make_unique<log::Writer>(file_.get());
+  }
+
+  uint64_t LogSize() {
+    uint64_t size = 0;
+    EXPECT_TRUE(env_.GetFileSize("/log", &size).ok());
+    return size;
   }
 
   void Write(const Slice& record) {
@@ -56,6 +67,8 @@ class WalTest : public testing::Test {
   }
 
   MemEnv env_;
+  IoStats stats_;
+  CountingEnv counting_{&env_, &stats_};
   std::unique_ptr<WritableFile> file_;
   std::unique_ptr<log::Writer> writer_;
 };
@@ -166,6 +179,35 @@ TEST_F(WalTest, ReopenedLogAppendsCorrectly) {
   ASSERT_EQ(2u, records.size());
   EXPECT_EQ("before reopen", records[0]);
   EXPECT_EQ("after reopen", records[1]);
+}
+
+TEST_F(WalTest, EachRecordIsOneDeviceWrite) {
+  Random rnd(17);
+  std::vector<std::string> expected;
+  for (int i = 0; i < 200; i++) {
+    expected.emplace_back(rnd.Uniform(300), static_cast<char>('a' + i % 26));
+    Write(expected.back());
+  }
+  const IoStatsSnapshot io = stats_.Snapshot();
+  EXPECT_EQ(expected.size(), io.write_ops);
+  EXPECT_EQ(LogSize(), io.bytes_written);
+  EXPECT_EQ(expected, ReadAll());
+}
+
+TEST_F(WalTest, RecordAcrossBlockBoundaryIsOneDeviceWrite) {
+  // The first record leaves 3 bytes of block 0, too few for a header; the
+  // second pads them, then spans blocks 1 and 2 as FIRST + LAST fragments.
+  const std::string first(log::kBlockSize - log::kHeaderSize - 3, 'f');
+  const std::string second(log::kBlockSize + 5000, 's');
+  Write(first);
+  ASSERT_EQ(static_cast<uint64_t>(log::kBlockSize - 3), LogSize());
+  const IoStatsSnapshot before = stats_.Snapshot();
+  Write(second);
+  const IoStatsSnapshot io = stats_.Snapshot() - before;
+  EXPECT_EQ(1u, io.write_ops);
+  EXPECT_EQ(3 + 2 * log::kHeaderSize + second.size(), io.bytes_written);
+  EXPECT_EQ(LogSize(), before.bytes_written + io.bytes_written);
+  EXPECT_EQ((std::vector<std::string>{first, second}), ReadAll());
 }
 
 TEST_F(WalTest, FragmentedRecordReassembly) {
