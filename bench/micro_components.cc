@@ -219,30 +219,47 @@ void BM_WalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppend)->Arg(128)->Arg(4096);
 
+// Device reads from the end of `result`'s Finish through one lookup, in the
+// finished node, of a key its bloom filter rules out: the reads it takes
+// to open a node just written.
+double DeviceReadsToOpen(const IoStats& stats, const IoStatsSnapshot& finished,
+                         const MSTableBuildResult& result) {
+  std::string value;
+  MultiGetRequest::State lookup;
+  TableGet(*result.reader, "absent", kMaxSequenceNumber, &value, &lookup);
+  return static_cast<double>(stats.Snapshot().read_ops - finished.read_ops);
+}
+
 void BM_MSTableBuild(benchmark::State& state) {
-  // device_writes_per_op: writes CountingEnv sees per node built.
+  // device_writes_per_op: writes CountingEnv sees per node built;
+  // device_reads_to_open: see DeviceReadsToOpen.
   const int n = state.range(0);
   MemEnv mem;
   IoStats stats;
   CountingEnv env(&mem, &stats);
   TableOptions options;
+  InternalKeyComparator cmp;
   std::string value(256, 'v');
   int file_number = 0;
+  MSTableBuildResult result;
   for (auto _ : state) {
-    MSTableWriter writer(&env, options,
-                         "/t" + std::to_string(file_number++));
+    MSTableWriter writer(&env, options, &cmp,
+                         "/t" + std::to_string(file_number), file_number);
+    file_number++;
     writer.Open();
     for (int i = 0; i < n; i++) {
       writer.Add(MakeIKey(i), value);
     }
-    MSTableBuildResult result;
     writer.Finish(false, &result);
     benchmark::DoNotOptimize(result.meta_end);
   }
   state.SetItemsProcessed(state.iterations() * n);
+  const IoStatsSnapshot finished = stats.Snapshot();
   state.counters["device_writes_per_op"] = benchmark::Counter(
-      static_cast<double>(stats.Snapshot().write_ops) /
+      static_cast<double>(finished.write_ops) /
       static_cast<double>(state.iterations()));
+  state.counters["device_reads_to_open"] =
+      DeviceReadsToOpen(stats, finished, result);
 }
 BENCHMARK(BM_MSTableBuild)->Arg(1000)->Arg(10000);
 
@@ -252,14 +269,14 @@ void BM_MSTableGet(benchmark::State& state) {
   TableOptions options;
   options.block_cache = &cache;
   const int n = 20000;
-  MSTableWriter writer(&env, options, "/t");
+  InternalKeyComparator cmp;
+  MSTableWriter writer(&env, options, &cmp, "/t", 1);
   writer.Open();
   std::string value(256, 'v');
   for (int i = 0; i < n; i++) writer.Add(MakeIKey(i), value);
   MSTableBuildResult result;
   writer.Finish(false, &result);
 
-  InternalKeyComparator cmp;
   std::shared_ptr<MSTableReader> reader;
   MSTableReader::Open(&env, options, &cmp, "/t", 1, result.meta_end, &reader);
   Random rnd(5);
@@ -278,32 +295,35 @@ BENCHMARK(BM_MSTableGet);
 void BM_MSTableAppendSequence(benchmark::State& state) {
   // Cost of one append compaction into an existing node, including the
   // clustered-metadata rewrite (the paper's append write path).
-  MemEnv env;
+  // device_reads_to_open: see DeviceReadsToOpen.
+  MemEnv mem;
+  IoStats stats;
+  CountingEnv env(&mem, &stats);
   TableOptions options;
   InternalKeyComparator cmp;
   std::string value(256, 'v');
+  MSTableBuildResult result;
   for (auto _ : state) {
     state.PauseTiming();
     env.RemoveFile("/t");
-    MSTableWriter writer(&env, options, "/t");
+    MSTableWriter writer(&env, options, &cmp, "/t", 1);
     writer.Open();
     for (int i = 0; i < 4000; i += 2) writer.Add(MakeIKey(i), value);
     MSTableBuildResult base;
     writer.Finish(false, &base);
-    std::shared_ptr<MSTableReader> reader;
-    MSTableReader::Open(&env, options, &cmp, "/t", 1, base.meta_end, &reader);
     state.ResumeTiming();
 
-    MSTableWriter appender(&env, options, "/t", reader.get());
+    MSTableWriter appender(&env, options, &cmp, "/t", 1, base.reader.get());
     appender.Open();
     for (int i = 1; i < 4000; i += 8) {
       appender.Add(MakeIKey(i, 2), value);
     }
-    MSTableBuildResult result;
     appender.Finish(false, &result);
-    benchmark::DoNotOptimize(result.seq_count);
+    benchmark::DoNotOptimize(result.reader);
   }
   state.SetItemsProcessed(state.iterations() * 500);
+  state.counters["device_reads_to_open"] =
+      DeviceReadsToOpen(stats, stats.Snapshot(), result);
 }
 BENCHMARK(BM_MSTableAppendSequence);
 
@@ -317,12 +337,7 @@ MSTableBuildResult BuildInterleavedNode(Env* env, const TableOptions& options,
   const std::string value(256, 'v');
   MSTableBuildResult result;
   for (int seq = 0; seq < kNodeSequences; seq++) {
-    std::shared_ptr<MSTableReader> existing;
-    if (seq > 0) {
-      MSTableReader::Open(env, options, cmp, "/node", 1, result.meta_end,
-                          &existing);
-    }
-    MSTableWriter writer(env, options, "/node", existing.get());
+    MSTableWriter writer(env, options, cmp, "/node", 1, result.reader.get());
     writer.Open();
     for (int i = 0; i < kNodePerSequence; i++) {
       writer.Add(MakeIKey(i * kNodeSequences + seq, 1 + seq), value);
@@ -355,7 +370,8 @@ void BM_CompactionReadNode(benchmark::State& state) {
     for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
     benchmark::DoNotOptimize(n);
   }
-  state.SetBytesProcessed(state.iterations() * result.data_bytes);
+  state.SetBytesProcessed(state.iterations() *
+                          result.reader->total_data_bytes());
   state.counters["reads_per_node"] = benchmark::Counter(
       static_cast<double>(stats.Snapshot().read_ops - reads_before) /
       static_cast<double>(state.iterations()));

@@ -391,7 +391,8 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     const std::string fname = TableFileName(db_->dbname(), file_number);
     // On failure the writer abandons: a new file is removed, the target's
     // own file stays readable at its recorded meta_end.
-    MSTableWriter writer(db_->env(), options.table, fname, reader.get());
+    MSTableWriter writer(db_->env(), options.table, db_->icmp(), fname,
+                         file_number, reader.get());
     s = writer.Open();
     for (; s.ok() && records->Valid(); records->Next()) {
       s = writer.Add(records->key(), records->value());

@@ -32,8 +32,8 @@ Status CompactionOutput::AddStream(CompactionStream* stream,
         node_id_ = db_->NewNodeId();
       }
       writer_ = std::make_unique<MSTableWriter>(
-          db_->env(), db_->options().table,
-          TableFileName(db_->dbname(), file_number_));
+          db_->env(), db_->options().table, db_->icmp(),
+          TableFileName(db_->dbname(), file_number_), file_number_);
       status_ = writer_->Open();
       if (!status_.ok()) break;
     }
@@ -54,7 +54,7 @@ Status CompactionOutput::Cut() {
       result, node_id_, file_number_,
       std::make_shared<FileLifetime>(
           db_->env(), TableFileName(db_->dbname(), file_number_))));
-  data_bytes_ += result.data_bytes;
+  data_bytes_ += result.reader->total_data_bytes();
   meta_bytes_ += result.meta_bytes;
   writer_.reset();
   return status_;

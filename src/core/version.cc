@@ -1,5 +1,7 @@
 #include "core/version.h"
 
+#include <cassert>
+
 #include "core/filename.h"
 
 namespace iamdb {
@@ -34,18 +36,22 @@ std::shared_ptr<MSTableReader> NodeMeta::OpenedReader() const {
 NodePtr NodeFromBuild(const MSTableBuildResult& result, uint64_t node_id,
                       uint64_t file_number,
                       std::shared_ptr<FileLifetime> lifetime) {
+  assert(result.reader != nullptr);
   auto node = std::make_shared<NodeMeta>();
   node->node_id = node_id;
   node->file_number = file_number;
   node->meta_end = result.meta_end;
-  node->data_bytes = result.data_bytes;
-  node->num_entries = result.num_entries;
-  node->seq_count = result.seq_count;
-  node->smallest_ikey = result.smallest;
-  node->largest_ikey = result.largest;
-  node->range_lo = ExtractUserKey(result.smallest).ToString();
-  node->range_hi = ExtractUserKey(result.largest).ToString();
+  const MSTableReader& reader = *result.reader;
+  node->data_bytes = reader.total_data_bytes();
+  node->num_entries = reader.total_entries();
+  node->seq_count = static_cast<uint32_t>(reader.seq_count());
+  node->smallest_ikey = reader.smallest().ToString();
+  node->largest_ikey = reader.largest().ToString();
+  node->range_lo = ExtractUserKey(reader.smallest()).ToString();
+  node->range_hi = ExtractUserKey(reader.largest()).ToString();
   node->lifetime = std::move(lifetime);
+  node->reader_ = result.reader;
+  node->opened_.store(true, std::memory_order_release);
   return node;
 }
 

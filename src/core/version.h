@@ -4,9 +4,12 @@
 //    is unlinked when the last reference drops AND it was marked obsolete,
 //    so live iterators/readers on old versions never lose their data.
 //  * NodeImage     — a node's recorded fields: key range and data stats.
-//  * NodeMeta      — one live node: its image plus the file lifetime and a
-//    lazily-opened reader.  Immutable once published (appends produce a NEW
-//    NodeMeta for the same file at a larger meta_end).
+//  * NodeMeta      — one live node: its image plus the file lifetime and
+//    its table reader.  A written node (NodeFromBuild) is published with
+//    the reader its writer handed out; only a node recovered from the
+//    manifest (NodeFromEdit) opens its reader lazily, on first use.
+//    Immutable once published (appends produce a NEW NodeMeta for the same
+//    file at a larger meta_end).
 //  * NodeEdit      — a node's image at a level as the manifest records it,
 //    and the conversions between it, NodeMeta and a finished table build.
 //  * TreeVersion   — immutable snapshot of the whole tree (levels of nodes).
@@ -71,12 +74,17 @@ struct NodeImage {
   std::string largest_ikey;
 };
 
+struct NodeMeta;
+using NodePtr = std::shared_ptr<NodeMeta>;
+
 struct NodeMeta : NodeImage {
   std::shared_ptr<FileLifetime> lifetime;
 
   bool empty() const { return file_number == 0 || data_bytes == 0; }
 
-  // Lazily open (and memoize) the table reader.  Thread-safe.
+  // The table reader.  A written node has it from birth; a node recovered
+  // from the manifest opens it here on first use (reading its metadata
+  // region) and memoizes it.  Thread-safe.
   Status OpenReader(Env* env, const TableOptions& options,
                     const InternalKeyComparator* cmp,
                     const std::string& dbname,
@@ -87,15 +95,18 @@ struct NodeMeta : NodeImage {
   std::shared_ptr<MSTableReader> OpenedReader() const;
 
  private:
-  // Held across the one-time open (its metadata read).  `reader_` is
-  // written once, under the lock, before `opened_` is set, and never
-  // changes after, so readers that see `opened_` copy it lock-free.
+  friend NodePtr NodeFromBuild(const MSTableBuildResult& result,
+                               uint64_t node_id, uint64_t file_number,
+                               std::shared_ptr<FileLifetime> lifetime);
+
+  // Held across a recovered node's one-time open (its metadata read).
+  // `reader_` is written once, before `opened_` is set — by NodeFromBuild
+  // before the node is published, or under the lock — and never changes
+  // after, so readers that see `opened_` copy it lock-free.
   mutable std::mutex reader_mu_;
   mutable std::shared_ptr<MSTableReader> reader_;
   mutable std::atomic<bool> opened_{false};
 };
-
-using NodePtr = std::shared_ptr<NodeMeta>;
 
 // A node's image at a level, as the manifest encodes it (core/manifest.cc).
 struct NodeEdit : NodeImage {
@@ -105,8 +116,9 @@ struct NodeEdit : NodeImage {
   bool DecodeFrom(Slice* input);
 };
 
-// The node a finished table build describes: its data stats and its exact
-// key range (callers widen the range where a node must cover more).
+// The node a finished table build describes: its data stats, its exact key
+// range (callers widen the range where a node must cover more) and the
+// reader the build handed out.
 NodePtr NodeFromBuild(const MSTableBuildResult& result, uint64_t node_id,
                       uint64_t file_number,
                       std::shared_ptr<FileLifetime> lifetime);

@@ -63,28 +63,26 @@ Status WriteMetadataRegion(WritableFile* file, uint64_t region_start,
   return Status::OK();
 }
 
-void FillResultRanges(const std::vector<SequenceMetaInput>& sequences,
-                      const InternalKeyComparator& icmp,
-                      MSTableBuildResult* result) {
-  result->seq_count = static_cast<uint32_t>(sequences.size());
-  result->data_bytes = 0;
-  result->num_entries = 0;
-  result->smallest.clear();
-  result->largest.clear();
-  for (const auto& seq : sequences) {
-    result->data_bytes += seq.meta.data_bytes;
-    result->num_entries += seq.meta.num_entries;
-    if (seq.meta.num_entries == 0) continue;
-    if (result->smallest.empty() ||
-        icmp.Compare(seq.meta.smallest, result->smallest) < 0) {
-      result->smallest = seq.meta.smallest;
-    }
-    if (result->largest.empty() ||
-        icmp.Compare(seq.meta.largest, result->largest) > 0) {
-      result->largest = seq.meta.largest;
-    }
+// Forwards every Append to `target` and keeps a copy of the bytes it took:
+// the writer parses the metadata region it wrote from this copy.
+class CapturingWritableFile final : public WritableFile {
+ public:
+  CapturingWritableFile(WritableFile* target, std::string* captured)
+      : target_(target), captured_(captured) {}
+
+  Status Append(const Slice& data) override {
+    Status s = target_->Append(data);
+    if (s.ok()) captured_->append(data.data(), data.size());
+    return s;
   }
-}
+  Status Close() override { return target_->Close(); }
+  Status Flush() override { return target_->Flush(); }
+  Status Sync() override { return target_->Sync(); }
+
+ private:
+  WritableFile* const target_;
+  std::string* const captured_;
+};
 
 }  // namespace
 
@@ -92,10 +90,14 @@ void FillResultRanges(const std::vector<SequenceMetaInput>& sequences,
 // MSTableWriter
 
 MSTableWriter::MSTableWriter(Env* env, const TableOptions& options,
-                             std::string fname, const MSTableReader* existing)
+                             const InternalKeyComparator* cmp,
+                             std::string fname, uint64_t file_number,
+                             const MSTableReader* existing)
     : env_(env),
       options_(options),
+      cmp_(cmp),
       fname_(std::move(fname)),
+      file_number_(file_number),
       append_(existing != nullptr) {
   if (existing == nullptr) return;
   // A v1 file appended today stays v1 (raw blocks only).
@@ -146,8 +148,9 @@ uint64_t MSTableWriter::EstimatedDataBytes() const {
 Status MSTableWriter::Finish(bool sync, MSTableBuildResult* result) {
   assert(!finished_);
   Status s = builder_->Finish();
-  std::vector<SequenceMetaInput> sequences;
+  std::string region;  // the metadata bytes appended, trailer included
   if (s.ok()) {
+    std::vector<SequenceMetaInput> sequences;
     sequences.reserve(prior_.size() + 1);
     for (const auto& p : prior_) {
       sequences.push_back(
@@ -156,7 +159,8 @@ Status MSTableWriter::Finish(bool sync, MSTableBuildResult* result) {
     sequences.push_back(SequenceMetaInput{builder_->meta(),
                                           builder_->index_contents(),
                                           builder_->bloom_contents()});
-    s = WriteMetadataRegion(file_.get(), builder_->end_offset(), &sequences,
+    CapturingWritableFile capture(file_.get(), &region);
+    s = WriteMetadataRegion(&capture, builder_->end_offset(), &sequences,
                             format_version_, &result->meta_end,
                             &result->meta_bytes);
   }
@@ -165,14 +169,20 @@ Status MSTableWriter::Finish(bool sync, MSTableBuildResult* result) {
     s = file_->Close();
     file_.reset();
   }
+  // The node's reader, parsed from the bytes just written exactly as Open
+  // parses what it reads.
+  std::unique_ptr<RandomAccessFile> file;
+  if (s.ok()) s = env_->NewRandomAccessFile(fname_, &file);
+  if (s.ok()) {
+    s = MSTableReader::FromRegion(options_, cmp_, fname_, file_number_,
+                                  result->meta_end, region, std::move(file),
+                                  &result->reader);
+  }
   if (!s.ok()) {
     Abandon();
     return s;
   }
   finished_ = true;
-
-  InternalKeyComparator icmp;
-  FillResultRanges(sequences, icmp, result);
   result->new_data_bytes = builder_->meta().data_bytes;
   return Status::OK();
 }
@@ -206,7 +216,8 @@ Status MSTableReader::Open(Env* env, const TableOptions& options,
     return Status::Corruption("meta_end too small", fname);
   }
 
-  // One read for the trailer, one for the whole clustered metadata region.
+  // One read for the trailer, one for the rest of the clustered metadata
+  // region.
   char trailer_space[MSTableTrailer::kSize];
   Slice trailer_input;
   s = file->Read(meta_end - MSTableTrailer::kSize, MSTableTrailer::kSize,
@@ -216,29 +227,47 @@ Status MSTableReader::Open(Env* env, const TableOptions& options,
   s = trailer.DecodeFrom(trailer_input);
   if (!s.ok()) return s;
 
-  if (trailer.region_start >= meta_end) {
+  if (trailer.region_start > meta_end - MSTableTrailer::kSize) {
     return Status::Corruption("bad metadata region", fname);
   }
-  const uint64_t region_size =
+  const uint64_t body_size =
       meta_end - MSTableTrailer::kSize - trailer.region_start;
   std::string region;
-  region.resize(region_size);
-  Slice region_input;
-  s = file->Read(trailer.region_start, region_size, &region_input,
-                 region.data());
+  region.reserve(body_size + MSTableTrailer::kSize);  // the trailer follows
+  region.resize(body_size);
+  Slice body;
+  s = file->Read(trailer.region_start, body_size, &body, region.data());
   if (!s.ok()) return s;
-  if (region_input.size() != region_size) {
+  if (body.size() != body_size) {
     return Status::Corruption("truncated metadata region", fname);
   }
-  if (region_input.data() != region.data()) {
-    region.assign(region_input.data(), region_input.size());
-  }
+  if (body.data() != region.data()) region.assign(body.data(), body.size());
+  region.append(trailer_input.data(), trailer_input.size());
+  return FromRegion(options, cmp, fname, file_number, meta_end, region,
+                    std::move(file), reader);
+}
 
-  // Parse descriptor block (its handle is region-relative on disk terms:
-  // absolute file offsets; translate into the region buffer).
+Status MSTableReader::FromRegion(const TableOptions& options,
+                                 const InternalKeyComparator* cmp,
+                                 const std::string& fname,
+                                 uint64_t file_number, uint64_t meta_end,
+                                 const std::string& region,
+                                 std::unique_ptr<RandomAccessFile> file,
+                                 std::shared_ptr<MSTableReader>* reader) {
+  reader->reset();
+  MSTableTrailer trailer;
+  Status s = trailer.DecodeFrom(region);
+  if (!s.ok()) return s;
+  if (region.size() > meta_end ||
+      trailer.region_start != meta_end - region.size()) {
+    return Status::Corruption("bad metadata region", fname);
+  }
+  // Everything before the trailer.  Handles are absolute file offsets;
+  // translate them into the region buffer.
+  const uint64_t body_size = region.size() - MSTableTrailer::kSize;
   auto slice_of = [&](const BlockHandle& h, Slice* out) -> Status {
-    if (h.offset() < trailer.region_start ||
-        h.offset() + h.size() > trailer.region_start + region_size) {
+    if (h.offset() < trailer.region_start || h.size() > body_size ||
+        h.offset() - trailer.region_start > body_size - h.size()) {
       return Status::Corruption("metadata handle out of region", fname);
     }
     *out = Slice(region.data() + (h.offset() - trailer.region_start),

@@ -7,10 +7,14 @@
 //                    node file, or an append to an existing node (the
 //                    paper's append compaction, Sec 4), whose previous
 //                    metadata region becomes a hole.
-//  * MSTableReader — open a node at a recorded `meta_end`, read the whole
-//                    metadata region in one contiguous I/O, and serve point
-//                    reads (newest sequence first, bloom-guarded) and
-//                    merged scans.
+//  * MSTableReader — hold a node's metadata region in memory and serve
+//                    point reads (newest sequence first, bloom-guarded) and
+//                    merged scans.  A written node's reader comes from its
+//                    writer, built from the region bytes Finish just
+//                    appended; only a node recovered from the manifest is
+//                    opened from the file (Open), at its recorded
+//                    `meta_end`, with one read for the trailer and one for
+//                    the rest of the region.
 #pragma once
 
 #include <cstdint>
@@ -28,19 +32,19 @@
 
 namespace iamdb {
 
+class MSTableReader;
+
 // What a finished write/append looks like to the engine's metadata.
+// The node's totals across ALL sequences (data bytes, entries, sequence
+// count, smallest/largest internal key) are the reader's.
 struct MSTableBuildResult {
   uint64_t meta_end = 0;         // valid size: offset just past the trailer
-  uint64_t data_bytes = 0;       // live data bytes across ALL sequences
   uint64_t new_data_bytes = 0;   // data bytes written by THIS operation
   uint64_t meta_bytes = 0;       // metadata bytes written by this operation
-  uint64_t num_entries = 0;      // entries across all sequences
-  uint32_t seq_count = 0;
-  std::string smallest;          // internal keys across all sequences
-  std::string largest;
+  // The node's reader at meta_end, built from the metadata bytes this
+  // operation appended: the node is never read back to be opened.
+  std::shared_ptr<MSTableReader> reader;
 };
-
-class MSTableReader;
 
 // Writes one sequence into a node file.  A new file (`existing` null)
 // starts at offset 0 in the current format version.  An append (`existing`
@@ -49,11 +53,13 @@ class MSTableReader;
 // so one file never mixes block framings, and writes at the file's
 // physical end; its previous metadata region is abandoned in place (a hole,
 // reclaimed on merge/split) and a fresh region covering all sequences is
-// written after the new data.
+// written after the new data.  `cmp` and `file_number` are the finished
+// node's reader's (file_number keys its blocks in the caches).
 class MSTableWriter {
  public:
-  MSTableWriter(Env* env, const TableOptions& options, std::string fname,
-                const MSTableReader* existing = nullptr);
+  MSTableWriter(Env* env, const TableOptions& options,
+                const InternalKeyComparator* cmp, std::string fname,
+                uint64_t file_number, const MSTableReader* existing = nullptr);
   ~MSTableWriter();
 
   MSTableWriter(const MSTableWriter&) = delete;
@@ -64,7 +70,10 @@ class MSTableWriter {
   // Bytes of data blocks emitted so far (compactions cut output nodes on
   // this).
   uint64_t EstimatedDataBytes() const;
-  // A failure cleans up as Abandon() does.
+  // Writes the metadata region, then (after the sync, if asked, and the
+  // close) opens the file for reading and hands the node's reader out in
+  // result->reader.  A failure, the file's open included, cleans up as
+  // Abandon() does.
   Status Finish(bool sync, MSTableBuildResult* result);
   // Error paths: a new file is removed; an append leaves the file readable
   // at its recorded meta_end (readers never look past it).  The destructor
@@ -80,7 +89,9 @@ class MSTableWriter {
 
   Env* env_;
   const TableOptions options_;
+  const InternalKeyComparator* cmp_;
   std::string fname_;
+  uint64_t file_number_;
   const bool append_;
   uint32_t format_version_ = kCurrentFormatVersion;
   std::vector<PriorSequence> prior_;
@@ -92,7 +103,8 @@ class MSTableWriter {
 class MSTableReader {
  public:
   // Opens the node whose metadata trailer ends at `meta_end` (recorded in
-  // the manifest; bytes past it are ignored).
+  // the manifest; bytes past it are ignored): reads the region
+  // [region_start, meta_end) and parses it as FromRegion does.
   static Status Open(Env* env, const TableOptions& options,
                      const InternalKeyComparator* cmp,
                      const std::string& fname, uint64_t file_number,
@@ -132,7 +144,21 @@ class MSTableReader {
                             std::vector<Iterator*>* out) const;
 
  private:
+  friend class MSTableWriter;
+
   MSTableReader() = default;
+
+  // Builds the reader of `file`'s node from `region`, the file's bytes
+  // [meta_end - region.size(), meta_end): index and bloom blocks,
+  // descriptor, trailer.  Checks the trailer and bounds-checks every
+  // handle.  Open parses what it read here; MSTableWriter::Finish parses
+  // what it wrote.
+  static Status FromRegion(const TableOptions& options,
+                           const InternalKeyComparator* cmp,
+                           const std::string& fname, uint64_t file_number,
+                           uint64_t meta_end, const std::string& region,
+                           std::unique_ptr<RandomAccessFile> file,
+                           std::shared_ptr<MSTableReader>* reader);
 
   const InternalKeyComparator* cmp_ = nullptr;
   uint32_t format_version_ = kCurrentFormatVersion;

@@ -223,7 +223,7 @@ TEST(CompactionStreamTest, BlockBackedSlicesStableUntilNext) {
 
     const std::string fname = "/t" + std::to_string(trial);
     MSTableBuildResult result;
-    MSTableWriter writer(&env, options, fname);
+    MSTableWriter writer(&env, options, &icmp, fname, 1);
     ASSERT_TRUE(writer.Open().ok());
     for (const auto& [k, v] : halves[0]) ASSERT_TRUE(writer.Add(k, v).ok());
     ASSERT_TRUE(writer.Finish(false, &result).ok());
@@ -231,7 +231,7 @@ TEST(CompactionStreamTest, BlockBackedSlicesStableUntilNext) {
     ASSERT_TRUE(MSTableReader::Open(&env, options, &icmp, fname, 1,
                                     result.meta_end, &reader)
                     .ok());
-    MSTableWriter appender(&env, options, fname, reader.get());
+    MSTableWriter appender(&env, options, &icmp, fname, 1, reader.get());
     ASSERT_TRUE(appender.Open().ok());
     for (const auto& [k, v] : halves[1]) ASSERT_TRUE(appender.Add(k, v).ok());
     ASSERT_TRUE(appender.Finish(false, &result).ok());

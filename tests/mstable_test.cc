@@ -16,6 +16,7 @@
 #include "table/compressor.h"
 #include "table/merging_iterator.h"
 #include "table/mstable.h"
+#include "reader_equal.h"
 #include "table_get.h"
 #include "util/random.h"
 
@@ -41,7 +42,7 @@ class MSTableTest : public testing::Test {
   MSTableBuildResult BuildNew(
       const std::string& fname,
       const std::vector<std::pair<std::string, std::string>>& entries) {
-    MSTableWriter writer(&env_, options_, fname);
+    MSTableWriter writer(&env_, options_, &cmp_, fname, 1);
     EXPECT_TRUE(writer.Open().ok());
     for (const auto& [k, v] : entries) {
       EXPECT_TRUE(writer.Add(k, v).ok());
@@ -54,7 +55,7 @@ class MSTableTest : public testing::Test {
   MSTableBuildResult Append(
       const std::string& fname, const MSTableReader& existing,
       const std::vector<std::pair<std::string, std::string>>& entries) {
-    MSTableWriter appender(&env_, options_, fname, &existing);
+    MSTableWriter appender(&env_, options_, &cmp_, fname, 1, &existing);
     EXPECT_TRUE(appender.Open().ok());
     for (const auto& [k, v] : entries) {
       EXPECT_TRUE(appender.Add(k, v).ok());
@@ -222,10 +223,10 @@ TEST_F(MSTableTest, BuildAndReadSingleSequence) {
     entries.emplace_back(IKey(buf, 10), "value" + std::to_string(i));
   }
   auto result = BuildNew("/t1", entries);
-  EXPECT_EQ(1u, result.seq_count);
-  EXPECT_EQ(1000u, result.num_entries);
-  EXPECT_EQ(entries.front().first, result.smallest);
-  EXPECT_EQ(entries.back().first, result.largest);
+  EXPECT_EQ(1, result.reader->seq_count());
+  EXPECT_EQ(1000u, result.reader->total_entries());
+  EXPECT_EQ(entries.front().first, result.reader->smallest().ToString());
+  EXPECT_EQ(entries.back().first, result.reader->largest().ToString());
 
   auto reader = OpenReader("/t1", result.meta_end);
   ASSERT_NE(nullptr, reader);
@@ -280,8 +281,8 @@ TEST_F(MSTableTest, AppendAddsSequenceNewestWins) {
     new_entries.emplace_back(IKey(buf, 20), "new");
   }
   auto r2 = Append("/t3", *reader1, new_entries);
-  EXPECT_EQ(2u, r2.seq_count);
-  EXPECT_EQ(200u, r2.num_entries);
+  EXPECT_EQ(2, r2.reader->seq_count());
+  EXPECT_EQ(200u, r2.reader->total_entries());
 
   // Reader at the NEW meta_end sees both sequences; file number bumps the
   // cache generation implicitly since block offsets are unique.
@@ -311,7 +312,7 @@ TEST_F(MSTableTest, MultipleAppendsAccumulate) {
     r = Append("/t4", *reader,
                {{IKey("a", static_cast<SequenceNumber>(gen)),
                  std::string("v").append(std::to_string(gen))}});
-    EXPECT_EQ(static_cast<uint32_t>(gen), r.seq_count);
+    EXPECT_EQ(gen, r.reader->seq_count());
   }
   auto reader = OpenReader("/t4", r.meta_end, 100);
   EXPECT_EQ(5, reader->seq_count());
@@ -323,7 +324,7 @@ TEST_F(MSTableTest, MultipleAppendsAccumulate) {
 
 TEST_F(MSTableTest, AbandonedNewFileLeavesNoFile) {
   {
-    MSTableWriter writer(&env_, options_, "/tab1");
+    MSTableWriter writer(&env_, options_, &cmp_, "/tab1", 1);
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Add(IKey("a", 1), "v").ok());
     writer.Abandon();
@@ -331,7 +332,7 @@ TEST_F(MSTableTest, AbandonedNewFileLeavesNoFile) {
   }
   // A writer destroyed unfinished abandons too.
   {
-    MSTableWriter writer(&env_, options_, "/tab2");
+    MSTableWriter writer(&env_, options_, &cmp_, "/tab2", 1);
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Add(IKey("a", 1), "v").ok());
   }
@@ -342,7 +343,8 @@ TEST_F(MSTableTest, AbandonedAppendLeavesNodeReadable) {
   auto r = BuildNew("/tap", {{IKey("a", 1), "a1"}, {IKey("b", 1), "b1"}});
   {
     auto reader = OpenReader("/tap", r.meta_end);
-    MSTableWriter appender(&env_, options_, "/tap", reader.get());
+    MSTableWriter appender(&env_, options_, &cmp_, "/tap", 1,
+                           reader.get());
     ASSERT_TRUE(appender.Open().ok());
     // Enough records that data blocks land past the recorded meta_end.
     for (int i = 0; i < 100; i++) {
@@ -377,7 +379,7 @@ TEST_F(MSTableTest, FailedFinishCleansUpAsAbandonDoes) {
   FaultInjectionEnv faulty(&env_);
   MSTableBuildResult result;
   {
-    MSTableWriter writer(&faulty, options_, "/tfn");
+    MSTableWriter writer(&faulty, options_, &cmp_, "/tfn", 1);
     ASSERT_TRUE(writer.Open().ok());
     ASSERT_TRUE(writer.Add(IKey("a", 1), "v").ok());
     faulty.SetErrorSchedule(kFaultSync, /*seed=*/1, /*one_in=*/1);
@@ -389,7 +391,8 @@ TEST_F(MSTableTest, FailedFinishCleansUpAsAbandonDoes) {
   auto r = BuildNew("/tfa", {{IKey("a", 1), "a1"}});
   {
     auto reader = OpenReader("/tfa", r.meta_end);
-    MSTableWriter appender(&faulty, options_, "/tfa", reader.get());
+    MSTableWriter appender(&faulty, options_, &cmp_, "/tfa", 1,
+                           reader.get());
     ASSERT_TRUE(appender.Open().ok());
     ASSERT_TRUE(appender.Add(IKey("a", 2), "a2").ok());
     faulty.SetErrorSchedule(kFaultSync, /*seed=*/1, /*one_in=*/1);
@@ -490,7 +493,7 @@ TEST_F(MSTableTest, AppendsLeaveDeadMetadataAccountedInFootprint) {
   // dead zones stay inside the file until a merge rewrites the node.
   auto r = BuildNew("/tc", {{IKey("a", 1), std::string(2000, 'v')}});
   uint64_t first_end = r.meta_end;
-  uint64_t data = r.data_bytes;
+  uint64_t data = r.reader->total_data_bytes();
   for (int gen = 2; gen <= 6; gen++) {
     auto reader = OpenReader("/tc", r.meta_end, gen);
     r = Append("/tc", *reader,
@@ -502,9 +505,10 @@ TEST_F(MSTableTest, AppendsLeaveDeadMetadataAccountedInFootprint) {
   uint64_t file_size;
   ASSERT_TRUE(env_.GetFileSize("/tc", &file_size).ok());
   EXPECT_EQ(file_size, r.meta_end);
-  EXPECT_GT(r.meta_end - first_end, (r.data_bytes - 2000) + 4 * 64)
+  EXPECT_GT(r.meta_end - first_end,
+            (r.reader->total_data_bytes() - 2000) + 4 * 64)
       << "expected dead metadata regions between appends";
-  EXPECT_GT(r.data_bytes, 5u * 2000u);
+  EXPECT_GT(r.reader->total_data_bytes(), 5u * 2000u);
 }
 
 TEST_F(MSTableTest, BloomPreventsDataBlockReads) {
@@ -517,7 +521,7 @@ TEST_F(MSTableTest, BloomPreventsDataBlockReads) {
     entries.emplace_back(IKey(buf, 1), "v");
   }
   // Build directly on counting env.
-  MSTableWriter writer(&counting_env, options_, "/t7");
+  MSTableWriter writer(&counting_env, options_, &cmp_, "/t7", 1);
   ASSERT_TRUE(writer.Open().ok());
   for (const auto& [k, v] : entries) ASSERT_TRUE(writer.Add(k, v).ok());
   MSTableBuildResult result;
@@ -573,6 +577,60 @@ TEST_F(MSTableTest, MetadataIsOneContiguousReadOnOpen) {
   IoStatsSnapshot delta = stats.Snapshot() - before;
   // One trailer read + one region read.
   EXPECT_EQ(2u, delta.read_ops);
+}
+
+// A writer hands out the reader Open would build from the file: for a new
+// node, then after each of two appends, and with a codec (compressed data
+// blocks, v2 framing); table_compat_test covers an append to a v1 file.
+TEST_F(MSTableTest, HandedOffReaderEqualsOpen) {
+  for (CompressionType codec :
+       {CompressionType::kNone, CompressionType::kColumnar}) {
+    options_.compression = codec;
+    const std::string fname = "/th" + std::to_string(static_cast<int>(codec));
+    std::shared_ptr<MSTableReader> handed;
+    for (int seq = 0; seq < 3; seq++) {
+      std::vector<std::pair<std::string, std::string>> entries;
+      for (int i = 0; i < 300; i++) {
+        char buf[16];
+        snprintf(buf, sizeof(buf), "key%05d", i * 3 + seq);
+        entries.emplace_back(IKey(buf, 10 + seq), std::string(60, 'a' + seq));
+      }
+      // A key every sequence rewrites: lookups resolve across sequences.
+      entries.emplace_back(IKey("zz", 10 + seq), "z" + std::to_string(seq));
+      MSTableBuildResult r = seq == 0 ? BuildNew(fname, entries)
+                                      : Append(fname, *handed, entries);
+      ASSERT_NE(nullptr, r.reader);
+      EXPECT_EQ(seq + 1, r.reader->seq_count());
+      ExpectSameReader(*r.reader, *OpenReader(fname, r.meta_end));
+      handed = r.reader;
+    }
+  }
+}
+
+// Finish then a lookup the bloom filter rules out: no device read, where
+// opening the node from the file costs two (see
+// MetadataIsOneContiguousReadOnOpen).
+TEST_F(MSTableTest, FinishedNodeNeedsNoReadToOpen) {
+  IoStats stats;
+  CountingEnv counting_env(&env_, &stats);
+  MSTableBuildResult result;
+  {
+    MSTableWriter writer(&counting_env, options_, &cmp_, "/tz", 1);
+    ASSERT_TRUE(writer.Open().ok());
+    for (int i = 0; i < 1000; i++) {
+      char buf[16];
+      snprintf(buf, sizeof(buf), "key%05d", i);
+      ASSERT_TRUE(writer.Add(IKey(buf, 1), "v").ok());
+    }
+    ASSERT_TRUE(writer.Finish(false, &result).ok());
+  }
+  ASSERT_NE(nullptr, result.reader);
+  const IoStatsSnapshot before = stats.Snapshot();
+  std::string value;
+  MultiGetRequest::State state;
+  ASSERT_TRUE(TableGet(*result.reader, "absent", 100, &value, &state).ok());
+  EXPECT_EQ(MultiGetRequest::State::kPending, state);
+  EXPECT_EQ(0u, (stats.Snapshot() - before).read_ops);
 }
 
 TEST_F(MSTableTest, CorruptTrailerRejected) {
@@ -927,7 +985,8 @@ TEST_P(MSTableCompressionTest, CompressedBuildReadsBackIdentically) {
   // splits and merge triggers) is codec-invariant so tree shape — and the
   // tree digest — cannot depend on the codec.
   EXPECT_LT(compressed.meta_end, raw.meta_end);
-  EXPECT_EQ(compressed.data_bytes, raw.data_bytes);
+  EXPECT_EQ(compressed.reader->total_data_bytes(),
+            raw.reader->total_data_bytes());
 
   auto reader = OpenReader("/comp", compressed.meta_end);
   ASSERT_NE(nullptr, reader);
@@ -960,7 +1019,7 @@ TEST_P(MSTableCompressionTest, CompressedAppendRoundtrip) {
     entries2.emplace_back(IKey(buf, 20), std::string(80, 'z'));
   }
   auto r2 = Append("/ta", *reader1, entries2);
-  EXPECT_EQ(2u, r2.seq_count);
+  EXPECT_EQ(2, r2.reader->seq_count());
 
   auto reader2 = OpenReader("/ta", r2.meta_end);
   ASSERT_NE(nullptr, reader2);
@@ -992,7 +1051,7 @@ TEST_P(MSTableCompressionTest, CacheChargesUncompressedResidentSize) {
   // Blocks are charged at their *uncompressed* resident size: cached bytes
   // must track the logical data size, not the (much smaller) on-disk file.
   EXPECT_GT(cache_->usage(), file_size);
-  EXPECT_LE(cache_->usage(), result.data_bytes);
+  EXPECT_LE(cache_->usage(), result.reader->total_data_bytes());
 }
 
 TEST_P(MSTableCompressionTest, CompressedCacheTierServesRereads) {
@@ -1005,7 +1064,7 @@ TEST_P(MSTableCompressionTest, CompressedCacheTierServesRereads) {
   options_.compression_stats = &cstats;
 
   auto entries = FixedRecordEntries(1000);
-  MSTableWriter writer(&counting_env, options_, "/tct");
+  MSTableWriter writer(&counting_env, options_, &cmp_, "/tct", 1);
   ASSERT_TRUE(writer.Open().ok());
   for (const auto& [k, v] : entries) ASSERT_TRUE(writer.Add(k, v).ok());
   MSTableBuildResult result;

@@ -151,7 +151,7 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
     }
     MSTableBuildResult result;
     if (append == 0) {
-      MSTableWriter writer(&env, options, "/t");
+      MSTableWriter writer(&env, options, &cmp, "/t", append);
       ASSERT_TRUE(writer.Open().ok());
       for (const auto& [k, v] : batch) {
         ASSERT_TRUE(writer.Add(IKey(k, seq), v).ok());
@@ -163,7 +163,8 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
       ASSERT_TRUE(MSTableReader::Open(&env, options, &cmp, "/t", append,
                                       meta_end, &reader)
                       .ok());
-      MSTableWriter appender(&env, options, "/t", reader.get());
+      MSTableWriter appender(&env, options, &cmp, "/t", append,
+                             reader.get());
       ASSERT_TRUE(appender.Open().ok());
       for (const auto& [k, v] : batch) {
         ASSERT_TRUE(appender.Add(IKey(k, seq), v).ok());

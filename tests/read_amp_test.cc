@@ -4,13 +4,19 @@
 //    bits/key);
 //  * absent-key reads cost ~0 seeks;
 //  * scans cannot use Blooms: LSA pays ~0.5t seeks per multi-sequence
-//    node while IAM/LSM pay at most one per level.
+//    node while IAM/LSM pay at most one per level;
+//  * a written node is never read back to be opened: under a write-only
+//    load every device read is a compaction input's refill.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/db.h"
+#include "env/counting_env.h"
 #include "env/mem_env.h"
 #include "stats/io_stats.h"
 #include "util/random.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 namespace {
@@ -20,6 +26,22 @@ struct ReadAmpParam {
   AmtPolicy policy;
   const char* name;
 };
+
+const ReadAmpParam kEngines[] = {
+    {EngineType::kLeveled, AmtPolicy::kLsa, "leveled"},
+    {EngineType::kAmt, AmtPolicy::kLsa, "lsa"},
+    {EngineType::kAmt, AmtPolicy::kIam, "iam"},
+};
+
+std::string EngineName(const testing::TestParamInfo<ReadAmpParam>& info) {
+  return info.param.name;
+}
+
+std::string Key(int i) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "key%08d", i);
+  return buf;
+}
 
 class ReadAmpTest : public testing::TestWithParam<ReadAmpParam> {
  protected:
@@ -55,12 +77,6 @@ class ReadAmpTest : public testing::TestWithParam<ReadAmpParam> {
       }
     }
     ASSERT_TRUE(db_->WaitForQuiescence().ok());
-  }
-
-  std::string Key(int i) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "key%08d", i);
-    return buf;
   }
 
   MemEnv env_;
@@ -124,15 +140,69 @@ TEST_P(ReadAmpTest, ScanSeeksBoundedPerSequence) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ReadAmpTest,
-    testing::Values(
-        ReadAmpParam{EngineType::kLeveled, AmtPolicy::kLsa, "leveled"},
-        ReadAmpParam{EngineType::kAmt, AmtPolicy::kLsa, "lsa"},
-        ReadAmpParam{EngineType::kAmt, AmtPolicy::kIam, "iam"}),
-    [](const testing::TestParamInfo<ReadAmpParam>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(Engines, ReadAmpTest, testing::ValuesIn(kEngines),
+                         EngineName);
+
+// Starts from an empty DB: the load under test is the whole history.
+using WrittenNodeReadTest = testing::TestWithParam<ReadAmpParam>;
+
+// Every node a flush, merge, split or append writes is published with the
+// reader its writer handed out, so a write-only load reads the device only
+// to refill compaction inputs.  A reopen then opens the recovered nodes
+// lazily, from the file.
+TEST_P(WrittenNodeReadTest, WrittenNodesAreNeverReadBackToOpen) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "needs IAMDB_SYNC_POINTS";
+#else
+  MemEnv mem;
+  IoStats io;
+  CountingEnv counting(&mem, &io);
+  std::unique_ptr<DB> db;
+  Options options;
+  options.env = &counting;
+  options.engine = GetParam().engine;
+  options.amt.policy = GetParam().policy;
+  options.background_threads = 1;
+  options.node_capacity = 64 << 10;
+  options.table.block_size = 1024;
+  options.amt.fanout = 4;
+  options.amt.memory_budget_bytes = 16 << 10;
+  options.leveled.max_bytes_level1 = 256 << 10;
+  options.leveled.target_file_size = 32 << 10;
+  ASSERT_TRUE(DB::Open(options, "/wdb", &db).ok());
+
+  constexpr char kRefill[] = "SequenceReader::Refill:BeforeRead";
+  SyncPoint::Instance()->Reset();
+  SyncPoint::Instance()->EnableProcessing();
+  const IoStatsSnapshot before = io.Snapshot();
+  std::map<std::string, std::string> model;
+  Random64 rnd(7);
+  for (int i = 0; i < 20000; i++) {
+    const std::string key = Key(static_cast<int>(rnd.Next() % 8000));
+    const std::string value = "v" + std::to_string(i) + std::string(80, 'x');
+    ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+    model[key] = value;
+  }
+  ASSERT_TRUE(db->FlushAll().ok());
+  ASSERT_TRUE(db->WaitForQuiescence().ok());
+  const uint64_t read_ops = (io.Snapshot() - before).read_ops;
+  const uint64_t refills = SyncPoint::Instance()->HitCount(kRefill);
+  SyncPoint::Instance()->Reset();
+  EXPECT_GT(refills, 0u) << "the load should compact";
+  EXPECT_EQ(refills, read_ops) << GetParam().name;
+
+  db.reset();
+  ASSERT_TRUE(DB::Open(options, "/wdb", &db).ok());
+  for (const auto& [key, value] : model) {
+    std::string got;
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+    EXPECT_EQ(value, got) << key;
+  }
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, WrittenNodeReadTest,
+                         testing::ValuesIn(kEngines), EngineName);
 
 }  // namespace
 }  // namespace iamdb
