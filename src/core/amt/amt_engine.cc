@@ -419,9 +419,8 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     frag->added.emplace_back(tlevel, updated);
   } else {
     // ---- Merge path ----
-    std::shared_ptr<MSTableReader> reader;
-    Status s = target->OpenReader(db_->env(), options.table, db_->icmp(),
-                                  db_->dbname(), &reader);
+    InputNode input;
+    Status s = ReadInputNode(db_, *target, &input);
     if (!s.ok()) return s;
 
     // The merge owns the partition view from here; `partition` reads its
@@ -429,7 +428,7 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     const PartitionIterator* partition = records.get();
     std::vector<Iterator*> iters;
     iters.push_back(records.release());
-    reader->AddSequenceIterators(CompactionReadOptions(), &iters);
+    input.reader->AddSequenceIterators(input.image, &iters);
     Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
                                           static_cast<int>(iters.size()));
     CompactionStream stream(merged, smallest_snapshot,
@@ -642,16 +641,15 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
   Status s;
   Delta delta;
   {
-    // The node's records: its sequences merged in memory (Sec 4.2.1).
-    std::shared_ptr<MSTableReader> reader;
-    s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                         db_->dbname(), &reader);
+    // The node's records: its sequences merged in memory (Sec 4.2.1),
+    // from one read of the node that every subcompaction group shares.
+    InputNode input;
+    s = ReadInputNode(db_, *node, &input);
     if (!s.ok()) {
       db_->mutex().lock();
       return s;
     }
-    const ReadOptions merge_read = CompactionReadOptions();
-    auto open_node = [&] { return reader->NewIterator(merge_read); };
+    auto open_node = [&input] { return input.NewIterator(); };
 
     if (job.targets.empty()) {
       // FLSM emulation: rewrite the records into a fresh node one level
@@ -709,16 +707,15 @@ Status AmtEngine::RunSplit(const Job& job) {
 
   db_->mutex().unlock();
 
-  std::shared_ptr<MSTableReader> reader;
-  Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                              db_->dbname(), &reader);
+  InputNode input;
+  Status s = ReadInputNode(db_, *node, &input);
   // The left node takes the records below the boundary, the right one the
   // rest; either may be empty, and then is not written.
   CompactionOutput out(db_);
   size_t left_count = 0;
   if (s.ok()) {
-    CompactionStream stream(reader->NewIterator(CompactionReadOptions()),
-                            smallest_snapshot, /*bottommost=*/false);
+    CompactionStream stream(input.NewIterator(), smallest_snapshot,
+                            /*bottommost=*/false);
     out.AddStream(&stream, &boundary);
     out.Cut();
     left_count = out.outputs().size();

@@ -69,10 +69,11 @@ Status CompactionOutput::Finish() {
   return status_;
 }
 
-ReadOptions CompactionReadOptions() {
-  ReadOptions options;
-  options.fill_cache = false;
-  return options;
+Status ReadInputNode(DBImpl* db, const NodeMeta& node, InputNode* input) {
+  Status s = node.OpenReader(db->env(), db->options().table, db->icmp(),
+                             db->dbname(), &input->reader);
+  if (s.ok()) s = input->reader->ReadNode(&input->image);
+  return s;
 }
 
 Status RunSubcompactions(

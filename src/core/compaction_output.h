@@ -72,8 +72,19 @@ class CompactionOutput {
   uint64_t meta_bytes_ = 0;
 };
 
-// Compaction inputs are read once: they skip the block cache.
-ReadOptions CompactionReadOptions();
+// A compaction input: the node's reader and its data extent, read whole
+// once per job (MSTableReader::ReadNode).  Every iterator the job opens
+// over the node, on whichever shard's thread, serves its blocks from the
+// one image, which is immutable; none reads the device or the caches.
+struct InputNode {
+  std::shared_ptr<MSTableReader> reader;
+  std::shared_ptr<const NodeData> image;
+
+  Iterator* NewIterator() const { return reader->NewIterator(image); }
+};
+
+// Opens `node`'s reader and reads its image, one device read.
+Status ReadInputNode(DBImpl* db, const NodeMeta& node, InputNode* input);
 
 // Splits units [0, cost.size()) into at most F contiguous groups of about
 // equal total cost, F = max_subcompactions (0: background_threads) capped

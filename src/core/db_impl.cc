@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "core/amt/amt_engine.h"
+#include "core/compaction_output.h"
 #include "core/db_iter.h"
 #include "core/filename.h"
 #include "core/level_iters.h"
@@ -914,8 +915,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     // boundaries), "stream" lines for the leveled engine (sharding only
     // moves file cuts).
     TreeVersionPtr version = engine_->current_version();
-    ReadOptions digest_read;
-    digest_read.fill_cache = false;
     for (int level = 0; level < version->num_levels(); level++) {
       uint32_t level_crc = 0;
       uint64_t level_entries = 0;
@@ -923,11 +922,9 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
         uint32_t node_crc = 0;
         uint64_t node_entries = 0;
         if (!node->empty()) {
-          std::shared_ptr<MSTableReader> reader;
-          Status s = node->OpenReader(counting_env_.get(), options_.table,
-                                      &icmp_, dbname_, &reader);
-          if (!s.ok()) return false;
-          std::unique_ptr<Iterator> merged(reader->NewIterator(digest_read));
+          InputNode input;
+          if (!ReadInputNode(this, *node, &input).ok()) return false;
+          std::unique_ptr<Iterator> merged(input.NewIterator());
           for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
             node_crc = crc32c::Extend(node_crc, merged->key().data(),
                                       merged->key().size());

@@ -153,26 +153,23 @@ std::vector<NodePtr> LeveledEngine::OverlappingInputs(
 }
 
 Status LeveledEngine::CompactSubrange(
-    const std::vector<NodePtr>& inputs0,
+    const std::vector<InputNode>& inputs0,
     const std::vector<NodePtr>& inputs1_group, const std::string* start,
     const std::string* stop, SequenceNumber smallest_snapshot, bool bottommost,
     CompactionOutput* out) {
-  Status s;
-  std::vector<Iterator*> input_iters;
-  const ReadOptions read_options = CompactionReadOptions();
-  for (const auto* inputs : {&inputs0, &inputs1_group}) {
-    for (const auto& node : *inputs) {
-      std::shared_ptr<MSTableReader> reader;
-      s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                           db_->dbname(), &reader);
-      if (!s.ok()) break;
-      reader->AddSequenceIterators(read_options, &input_iters);
-    }
-    if (!s.ok()) break;
+  // inputs0 were read once for every shard; this shard's inputs1 are its
+  // own.
+  std::vector<InputNode> inputs1(inputs1_group.size());
+  for (size_t i = 0; i < inputs1_group.size(); i++) {
+    Status s = ReadInputNode(db_, *inputs1_group[i], &inputs1[i]);
+    if (!s.ok()) return s;
   }
-  if (!s.ok()) {
-    for (Iterator* iter : input_iters) delete iter;
-    return s;
+  std::vector<Iterator*> input_iters;
+  for (const InputNode& input : inputs0) {
+    input.reader->AddSequenceIterators(input.image, &input_iters);
+  }
+  for (const InputNode& input : inputs1) {
+    input.reader->AddSequenceIterators(input.image, &input_iters);
   }
 
   Iterator* merged = NewMergingIterator(db_->icmp(), input_iters.data(),
@@ -279,6 +276,18 @@ Status LeveledEngine::CompactLevel(int level) {
   // the DB mutex is not.
   IAMDB_SYNC_POINT_ARG("LeveledEngine::CompactLevel:Unlocked", &level);
 
+  // Every shard merges all of inputs0, so they are read once, here, and
+  // their images shared; each shard reads its own slice of inputs1.
+  std::vector<InputNode> inputs0_read(inputs0.size());
+  Status s;
+  for (size_t i = 0; s.ok() && i < inputs0.size(); i++) {
+    s = ReadInputNode(db_, *inputs0[i], &inputs0_read[i]);
+  }
+  if (!s.ok()) {
+    db_->mutex().lock();
+    return s;
+  }
+
   // Partitioned subcompaction: with several next-level inputs the merge
   // splits into contiguous key-range shards along inputs1 node boundaries,
   // balanced by data bytes.  Each shard merges ALL of inputs0 (bounded by
@@ -293,10 +302,10 @@ Status LeveledEngine::CompactLevel(int level) {
   for (size_t i = 0; i < std::max<size_t>(inputs1.size(), 1); i++) {
     shards.emplace_back(db_, options.leveled.target_file_size);
   }
-  Status s = RunSubcompactions(
+  s = RunSubcompactions(
       db_, cost, WorkLane::kCompaction, [&](size_t begin, size_t end) {
         return CompactSubrange(
-            inputs0,
+            inputs0_read,
             std::vector<NodePtr>(inputs1.begin() + begin,
                                  inputs1.begin() + end),
             begin == 0 ? nullptr : &inputs1[begin]->range_lo,

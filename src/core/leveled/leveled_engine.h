@@ -24,6 +24,7 @@
 namespace iamdb {
 
 class CompactionOutput;
+struct InputNode;
 class DBImpl;
 
 class LeveledEngine final : public TreeEngine {
@@ -66,7 +67,7 @@ class LeveledEngine final : public TreeEngine {
   // `inputs0` with `inputs1_group` over the user-key span
   // [*start, *stop) — null bounds mean open-ended — into `out` (the caller
   // installs its outputs).  Runs on pool helpers.  Mutex NOT held.
-  Status CompactSubrange(const std::vector<NodePtr>& inputs0,
+  Status CompactSubrange(const std::vector<InputNode>& inputs0,
                          const std::vector<NodePtr>& inputs1_group,
                          const std::string* start, const std::string* stop,
                          SequenceNumber smallest_snapshot, bool bottommost,

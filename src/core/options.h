@@ -137,16 +137,16 @@ struct Options {
 
 struct ReadOptions {
   // Whether blocks read from the device fill the block cache.  When false,
-  // point reads still probe both cache tiers but fill neither.  Every
-  // iterator (unless cache_only) reads each sequence ahead through a window
-  // of its own, one device read per window, and a backward step reads only
-  // the block it lands on.  When true (scans) it probes the caches first,
-  // fills them only with the blocks it serves, and its window grows with
-  // the run: one block after a Seek, then about as much as the run has
-  // served, up to SequenceReader::kScanReadaheadBytes (16 KB).  When false
-  // (compaction inputs, the tree digest, iamdb_dump) it neither probes nor
-  // fills the caches and reads SequenceReader::kReadaheadBytes (256 KB) on
-  // every forward miss.
+  // point reads still probe both cache tiers but fill neither, and an
+  // iterator neither probes nor fills them.  Every iterator (unless
+  // cache_only) reads each sequence ahead through a window of its own, one
+  // device read per window, which grows with the run: one block after a
+  // Seek, then about as much as the run has served, up to
+  // SequenceReader::kScanReadaheadBytes (16 KB); a backward step reads only
+  // the block it lands on.  When true it fills the caches only with the
+  // blocks it serves.  Compaction inputs, the tree digest and iamdb_dump
+  // do not read through ReadOptions: they read each node whole, once per
+  // job (MSTableReader::ReadNode).
   bool fill_cache = true;
   // nullptr means "read the latest committed state".
   const Snapshot* snapshot = nullptr;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <utility>
 
 #include "env/buffered_writable_file.h"
 #include "table/merging_iterator.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 
@@ -287,6 +290,8 @@ Status MSTableReader::FromRegion(const TableOptions& options,
   auto result = std::shared_ptr<MSTableReader>(new MSTableReader());
   result->cmp_ = cmp;
   result->format_version_ = trailer.format_version;
+  result->file_number_ = file_number;
+  result->region_start_ = trailer.region_start;
   InternalKeyComparator icmp;
   for (uint32_t i = 0; i < count; i++) {
     SequenceMeta meta;
@@ -332,15 +337,50 @@ void MSTableReader::MultiGet(const ReadOptions& options,
 
 Iterator* MSTableReader::NewIterator(const ReadOptions& options) const {
   std::vector<Iterator*> iters;
-  AddSequenceIterators(options, &iters);
+  for (int i = seq_count() - 1; i >= 0; i--) {
+    iters.push_back(sequences_[i]->NewIterator(options));
+  }
   return NewMergingIterator(cmp_, iters.data(),
                             static_cast<int>(iters.size()));
 }
 
-void MSTableReader::AddSequenceIterators(const ReadOptions& options,
-                                         std::vector<Iterator*>* out) const {
+Status MSTableReader::ReadNode(std::shared_ptr<const NodeData>* image) const {
+  auto node = std::make_shared<NodeData>();
+  node->size = region_start_;
+  node->data.reset(new char[region_start_]);
+  // Arg: {file number, region_start}, one version of one node
+  // (std::pair<uint64_t, uint64_t>*).
+  [[maybe_unused]] std::pair<uint64_t, uint64_t> sync_arg{file_number_,
+                                                          region_start_};
+  IAMDB_SYNC_POINT_ARG("MSTableReader::ReadNode:BeforeRead", &sync_arg);
+  Slice result;
+  Status s = file_->Read(0, region_start_, &result, node->data.get());
+  if (!s.ok()) return s;
+  if (result.size() != region_start_) {
+    return Status::Corruption("truncated node read");
+  }
+  // The read may have landed elsewhere (mmap-style envs return internal
+  // pointers); the image always owns its bytes.
+  if (result.data() != node->data.get()) {
+    std::memcpy(node->data.get(), result.data(), result.size());
+  }
+  *image = std::move(node);
+  return Status::OK();
+}
+
+Iterator* MSTableReader::NewIterator(
+    const std::shared_ptr<const NodeData>& image) const {
+  std::vector<Iterator*> iters;
+  AddSequenceIterators(image, &iters);
+  return NewMergingIterator(cmp_, iters.data(),
+                            static_cast<int>(iters.size()));
+}
+
+void MSTableReader::AddSequenceIterators(
+    const std::shared_ptr<const NodeData>& image,
+    std::vector<Iterator*>* out) const {
   for (int i = seq_count() - 1; i >= 0; i--) {
-    out->push_back(sequences_[i]->NewIterator(options));
+    out->push_back(sequences_[i]->NewIterator(image));
   }
 }
 

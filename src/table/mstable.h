@@ -8,9 +8,10 @@
 //                    paper's append compaction, Sec 4), whose previous
 //                    metadata region becomes a hole.
 //  * MSTableReader — hold a node's metadata region in memory and serve
-//                    point reads (newest sequence first, bloom-guarded) and
-//                    merged scans.  A written node's reader comes from its
-//                    writer, built from the region bytes Finish just
+//                    point reads (newest sequence first, bloom-guarded),
+//                    merged scans, and whole-node reads for compaction
+//                    inputs (ReadNode).  A written node's reader comes from
+//                    its writer, built from the region bytes Finish just
 //                    appended; only a node recovered from the manifest is
 //                    opened from the file (Open), at its recorded
 //                    `meta_end`, with one read for the trailer and one for
@@ -136,11 +137,23 @@ class MSTableReader {
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 
-  // Merged iterator over all sequences (newest-first tie order).
+  // Merged iterator over all sequences (newest-first tie order), each
+  // read through its own scan window.
   Iterator* NewIterator(const ReadOptions& options) const;
 
-  // Iterators for each sequence, appended to *out (newest first).
-  void AddSequenceIterators(const ReadOptions& options,
+  // Reads the node's data extent, file bytes [0, region_start): every
+  // sequence's data blocks and the dead metadata of earlier appends, with
+  // one device read.  A job that consumes the whole node (a merge, flush,
+  // split, the tree digest) reads it once and hands the image to every
+  // iterator of the node it opens, on any thread.  A short read is
+  // Corruption.
+  Status ReadNode(std::shared_ptr<const NodeData>* image) const;
+
+  // The merged iterator, and the iterators of each sequence appended to
+  // *out (newest first), whose blocks all come from `image`, this node's
+  // ReadNode: they never read the device or touch the caches.
+  Iterator* NewIterator(const std::shared_ptr<const NodeData>& image) const;
+  void AddSequenceIterators(const std::shared_ptr<const NodeData>& image,
                             std::vector<Iterator*>* out) const;
 
  private:
@@ -162,6 +175,8 @@ class MSTableReader {
 
   const InternalKeyComparator* cmp_ = nullptr;
   uint32_t format_version_ = kCurrentFormatVersion;
+  uint64_t file_number_ = 0;
+  uint64_t region_start_ = 0;  // where the data extent ends
   std::unique_ptr<RandomAccessFile> file_;
   std::vector<std::unique_ptr<SequenceReader>> sequences_;
   uint64_t total_data_bytes_ = 0;

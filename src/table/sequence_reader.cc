@@ -100,30 +100,25 @@ bool SequenceReader::LookupCachedBlock(const ReadOptions& options,
   return false;
 }
 
-// The read-ahead window of one iterator: the bytes of its last refill,
-// file range [offset, offset + window.size()), and the forward run of
-// blocks it is serving.  It belongs to the iterator (its block function
-// holds it), not to the SequenceReader, which readers of the node share
-// across threads; the buffer is reused across refills.  A copy (the block
+// The read-ahead window of one scan: the bytes of its last refill, file
+// range [offset, offset + window.size()), and the forward run of blocks it
+// is serving.  It belongs to the iterator (its block function holds it),
+// not to the SequenceReader, which readers of the node share across
+// threads; the buffer is reused across refills.  A copy (the block
 // function is a std::function, which must be copyable) starts empty.
 struct SequenceReader::Readahead {
-  explicit Readahead(bool grows) : grow(grows) {}
-  Readahead(const Readahead& other) : grow(other.grow) {}
+  Readahead() = default;
+  Readahead(const Readahead&) {}
   Readahead& operator=(const Readahead&) = delete;
 
-  // A cache-filling scan's refills grow with its run; a non-filling
-  // iterator's are kReadaheadBytes from the first.
-  const bool grow;
   std::unique_ptr<Iterator> cursor;  // over the index: a window's extent
   uint64_t cursor_offset = 0;  // offset of the block the cursor stands on
   std::unique_ptr<char[]> buffer;
   size_t capacity = 0;
   uint64_t offset = 0;
   Slice window;
-  bool served = false;       // whether any block was handed out yet
-  uint64_t last_offset = 0;  // offset of the last block handed out
-  uint64_t run_end = 0;      // just past the last block handed out
-  uint64_t run_bytes = 0;    // bytes of the forward run ending there
+  uint64_t run_end = 0;    // just past the last block handed out
+  uint64_t run_bytes = 0;  // bytes of the forward run ending there
 };
 
 Status SequenceReader::Refill(Readahead* ra, const Slice& index_key,
@@ -158,8 +153,7 @@ Status SequenceReader::Refill(Readahead* ra, const Slice& index_key,
   const size_t len = static_cast<size_t>(end - offset);
   if (len > ra->capacity) {
     // Room for the largest window at once, not one allocation per doubling.
-    ra->capacity = std::max<size_t>(
-        len, (ra->grow ? kScanReadaheadBytes : kReadaheadBytes) + n);
+    ra->capacity = std::max<size_t>(len, kScanReadaheadBytes + n);
     ra->buffer.reset(new char[ra->capacity]);
   }
   ra->window = Slice();
@@ -183,13 +177,10 @@ std::shared_ptr<const Block> SequenceReader::ReadAheadBlock(
     const BlockHandle& handle, Status* s) const {
   const uint64_t offset = handle.offset();
   const uint64_t n = handle.size() + BlockTrailerSize(format_version_);
-  const bool forward = !ra->served || offset > ra->last_offset;
   // Bytes of the run this block extends: the blocks handed out one after
   // another, each adjacent to the last.  A jump or a backward step starts
   // a new run.
-  const uint64_t run = ra->served && offset == ra->run_end ? ra->run_bytes : 0;
-  ra->served = true;
-  ra->last_offset = offset;
+  const uint64_t run = offset == ra->run_end ? ra->run_bytes : 0;
   ra->run_end = offset + n;
   ra->run_bytes = run + n;
 
@@ -200,12 +191,9 @@ std::shared_ptr<const Block> SequenceReader::ReadAheadBlock(
   }
   if (offset < ra->offset || offset + n > ra->offset + ra->window.size()) {
     // A scan reads about as much as its run has served, so its window
-    // doubles while the run lasts and the first block after a Seek is read
-    // alone; a non-filling iterator reads a full window on every forward
-    // miss.  A backward step reads only its block.
-    const uint64_t want = ra->grow  ? std::min(run, kScanReadaheadBytes)
-                          : forward ? kReadaheadBytes
-                                    : 0;
+    // doubles while the run lasts, and the first block after a Seek or a
+    // backward step is read alone.
+    const uint64_t want = std::min(run, kScanReadaheadBytes);
     if (want <= n) {
       // One block: straight into its own buffer, leaving the window be.
       std::string stored;
@@ -228,6 +216,41 @@ std::shared_ptr<const Block> SequenceReader::ReadAheadBlock(
                      type, /*from_compressed_tier=*/false, s);
 }
 
+std::shared_ptr<const Block> SequenceReader::ImageBlock(
+    const NodeData& image, const BlockHandle& handle, Status* s) const {
+  // Overflow-safe: the handle comes from the file.
+  const uint64_t trailer = BlockTrailerSize(format_version_);
+  if (image.size < trailer || handle.size() > image.size - trailer ||
+      handle.offset() > image.size - trailer - handle.size()) {
+    *s = Status::Corruption("data block outside the node image");
+    return nullptr;
+  }
+  const char* data = image.data.get() + handle.offset();
+  CompressionType type = CompressionType::kNone;
+  *s = CheckBlockTrailer(data, handle.size(), format_version_, &type);
+  if (!s->ok()) return nullptr;
+  ReadOptions no_fill;
+  no_fill.fill_cache = false;
+  return FinishBlock(no_fill, {file_number_, handle.offset()},
+                     std::string(data, static_cast<size_t>(handle.size())),
+                     type, /*from_compressed_tier=*/false, s);
+}
+
+namespace {
+
+// Iterator over `block`, which it pins for its lifetime; an error iterator
+// with `s` if there is no block.
+Iterator* PinnedBlockIterator(std::shared_ptr<const Block> block,
+                              const InternalKeyComparator* cmp,
+                              const Status& s) {
+  if (block == nullptr) return NewErrorIterator(s);
+  Iterator* iter = block->NewIterator(cmp);
+  iter->RegisterCleanup([block]() mutable { block.reset(); });
+  return iter;
+}
+
+}  // namespace
+
 Iterator* SequenceReader::NewBlockIterator(const ReadOptions& options,
                                            Readahead* readahead,
                                            const Slice& index_key,
@@ -244,11 +267,7 @@ Iterator* SequenceReader::NewBlockIterator(const ReadOptions& options,
                                 &block, &s)) {
     s = Status::Incomplete("block not in cache");
   }
-  if (block == nullptr) return NewErrorIterator(s);
-  Iterator* iter = block->NewIterator(cmp_);
-  // Pin the block for the iterator's lifetime.
-  iter->RegisterCleanup([block]() mutable { block.reset(); });
-  return iter;
+  return PinnedBlockIterator(std::move(block), cmp_, s);
 }
 
 void SequenceReader::ResolveInBlock(const Block& block,
@@ -416,10 +435,24 @@ Iterator* SequenceReader::NewIterator(const ReadOptions& options) const {
   // it positioned on the entry of the block asked for.
   Iterator* index = index_block_.NewIterator(cmp_);
   return NewTwoLevelIterator(
-      index, [this, options, index, readahead = Readahead(options.fill_cache)](
+      index, [this, options, index, readahead = Readahead()](
                  const Slice& index_value) mutable {
         return NewBlockIterator(options, &readahead, index->key(),
                                 index_value);
+      });
+}
+
+Iterator* SequenceReader::NewIterator(
+    std::shared_ptr<const NodeData> image) const {
+  return NewTwoLevelIterator(
+      index_block_.NewIterator(cmp_),
+      [this, image = std::move(image)](const Slice& index_value) {
+        Slice input = index_value;
+        BlockHandle handle;
+        Status s = handle.DecodeFrom(&input);
+        std::shared_ptr<const Block> block;
+        if (s.ok()) block = ImageBlock(*image, handle, &s);
+        return PinnedBlockIterator(std::move(block), cmp_, s);
       });
 }
 

@@ -1,8 +1,9 @@
 // SequenceReader: query interface over one sorted sequence of an MSTable.
 // Index and bloom contents live in memory (the paper assumes all table
 // metadata is cached).  Point reads fetch data blocks through the block
-// cache; iterators read the sequence ahead through a window of their own
-// (see NewIterator), which a cache-filling scan grows as its run lasts.
+// cache; scans read the sequence ahead through a window of their own that
+// grows as their run lasts; compaction inputs serve every block from a
+// node image, the node's data read whole once per job (see NewIterator).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,16 @@
 #include "table/table_options.h"
 
 namespace iamdb {
+
+// A node image: the node's data extent read whole (MSTableReader::ReadNode),
+// the file's bytes [0, size), that is every data block of every sequence
+// and the dead metadata regions of earlier appends between them.
+// Immutable once read, so the iterators of every thread of a job share it
+// without a lock.
+struct NodeData {
+  std::unique_ptr<char[]> data;
+  uint64_t size = 0;
+};
 
 class SequenceReader {
  public:
@@ -59,28 +70,28 @@ class SequenceReader {
   // a miss reads the block together with the adjacent blocks after it in
   // one read, and the blocks of that window are served from memory (a miss
   // that wants one block reads it straight into the block's own buffer).
-  // Every block still passes its CRC check when it is served.
-  //  - options.fill_cache (a scan): the iterator probes both cache tiers
-  //    before the window and fills them only with blocks it serves.  The
-  //    first miss after a Seek reads one block; each later miss in the same
-  //    forward run of adjacent blocks reads about as many bytes as the run
-  //    has served, so the window doubles up to kScanReadaheadBytes.
-  //  - !options.fill_cache (compaction inputs, the tree digest, iamdb_dump):
-  //    the iterator neither probes nor fills the caches, and every forward
-  //    miss reads kReadaheadBytes.
-  // A backward step reads only the block it lands on.  Under
-  // options.cache_only a block that misses both tiers ends the iteration
-  // with Status::Incomplete.
+  // The first miss after a Seek reads one block; each later miss in the
+  // same forward run of adjacent blocks reads about as many bytes as the
+  // run has served, so the window doubles up to kScanReadaheadBytes.  A
+  // backward step reads only the block it lands on.  options.fill_cache
+  // decides whether the iterator probes both cache tiers before the window
+  // and fills them with the blocks it serves.  Every block still passes
+  // its CRC check when it is served.  Under options.cache_only a block
+  // that misses both tiers ends the iteration with Status::Incomplete.
   Iterator* NewIterator(const ReadOptions& options) const;
 
-  // Most bytes one refill of an iterator's window reads (fewer at the end
-  // of the sequence's data blocks, more for a larger block).  A non-filling
-  // iterator reads kReadaheadBytes per refill.  A scan's window stops
-  // doubling at kScanReadaheadBytes: past that, each block a scan reads
-  // but never serves costs CPU (on MemEnv a read is a memcpy) and saves
-  // no seek it has not already saved; see EXPERIMENTS.md, "Scan
-  // read-ahead".
-  static constexpr uint64_t kReadaheadBytes = 256 << 10;
+  // Iterator over the full sequence whose blocks all come from `image`, the
+  // node's data extent (compaction inputs, the tree digest, iamdb_dump): it
+  // never reads the device and neither probes nor fills the caches.  Every
+  // block passes its CRC check when it is served; a block that does not
+  // lie inside the image ends the iteration with Status::Corruption.
+  Iterator* NewIterator(std::shared_ptr<const NodeData> image) const;
+
+  // Most bytes one refill of a scan's window reads (fewer at the end of
+  // the sequence's data blocks, more for a larger block).  Past that, each
+  // block a scan reads but never serves costs CPU (on MemEnv a read is a
+  // memcpy) and saves no seek it has not already saved; see
+  // EXPERIMENTS.md, "Scan read-ahead".
   static constexpr uint64_t kScanReadaheadBytes = 16 << 10;
 
  private:
@@ -101,6 +112,10 @@ class SequenceReader {
                                               const Slice& index_key,
                                               const BlockHandle& handle,
                                               Status* s) const;
+  // The block at `handle`, served from `image` once its trailer checks out.
+  std::shared_ptr<const Block> ImageBlock(const NodeData& image,
+                                          const BlockHandle& handle,
+                                          Status* s) const;
   // Reads the window of `readahead` anew: the block at `handle`, whose
   // index entry's key is `index_key`, and the adjacent blocks after it
   // while the window holds fewer than `want` bytes.

@@ -17,6 +17,7 @@
 #include "core/manifest.h"
 #include "env/fault_injection_env.h"
 #include "env/mem_env.h"
+#include "short_read_env.h"
 #include "test_seed.h"
 #include "util/random.h"
 #include "util/sync_point.h"
@@ -46,6 +47,10 @@ class FaultTest : public testing::TestWithParam<EngineType> {
     snprintf(buf, sizeof(buf), "key%06d", i);
     return buf;
   }
+
+#ifdef IAMDB_SYNC_POINTS
+  void ExpectMergeReadFailureLosesNoWrite(bool short_read);
+#endif
 
   MemEnv mem_;
   FaultInjectionEnv faulty_;
@@ -151,17 +156,18 @@ TEST_P(FaultTest, RepeatedFaultCycles) {
   }
 }
 
-// A background merge whose input read fails: the first streaming refill
-// after the engine starts a merge (an AMT flush-down, a leveled level
-// compaction) gets an injected read error.  The job fails, the DB reports
+#ifdef IAMDB_SYNC_POINTS
+// A background merge whose input read fails: the first node read after
+// the engine starts a merge (an AMT flush-down, a leveled level
+// compaction) fails, with the injected IOError or, if `short_read`, by
+// coming back one byte short (Corruption).  The job fails, the DB reports
 // the error, and every acknowledged write reads back after a reopen.
-TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
-#ifndef IAMDB_SYNC_POINTS
-  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
-#else
+void FaultTest::ExpectMergeReadFailureLosesNoWrite(bool short_read) {
   const uint64_t seed = test::TestSeed(19);
   SCOPED_TRACE(test::SeedTrace(seed));
+  ShortReadEnv short_env(&faulty_);
   Options options = MakeOptions();
+  options.env = &short_env;
   options.background_threads = 1;  // nothing else reads beside the merge
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
@@ -174,10 +180,14 @@ TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
                       ? "AmtEngine::RunFlushNode:Unlocked"
                       : "LeveledEngine::CompactLevel:Unlocked",
                   [&](void*) { merging = true; });
-  sp->SetCallback("SequenceReader::Refill:BeforeRead", [&](void*) {
+  sp->SetCallback("MSTableReader::ReadNode:BeforeRead", [&](void*) {
     if (merging.exchange(false) && injected++ == 0) {
-      faulty_.SetErrorSchedule(kFaultRead, seed, /*one_in=*/1,
-                               /*max_failures=*/1);
+      if (short_read) {
+        short_env.ShortenNextRead();
+      } else {
+        faulty_.SetErrorSchedule(kFaultRead, seed, /*one_in=*/1,
+                                 /*max_failures=*/1);
+      }
     }
   });
   sp->EnableProcessing();
@@ -197,8 +207,13 @@ TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
   // The failed job is the DB's background error from here on.
   s = db->FlushAll();
   sp->Reset();
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
-  EXPECT_NE(std::string::npos, s.ToString().find("injected")) << s.ToString();
+  if (short_read) {
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  } else {
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find("injected"))
+        << s.ToString();
+  }
   // Writes that raced the failure may or may not have been acknowledged;
   // the ones that were must survive.
   for (int i = 0; i < 100; i++) {
@@ -216,6 +231,22 @@ TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
   }
   ASSERT_TRUE(db->WaitForQuiescence().ok());
   EXPECT_TRUE(db->CheckInvariants(true).ok());
+}
+#endif  // IAMDB_SYNC_POINTS
+
+TEST_P(FaultTest, MergeChunkReadFailureLosesNoAcknowledgedWrite) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
+#else
+  ExpectMergeReadFailureLosesNoWrite(/*short_read=*/false);
+#endif  // IAMDB_SYNC_POINTS
+}
+
+TEST_P(FaultTest, ShortMergeInputReadFailsJobWithCorruption) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (build with -DIAMDB_SYNC_POINTS=ON)";
+#else
+  ExpectMergeReadFailureLosesNoWrite(/*short_read=*/true);
 #endif  // IAMDB_SYNC_POINTS
 }
 

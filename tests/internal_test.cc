@@ -239,10 +239,10 @@ TEST(CompactionStreamTest, BlockBackedSlicesStableUntilNext) {
                                     result.meta_end, &reader)
                     .ok());
 
-    ReadOptions read;
-    read.fill_cache = false;
+    std::shared_ptr<const NodeData> image;
+    ASSERT_TRUE(reader->ReadNode(&image).ok());
     std::vector<Iterator*> iters;
-    reader->AddSequenceIterators(read, &iters);
+    reader->AddSequenceIterators(image, &iters);
     CompactionStream stream(
         NewMergingIterator(&icmp, iters.data(), static_cast<int>(iters.size())),
         snapshot, bottommost);

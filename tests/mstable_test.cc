@@ -1,8 +1,8 @@
 // MSTable tests: build/read round trips, appended sequences, metadata
 // clustering, crash-tolerance of appends (stale meta_end still readable),
 // clean-up of abandoned and failed writes, point reads across sequences
-// with MVCC, merged iteration, read-ahead of streaming (fill_cache = false)
-// and cached scans.
+// with MVCC, merged iteration, whole-node reads of compaction inputs and
+// the read-ahead of scans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "table/merging_iterator.h"
 #include "table/mstable.h"
 #include "reader_equal.h"
+#include "short_read_env.h"
 #include "table_get.h"
 #include "util/random.h"
 
@@ -191,16 +192,23 @@ class MSTableTest : public testing::Test {
     EXPECT_GT(corrupt_gets, 0);
 
     // The scan stops at the bad block: it yields exactly the records before
-    // it, each with its own value, and nothing from the block on.
-    std::unique_ptr<Iterator> iter(reader->NewIterator(read));
-    size_t yielded = 0;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
-      ASSERT_LT(yielded, before) << "record at or after the corrupt block";
-      ASSERT_EQ(entries[yielded].first, iter->key().ToString());
-      ASSERT_EQ(entries[yielded].second, iter->value().ToString());
+    // it, each with its own value, and nothing from the block on.  So does
+    // a compaction input's scan of the node image.
+    std::shared_ptr<const NodeData> image;
+    ASSERT_TRUE(reader->ReadNode(&image).ok());
+    std::unique_ptr<Iterator> scans[] = {
+        std::unique_ptr<Iterator>(reader->NewIterator(read)),
+        std::unique_ptr<Iterator>(reader->NewIterator(image))};
+    for (const auto& iter : scans) {
+      size_t yielded = 0;
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next(), yielded++) {
+        ASSERT_LT(yielded, before) << "record at or after the corrupt block";
+        ASSERT_EQ(entries[yielded].first, iter->key().ToString());
+        ASSERT_EQ(entries[yielded].second, iter->value().ToString());
+      }
+      EXPECT_EQ(before, yielded);
+      EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
     }
-    EXPECT_EQ(before, yielded);
-    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
   }
 
   MemEnv env_;
@@ -208,12 +216,6 @@ class MSTableTest : public testing::Test {
   std::unique_ptr<LruCache> cache_;
   TableOptions options_;
 };
-
-ReadOptions StreamingRead() {
-  ReadOptions read;
-  read.fill_cache = false;
-  return read;
-}
 
 TEST_F(MSTableTest, BuildAndReadSingleSequence) {
   std::vector<std::pair<std::string, std::string>> entries;
@@ -596,7 +598,8 @@ TEST_F(MSTableTest, HandedOffReaderEqualsOpen) {
         entries.emplace_back(IKey(buf, 10 + seq), std::string(60, 'a' + seq));
       }
       // A key every sequence rewrites: lookups resolve across sequences.
-      entries.emplace_back(IKey("zz", 10 + seq), "z" + std::to_string(seq));
+      entries.emplace_back(IKey("zz", 10 + seq),
+                           std::string("z").append(std::to_string(seq)));
       MSTableBuildResult r = seq == 0 ? BuildNew(fname, entries)
                                       : Append(fname, *handed, entries);
       ASSERT_NE(nullptr, r.reader);
@@ -645,9 +648,9 @@ TEST_F(MSTableTest, CorruptTrailerRejected) {
   EXPECT_TRUE(s.IsCorruption());
 }
 
-// Parameter: ReadOptions::fill_cache.  Without it the scan streams the
-// sequence through a readahead window, and the flipped block sits in the
-// middle of the window's one read.
+// Parameter: ReadOptions::fill_cache.  Without it the scan neither probes
+// nor fills the caches; either way it reads through its window, and the
+// flipped block may sit inside a read of several blocks.
 class MSTableChecksumTest : public MSTableTest,
                             public testing::WithParamInterface<bool> {};
 
@@ -665,7 +668,7 @@ TEST_P(MSTableChecksumTest, CorruptDataBlockDetectedWithChecksums) {
 
 INSTANTIATE_TEST_SUITE_P(FillCache, MSTableChecksumTest, testing::Bool(),
                          [](const testing::TestParamInfo<bool>& i) {
-                           return i.param ? "Cached" : "Streaming";
+                           return i.param ? "Cached" : "Uncached";
                          });
 
 // ceil(log2(n)) for n >= 1.
@@ -675,15 +678,16 @@ uint64_t CeilLog2(uint64_t n) {
   return bits;
 }
 
-// A non-filling merged scan reads each sequence in kReadaheadBytes chunks,
-// however the merge interleaves the sequences.  A cached scan's window
-// doubles while its run lasts: over the N blocks of one sequence that fit
-// in a full window it issues at most ceil(log2 N) + 2 reads, then one read
-// per kScanReadaheadBytes, and it reads at most twice the bytes it serves
-// plus one window.  A backward scan of either kind reads each block once,
-// as a scan without read-ahead does.
-TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
-  // Three sequences with interleaved keys, each over one chunk wide.
+// A compaction input reads its node once: ReadNode is one device read of
+// the data extent, and every sequence iterator over the image, forward or
+// backward, reads nothing more.  A scan's window doubles while its run
+// lasts, with or without the caches: over the N blocks of one sequence
+// that fit in a full window it issues at most ceil(log2 N) + 2 reads, then
+// one read per kScanReadaheadBytes, and it reads at most twice the bytes
+// it serves plus one window.  A backward scan reads each block once, as a
+// scan without read-ahead does.
+TEST_F(MSTableTest, NodeReadOnceScansReadThroughGrowingWindows) {
+  // Three sequences with interleaved keys, each several windows wide.
   const int kPerSequence = 1500;
   const uint64_t meta_end = BuildInterleaved("/ts", 3, kPerSequence);
   const size_t total_entries = 3 * kPerSequence;
@@ -698,22 +702,19 @@ TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
                   .ok());
   ASSERT_EQ(3, reader->seq_count());
 
-  const uint64_t chunk = SequenceReader::kReadaheadBytes;
   const uint64_t window = SequenceReader::kScanReadaheadBytes;
   const uint64_t trailer = BlockTrailerSize(kCurrentFormatVersion);
   uint64_t block_bytes = 0;
-  uint64_t chunk_bound = 0;
   uint64_t cached_bound = 0;
+  uint64_t data_end = 0;
   for (int i = 0; i < reader->seq_count(); i++) {
     const SequenceReader& seq = reader->sequence(i);
     const std::vector<BlockHandle> handles = DataBlocks(seq);
     const uint64_t span = handles.back().offset() + handles.back().size() +
                           trailer - handles.front().offset();
-    ASSERT_GT(span, chunk);  // at least one refill past the first
     ASSERT_GT(span, window);
-    const uint64_t bound = (span + chunk - 1) / chunk + 1;
     block_bytes += span;
-    chunk_bound += bound;
+    data_end = handles.back().offset() + handles.back().size() + trailer;
 
     // The leading blocks that fit in one full scan window, and the
     // records they hold (keys up to the last one's index separator).
@@ -756,17 +757,27 @@ TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
       ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
       EXPECT_EQ(static_cast<size_t>(kPerSequence), n);
       const IoStatsSnapshot io = stats.Snapshot() - before;
-      EXPECT_LE(io.read_ops, fill_cache ? capped : bound)
-          << "sequence " << i << (fill_cache ? " cached" : " streaming");
-      EXPECT_LE(io.bytes_read, 2 * span + (fill_cache ? window : chunk))
-          << "sequence " << i;
+      EXPECT_LE(io.read_ops, capped)
+          << "sequence " << i << (fill_cache ? " cached" : " uncached");
+      EXPECT_LE(io.bytes_read, 2 * span + window) << "sequence " << i;
     }
   }
 
-  auto scan = [&](const ReadOptions& read, bool backward,
+  // The image holds every sequence's data, and the dead metadata regions
+  // of the two earlier appends between them.
+  IoStatsSnapshot before = stats.Snapshot();
+  std::shared_ptr<const NodeData> image;
+  ASSERT_TRUE(reader->ReadNode(&image).ok());
+  const IoStatsSnapshot node_io = stats.Snapshot() - before;
+  EXPECT_EQ(1u, node_io.read_ops);
+  EXPECT_EQ(image->size, node_io.bytes_read);
+  EXPECT_EQ(data_end, image->size);
+  EXPECT_GT(image->size, block_bytes);
+
+  auto scan = [&](Iterator* raw, bool backward,
                   std::vector<std::string>* keys) {
+    std::unique_ptr<Iterator> iter(raw);
     IoStatsSnapshot before = stats.Snapshot();
-    std::unique_ptr<Iterator> iter(reader->NewIterator(read));
     if (backward) {
       for (iter->SeekToLast(); iter->Valid(); iter->Prev()) {
         keys->push_back(iter->key().ToString());
@@ -781,23 +792,85 @@ TEST_F(MSTableTest, StreamingScanReadsEachSequenceInChunks) {
   };
 
   std::vector<std::string> streamed, cached;
-  const IoStatsSnapshot streaming_io = scan(StreamingRead(), false, &streamed);
-  const IoStatsSnapshot cached_io = scan(ReadOptions(), false, &cached);
+  const IoStatsSnapshot streaming_io =
+      scan(reader->NewIterator(image), false, &streamed);
+  const IoStatsSnapshot cached_io =
+      scan(reader->NewIterator(ReadOptions()), false, &cached);
   EXPECT_EQ(total_entries, streamed.size());
   EXPECT_EQ(cached, streamed);
-  EXPECT_LE(streaming_io.read_ops, chunk_bound);
+  EXPECT_EQ(0u, streaming_io.read_ops);
   EXPECT_LE(cached_io.read_ops, cached_bound);
   EXPECT_LE(cached_io.bytes_read, 2 * block_bytes + 3 * window);
 
   std::vector<std::string> streamed_back, cached_back;
   const IoStatsSnapshot streaming_back_io =
-      scan(StreamingRead(), true, &streamed_back);
+      scan(reader->NewIterator(image), true, &streamed_back);
   const IoStatsSnapshot cached_back_io =
-      scan(ReadOptions(), true, &cached_back);
+      scan(reader->NewIterator(ReadOptions()), true, &cached_back);
   EXPECT_EQ(total_entries, streamed_back.size());
   EXPECT_EQ(cached_back, streamed_back);
   EXPECT_EQ(block_bytes, cached_back_io.bytes_read);
-  EXPECT_LE(streaming_back_io.bytes_read, cached_back_io.bytes_read);
+  EXPECT_EQ(0u, streaming_back_io.read_ops);
+}
+
+// A node image serves only the blocks that lie inside it.  An appended
+// sequence whose metadata was copied from a larger node names data blocks
+// past the file's data extent: a Seek to one ends the iteration with
+// Corruption, and a full scan stops at the first bad block with
+// Corruption, never reading outside the image.
+TEST_F(MSTableTest, NodeImageRejectsBlocksPastItsEnd) {
+  const uint64_t big_end = BuildInterleaved("/big", 1, 3000);
+  std::shared_ptr<MSTableReader> big = OpenReader("/big", big_end, 1);
+  std::vector<std::pair<std::string, std::string>> small;
+  for (int i = 0; i < 20; i++) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "key%05d", i);
+    small.emplace_back(IKey(buf, 30), "s");
+  }
+  BuildNew("/small", small);
+  // The prior sequence's metadata comes from /big, its data from /small.
+  const uint64_t meta_end = Append("/small", *big, small).meta_end;
+  std::shared_ptr<MSTableReader> reader = OpenReader("/small", meta_end, 2);
+  ASSERT_EQ(2, reader->seq_count());
+  const std::vector<BlockHandle> blocks = DataBlocks(reader->sequence(0));
+  std::shared_ptr<const NodeData> image;
+  ASSERT_TRUE(reader->ReadNode(&image).ok());
+  ASSERT_GT(blocks.back().offset(), image->size);
+
+  std::unique_ptr<Iterator> iter(reader->sequence(0).NewIterator(image));
+  iter->Seek(IKey("key02999", kMaxSequenceNumber, kValueTypeForSeek));
+  EXPECT_FALSE(iter->Valid());
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  EXPECT_NE(std::string::npos, iter->status().ToString().find("outside"))
+      << iter->status().ToString();
+
+  iter.reset(reader->NewIterator(image));
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+  }
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+}
+
+// A node read that comes back short, as from a file truncated under its
+// reader, is Corruption: no image is handed out.
+TEST_F(MSTableTest, ShortNodeReadIsCorruption) {
+  const uint64_t meta_end = BuildInterleaved("/tshort", 2, 500);
+  ShortReadEnv short_env(&env_);
+  std::shared_ptr<MSTableReader> reader;
+  ASSERT_TRUE(MSTableReader::Open(&short_env, options_, &cmp_, "/tshort", 1,
+                                  meta_end, &reader)
+                  .ok());
+  short_env.ShortenNextRead();
+  std::shared_ptr<const NodeData> image;
+  const Status s = reader->ReadNode(&image);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(nullptr, image);
+  // The next read is whole.
+  ASSERT_TRUE(reader->ReadNode(&image).ok());
+  std::unique_ptr<Iterator> iter(reader->NewIterator(image));
+  size_t n = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(2 * 500u, n);
 }
 
 // A cached scan reads one block after a Seek, and a jump starts that
@@ -1130,7 +1203,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Bool()),
     [](const testing::TestParamInfo<std::tuple<CompressionType, bool>>& i) {
       return std::string(CompressionTypeName(std::get<0>(i.param))) +
-             (std::get<1>(i.param) ? "Cached" : "Streaming");
+             (std::get<1>(i.param) ? "Cached" : "Uncached");
     });
 
 }  // namespace

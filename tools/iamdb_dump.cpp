@@ -103,11 +103,17 @@ int DumpTable(const std::string& fname, uint64_t meta_end, bool verify_only,
                   ExtractUserKey(meta.largest).ToString().c_str());
     }
   }
-  // Touch every block of every sequence with checksums on.
-  ReadOptions read_options;
-  read_options.fill_cache = false;
+  // Touch every block of every sequence with checksums on, from one read
+  // of the node.
+  std::shared_ptr<const NodeData> image;
+  s = reader->ReadNode(&image);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s: read failed: %s\n", fname.c_str(),
+                 s.ToString().c_str());
+    return 1;
+  }
   uint64_t entries = 0;
-  std::unique_ptr<Iterator> iter(reader->NewIterator(read_options));
+  std::unique_ptr<Iterator> iter(reader->NewIterator(image));
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) entries++;
   if (!iter->status().ok()) {
     std::fprintf(stderr, "%s: corruption: %s\n", fname.c_str(),
